@@ -22,6 +22,11 @@ identity of F.F onto -C, given that pullbacks pair to zero against the new
 exceptional classes.  Disjointness of successive curve centers is the
 caller's assertion; a center meeting an earlier exceptional divisor is
 handled purely through its class (the E.C coefficient lands on M).
+
+The tables are sparse (see ThreefoldModel), so the zero padding is implicit:
+a blowup copies its parent's dicts shallowly and adds only its non-zero new
+entries, E.E and pair(E, L) for a point, pi*(e_i).F for each e_i meeting C,
+F.F and pair(F, M) for a curve.
 """
 
 from __future__ import annotations
@@ -140,23 +145,6 @@ def _fresh_name(taken: set[str], stem: str) -> str:
     return f"{stem}{k}"
 
 
-def _extend_tables(model: ThreefoldModel):
-    """Pad every old mul2 entry and pairing row by one zero coordinate.
-
-    Returns mutable lists with the new exceptional row/column left as None
-    for the caller to fill.
-    """
-    n = len(model.divisor_basis)
-    zero = ZERO
-    mul2 = []
-    for i in range(n):
-        old_row = model.mul2[i]
-        mul2.append([old_row[j] + (zero,) for j in range(n)] + [None])
-    mul2.append([None] * (n + 1))
-    pairing = [model.pairing[i] + (zero,) for i in range(n)]
-    return mul2, pairing
-
-
 def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
     """Blow up a point: basis gains E (divisor) and L (line in E)."""
     n = len(model.divisor_basis)
@@ -166,14 +154,11 @@ def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
     e_name = _fresh_name(taken_d, "E")
     l_name = _fresh_name(taken_c, "L")
 
-    mul2, pairing = _extend_tables(model)
-    zero_curve = (ZERO,) * (n + 1)
-    minus_l = tuple(ZERO for _ in range(n)) + (-ONE,)
-    for i in range(n):
-        mul2[i][n] = zero_curve
-        mul2[n][i] = zero_curve
-    mul2[n][n] = minus_l
-    pairing.append(tuple(ZERO for _ in range(n)) + (-ONE,))
+    # pi*(a).E = 0 and pair(E, pi^! c) = 0 need no entry: E.E = -L, pair(E, L) = -1
+    mul2 = dict(model.mul2)
+    mul2[(n, n)] = {n: -ONE}
+    pairing = dict(model.pairing)
+    pairing[(n, n)] = -ONE
 
     c1 = DivisorClass(model.c1.coeffs + (QQ(-2),))
     c2 = CurveClass(model.c2.coeffs + (ZERO,))
@@ -183,8 +168,8 @@ def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
         + (BasisElement(e_name, DIVISOR, "exceptional", step_index),),
         curve_basis=model.curve_basis
         + (BasisElement(l_name, CURVE, "exceptional", step_index),),
-        mul2=tuple(tuple(row) for row in mul2),
-        pairing=tuple(pairing),
+        mul2=mul2,
+        pairing=pairing,
         c1=c1,
         c2=c2,
         euler=model.euler + 2,
@@ -225,20 +210,23 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
     f_name = _fresh_name(taken_d, "F")
     m_name = _fresh_name(taken_c, "M")
 
-    mul2, pairing = _extend_tables(model)
-    # pi*(e_i) . F = (e_i . C) M, with e_i . C read off the pairing row
-    zeros = (ZERO,) * n
+    # pi*(e_i) . F = (e_i . C) M, with e_i . C summed over the pairing entries
     cvec = center.curve_class.coeffs
-    for i in range(n):
-        prow = model.pairing[i]
-        coeff = sum((prow[a] * ca for a, ca in enumerate(cvec) if ca), ZERO)
-        vec = zeros + (coeff,)
-        mul2[i][n] = vec
-        mul2[n][i] = vec
+    meets: dict[int, Fraction] = {}
+    for (i, a), v in model.pairing.items():
+        if cvec[a]:
+            meets[i] = meets.get(i, ZERO) + v * cvec[a]
+    mul2 = dict(model.mul2)
+    for i, coeff in meets.items():
+        if coeff:
+            mul2[(i, n)] = {n: coeff}
     # F.F = -pi^!(C) + gamma M
-    ff = tuple(-c for c in center.curve_class.coeffs) + (g,)
-    mul2[n][n] = ff
-    pairing.append(tuple(ZERO for _ in range(n)) + (-ONE,))
+    ff = {a: -c for a, c in enumerate(cvec) if c}
+    if g:
+        ff[n] = g
+    mul2[(n, n)] = ff
+    pairing = dict(model.pairing)
+    pairing[(n, n)] = -ONE
 
     c1 = DivisorClass(model.c1.coeffs + (QQ(-1),))
     c2 = CurveClass(
@@ -252,8 +240,8 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
         + (BasisElement(f_name, DIVISOR, "exceptional", step_index),),
         curve_basis=model.curve_basis
         + (BasisElement(m_name, CURVE, "exceptional", step_index),),
-        mul2=tuple(tuple(row) for row in mul2),
-        pairing=tuple(pairing),
+        mul2=mul2,
+        pairing=pairing,
         c1=c1,
         c2=c2,
         euler=model.euler + 2 - 2 * center.genus,

@@ -119,10 +119,10 @@ def cmd_ring(args) -> int:
         dn, cn = model.divisor_names(), model.curve_names()
         for i in range(len(dn)):
             for j in range(i, len(dn)):
-                rep.add(f"mul.{dn[i]}.{dn[j]}", render_class(cn, model.mul2[i][j]))
+                rep.add(f"mul.{dn[i]}.{dn[j]}", render_class(cn, model.dense_row(i, j)))
         for i in range(len(dn)):
-            for a in range(len(cn)):
-                rep.add(f"pair.{dn[i]}.{cn[a]}", model.pairing[i][a])
+            for a, v in enumerate(model.dense_row(i)):
+                rep.add(f"pair.{dn[i]}.{cn[a]}", v)
         rep.add("c1", render_class(dn, model.c1.coeffs))
         rep.add("c2", render_class(cn, model.c2.coeffs))
         for flag in sorted(model.base_flags):

@@ -2,8 +2,9 @@
 
 A ThreefoldModel stores the numerical shadow of a smooth projective threefold:
 a divisor basis, a curve basis, the divisor*divisor multiplication table (with
-values in the curve lattice), the divisor/curve pairing, the first and second
-Chern classes, the topological Euler characteristic and the Picard number.
+values in the curve lattice) and the divisor/curve pairing, both sparse (see
+ThreefoldModel), the first and second Chern classes, the topological Euler
+characteristic and the Picard number.
 
 All scalars are exact rationals.  Floating point never enters this module;
 the dynamics code converts on its own side when it needs numerics.
@@ -141,22 +142,37 @@ def _same_len(a, b):
         )
 
 
+MulTable = dict[tuple[int, int], dict[int, Fraction]]
+PairTable = dict[tuple[int, int], Fraction]
+
+
 @dataclass(frozen=True)
 class ThreefoldModel:
     """Immutable intersection-theoretic state of a threefold.
 
-    mul2[i][j] is the curve class of the product of divisor generators i and j,
-    stored as a raw coefficient tuple.  pairing[i][a] is the intersection
-    number of divisor generator i with curve generator a.  Blowups return new
-    models; `parent` and `last_step` record the provenance used by the
-    pushforward/pullback maps and are ignored by equality.
+    Both tables are sparse and held in one canonical form:
+
+    - mul2 maps each unordered pair of divisor generator indices, keyed
+      (i, j) with i <= j, to the product e_i.e_j as {curve index: non-zero
+      coefficient}; a pair whose product is zero has no key;
+    - pairing maps (divisor index, curve index) to the intersection number,
+      for the non-zero numbers only.
+
+    No explicit zero, no (j, i) key and no out-of-range index is stored
+    (validate_model rejects them), so two models have the same tables
+    exactly when the dicts compare equal.  A blowup copies the parent's
+    dicts shallowly and adds only its new entries; the entry dicts are
+    shared along the tower and must never be mutated.  dense_row reads one
+    whole row, zeros included, for printing and matrix inversion.  Blowups
+    return new models; `parent` and `last_step` record the provenance used
+    by the pushforward/pullback maps and are ignored by equality.
     """
 
     label: str
     divisor_basis: tuple[BasisElement, ...]
     curve_basis: tuple[BasisElement, ...]
-    mul2: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    pairing: tuple[tuple[Fraction, ...], ...]
+    mul2: MulTable
+    pairing: PairTable
     c1: DivisorClass
     c2: CurveClass
     euler: int
@@ -164,6 +180,22 @@ class ThreefoldModel:
     base_flags: frozenset[str] = frozenset()
     parent: "ThreefoldModel | None" = field(default=None, compare=False, repr=False)
     last_step: str | None = field(default=None, compare=False)
+
+    def __hash__(self) -> int:
+        # the tables are dicts; equal models agree on every field hashed here
+        return hash(
+            (self.label, self.divisor_basis, self.curve_basis, self.c1, self.c2,
+             self.euler, self.picard, self.base_flags)
+        )
+
+    def dense_row(self, i: int, j: int | None = None) -> tuple[Fraction, ...]:
+        """Pairing row i, or with j the curve coefficients of e_i.e_j, as a
+        full tuple over the curve basis with its zeros."""
+        m = len(self.curve_basis)
+        if j is None:
+            return tuple(self.pairing.get((i, a), ZERO) for a in range(m))
+        entry = self.mul2.get((i, j) if i <= j else (j, i), {})
+        return tuple(entry.get(a, ZERO) for a in range(m))
 
     # -- lookups ---------------------------------------------------------
 
@@ -222,41 +254,33 @@ class ThreefoldModel:
 
 
 def multiply_divisors(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass) -> CurveClass:
-    """Bilinear extension of the divisor product table; returns a curve class."""
+    """Bilinear extension of the divisor product table; returns a curve class.
+
+    One walk over the stored products: the entry (i, j) with i < j counts
+    for both orders, d1_i d2_j + d1_j d2_i.
+    """
     n = len(model.divisor_basis)
     if len(d1) != n or len(d2) != n:
         raise ValidationError("divisor class not dimensioned for this model")
-    m = len(model.curve_basis)
-    acc = [ZERO] * m
-    mul2 = model.mul2
-    for i, ci in enumerate(d1.coeffs):
-        if ci == 0:
-            continue
-        row_i = mul2[i]
-        for j, cj in enumerate(d2.coeffs):
-            if cj == 0:
-                continue
-            f = ci * cj
-            row = row_i[j]
-            for k, v in enumerate(row):
-                if v:
-                    acc[k] += f * v
-    return CurveClass(tuple(acc))
+    x, y = d1.coeffs, d2.coeffs
+    acc: dict[int, Fraction] = {}
+    for (i, j), entry in model.mul2.items():
+        f = x[i] * y[j] if i == j else x[i] * y[j] + x[j] * y[i]
+        if f:
+            for k, v in entry.items():
+                acc[k] = acc.get(k, ZERO) + f * v
+    return CurveClass(tuple(acc.get(k, ZERO) for k in range(len(model.curve_basis))))
 
 
 def pair(model: ThreefoldModel, d: DivisorClass, c: CurveClass) -> Fraction:
     """Intersection number of a divisor class with a curve class."""
     if len(d) != len(model.divisor_basis) or len(c) != len(model.curve_basis):
         raise ValidationError("class not dimensioned for this model")
+    dc, cc = d.coeffs, c.coeffs
     total = ZERO
-    pairing = model.pairing
-    for i, ci in enumerate(d.coeffs):
-        if ci == 0:
-            continue
-        row = pairing[i]
-        for a, ca in enumerate(c.coeffs):
-            if ca:
-                total += ci * ca * row[a]
+    for (i, a), v in model.pairing.items():
+        if dc[i] and cc[a]:
+            total += dc[i] * v * cc[a]
     return total
 
 
@@ -265,36 +289,80 @@ def triple(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass, d3: Diviso
     return pair(model, d3, multiply_divisors(model, d1, d2))
 
 
+def triple_products(model: ThreefoldModel) -> dict[tuple[int, int, int], Fraction]:
+    """The non-zero basis triple products T(i, j; k) = pair(e_k, e_i.e_j),
+    keyed (i, j, k) with i <= j as in mul2."""
+    by_curve: dict[int, list[tuple[int, Fraction]]] = {}
+    for (k, a), v in model.pairing.items():
+        by_curve.setdefault(a, []).append((k, v))
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for (i, j), entry in model.mul2.items():
+        for a, v in entry.items():
+            for k, p in by_curve.get(a, ()):
+                out[(i, j, k)] = out.get((i, j, k), ZERO) + v * p
+    return {key: t for key, t in out.items() if t}
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
 
 def pairing_determinant(model: ThreefoldModel) -> Fraction:
-    """Determinant of the divisor/curve pairing matrix (exact)."""
+    """Determinant of the divisor/curve pairing matrix (exact).
+
+    Gaussian elimination on the sparse rows: column by column, the first
+    remaining row with an entry there is the pivot and is cleared from the
+    others, so a pairing with one entry per row costs O(rho^2) lookups.
+    """
     n = len(model.divisor_basis)
-    rows = [list(r) for r in model.pairing]
+    if len(model.curve_basis) != n:
+        raise ValidationError("pairing matrix is not square")
+    rows: dict[int, dict[int, Fraction]] = {i: {} for i in range(n)}
+    for (i, a), v in model.pairing.items():
+        rows[i][a] = v
     det = ONE
+    pivot_row = []
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r, row in rows.items() if col in row), None)
         if piv is None:
             return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = ONE / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] == 0:
+        prow = rows.pop(piv)
+        pivot_row.append(piv)
+        pv = prow[col]
+        det *= pv
+        for row in rows.values():
+            if col not in row:
                 continue
-            f = rows[r][col] * inv
-            for c in range(col, n):
-                rows[r][c] -= f * rows[col][c]
+            f = row[col] / pv
+            for a, v in prow.items():
+                w = row.get(a, ZERO) - f * v
+                if w:
+                    row[a] = w
+                else:
+                    del row[a]
+    # sign of the permutation col -> pivot_row[col]
+    seen = [False] * n
+    for start in range(n):
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = pivot_row[k]
+            length += 1
+        if length and length % 2 == 0:
+            det = -det
     return det
+
+
+def _index_key(key, n1: int, n2: int) -> bool:
+    return (
+        isinstance(key, tuple)
+        and len(key) == 2
+        and all(isinstance(x, int) for x in key)
+        and 0 <= key[0] < n1
+        and 0 <= key[1] < n2
+    )
 
 
 def validate_model(model: ThreefoldModel) -> None:
@@ -311,35 +379,41 @@ def validate_model(model: ThreefoldModel) -> None:
         raise ValidationError("duplicate divisor generator names")
     if len(set(names_c)) != nc:
         raise ValidationError("duplicate curve generator names")
-    if len(model.mul2) != nd or any(len(r) != nd for r in model.mul2):
-        raise ValidationError("mul2 table is not square of basis size")
-    for i in range(nd):
-        for j in range(nd):
-            if len(model.mul2[i][j]) != nc:
-                raise ValidationError(f"mul2[{i}][{j}] has wrong curve dimension")
-            if model.mul2[i][j] != model.mul2[j][i]:
-                raise ValidationError(
-                    f"mul2 not symmetric at ({names_d[i]}, {names_d[j]})"
-                )
-    if len(model.pairing) != nd or any(len(r) != nc for r in model.pairing):
-        raise ValidationError("pairing table has wrong shape")
+    for key, entry in model.mul2.items():
+        if not _index_key(key, nd, nd) or key[0] > key[1]:
+            raise ValidationError(f"mul2 key {key!r} is not a divisor index pair (i, j) with i <= j")
+        if not entry or not all(isinstance(a, int) and 0 <= a < nc for a in entry):
+            raise ValidationError(
+                f"mul2[{names_d[key[0]]}, {names_d[key[1]]}] is empty or has a curve index out of range"
+            )
+        if not all(entry.values()):
+            raise ValidationError(
+                f"mul2[{names_d[key[0]]}, {names_d[key[1]]}] stores an explicit zero"
+            )
+    for key, v in model.pairing.items():
+        if not _index_key(key, nd, nc):
+            raise ValidationError(f"pairing key {key!r} is out of range")
+        if not v:
+            raise ValidationError(
+                f"pairing stores an explicit zero at ({names_d[key[0]]}, {names_c[key[1]]})"
+            )
     if len(model.c1) != nd:
         raise ValidationError("c1 has wrong dimension")
     if len(model.c2) != nc:
         raise ValidationError("c2 has wrong dimension")
-    # full symmetry of the derived triple product on basis triples
-    basis = [model.divisor([ONE if k == i else ZERO for k in range(nd)]) for i in range(nd)]
-    for i in range(nd):
-        for j in range(i, nd):
-            prod = multiply_divisors(model, basis[i], basis[j])
-            for k in range(j, nd):
-                tijk = pair(model, basis[k], prod)
-                tik = pair(model, basis[j], multiply_divisors(model, basis[i], basis[k]))
-                if tijk != tik:
-                    raise ValidationError(
-                        "triple product not symmetric on "
-                        f"({names_d[i]}, {names_d[j]}, {names_d[k]})"
-                    )
+    # full symmetry of the derived triple product on basis triples: every
+    # non-zero T(i, j; k) must equal T(i, k; j) and T(j, k; i)
+    t = triple_products(model)
+
+    def t_at(a: int, b: int, c: int) -> Fraction:
+        return t.get((a, b, c) if a <= b else (b, a, c), ZERO)
+
+    for (i, j, k), value in sorted(t.items()):
+        if t_at(i, k, j) != value or t_at(j, k, i) != value:
+            a, b, c = sorted((i, j, k))
+            raise ValidationError(
+                f"triple product not symmetric on ({names_d[a]}, {names_d[b]}, {names_d[c]})"
+            )
     if pairing_determinant(model) == 0:
         raise ValidationError("pairing matrix is singular")
 
@@ -396,8 +470,8 @@ def _model_p3() -> ThreefoldModel:
         label="P3",
         divisor_basis=(h,),
         curve_basis=(l,),
-        mul2=(((ONE,),),),
-        pairing=((ONE,),),
+        mul2={(0, 0): {0: ONE}},
+        pairing={(0, 0): ONE},
         c1=DivisorClass((QQ(4),)),
         c2=CurveClass((QQ(6),)),
         euler=4,
@@ -412,19 +486,12 @@ def _model_p2xp1() -> ThreefoldModel:
     B = BasisElement("B", DIVISOR)
     f1 = BasisElement("f1", CURVE)
     f2 = BasisElement("f2", CURVE)
-    z = (ZERO, ZERO)
     return ThreefoldModel(
         label="P2xP1",
         divisor_basis=(A, B),
         curve_basis=(f1, f2),
-        mul2=(
-            (z, (ONE, ZERO)),
-            ((ONE, ZERO), (ZERO, ONE)),
-        ),
-        pairing=(
-            (ZERO, ONE),
-            (ONE, ZERO),
-        ),
+        mul2={(0, 1): {0: ONE}, (1, 1): {1: ONE}},
+        pairing={(0, 1): ONE, (1, 0): ONE},
         c1=DivisorClass((QQ(2), QQ(3))),
         c2=CurveClass((QQ(6), QQ(3))),
         euler=6,
@@ -437,27 +504,14 @@ def _model_p1cubed() -> ThreefoldModel:
     # H_i = preimage of a point on the i-th factor, l_i = fiber of the i-th projection
     divisors = tuple(BasisElement(f"H{i}", DIVISOR) for i in (1, 2, 3))
     curves = tuple(BasisElement(f"l{i}", CURVE) for i in (1, 2, 3))
-
-    def curve_vec(k: int | None) -> tuple[Fraction, ...]:
-        return tuple(ONE if k == a else ZERO for a in range(3))
-
-    mul2 = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            if i == j:
-                row.append(curve_vec(None))
-            else:
-                k = 3 - i - j  # complementary index
-                row.append(curve_vec(k))
-        mul2.append(tuple(row))
-    pairing = tuple(tuple(ONE if i == a else ZERO for a in range(3)) for i in range(3))
+    # H_i.H_i = 0 and H_i.H_j = l_k for the complementary index k
+    mul2 = {(i, j): {3 - i - j: ONE} for i in range(3) for j in range(i + 1, 3)}
     return ThreefoldModel(
         label="P1xP1xP1",
         divisor_basis=divisors,
         curve_basis=curves,
-        mul2=tuple(mul2),
-        pairing=pairing,
+        mul2=mul2,
+        pairing={(i, i): ONE for i in range(3)},
         c1=DivisorClass((QQ(2), QQ(2), QQ(2))),
         c2=CurveClass((QQ(4), QQ(4), QQ(4))),
         euler=8,
@@ -491,8 +545,8 @@ def _model_ci(n: int, degrees: Sequence[int]) -> ThreefoldModel:
         label=label,
         divisor_basis=(h,),
         curve_basis=(h2,),
-        mul2=(((ONE,),),),
-        pairing=((Fraction(deg_x),),),
+        mul2={(0, 0): {0: ONE}},
+        pairing={(0, 0): Fraction(deg_x)},
         c1=DivisorClass((c1,)),
         c2=CurveClass((c2,)),
         euler=int(chi),
@@ -515,9 +569,12 @@ def make_custom_base(
     """Assemble a user-supplied base model and validate every invariant.
 
     mul2 is keyed by unordered divisor-name pairs; missing pairs default to
-    zero.  pairing is keyed by (divisor name, curve name); missing entries
-    default to zero.  Hypothesis flags are taken on the caller's word: the
-    condition checkers refuse theorems whose flags are not asserted here.
+    zero, and a pair given in both orders must agree.  pairing is keyed by
+    (divisor name, curve name); missing entries default to zero.  Zero
+    coefficients are dropped, so the tables come out in the canonical
+    sparse form of ThreefoldModel.  Hypothesis flags are taken on the
+    caller's word: the condition checkers refuse theorems whose flags are
+    not asserted here.
     """
     nd = len(divisor_names)
     nc = len(curve_names)
@@ -526,36 +583,37 @@ def make_custom_base(
     if len(d_index) != nd or len(c_index) != nc:
         raise ValidationError("duplicate generator names")
 
-    def curve_of(v) -> tuple[Fraction, ...]:
+    def curve_of(v) -> dict[int, Fraction]:
         if isinstance(v, CurveClass):
             if len(v) != nc:
                 raise ValidationError("curve class has wrong length")
-            return v.coeffs
-        vec = [ZERO] * nc
+            return {a: c for a, c in enumerate(v.coeffs) if c}
+        entry = {}
         for name, coeff in v.items():
             if name not in c_index:
                 raise ValidationError(f"unknown curve generator {name!r}")
-            vec[c_index[name]] = _to_q(coeff)
-        return tuple(vec)
+            q = _to_q(coeff)
+            if q:
+                entry[c_index[name]] = q
+        return entry
 
-    table = [[None] * nd for _ in range(nd)]
+    table: MulTable = {}
     for (a, b), v in mul2.items():
         if a not in d_index or b not in d_index:
             raise ValidationError(f"unknown divisor generator in mul2 key ({a}, {b})")
-        i, j = d_index[a], d_index[b]
-        vec = curve_of(v)
-        for (r, c) in ((i, j), (j, i)):
-            if table[r][c] is not None and table[r][c] != vec:
-                raise ValidationError(f"conflicting mul2 entries for ({a}, {b})")
-            table[r][c] = vec
-    zero_c = (ZERO,) * nc
-    mul2_t = tuple(tuple(table[i][j] if table[i][j] is not None else zero_c for j in range(nd)) for i in range(nd))
+        i, j = sorted((d_index[a], d_index[b]))
+        entry = curve_of(v)
+        if (i, j) in table and table[(i, j)] != entry:
+            raise ValidationError(f"conflicting mul2 entries for ({a}, {b})")
+        table[(i, j)] = entry
 
-    ptable = [[ZERO] * nc for _ in range(nd)]
+    ptable: PairTable = {}
     for (a, b), v in pairing.items():
         if a not in d_index or b not in c_index:
             raise ValidationError(f"unknown generator in pairing key ({a}, {b})")
-        ptable[d_index[a]][c_index[b]] = _to_q(v)
+        q = _to_q(v)
+        if q:
+            ptable[(d_index[a], c_index[b])] = q
 
     divisor_basis = tuple(BasisElement(n_, DIVISOR) for n_ in divisor_names)
     curve_basis = tuple(BasisElement(n_, CURVE) for n_ in curve_names)
@@ -567,8 +625,8 @@ def make_custom_base(
         label=label,
         divisor_basis=divisor_basis,
         curve_basis=curve_basis,
-        mul2=mul2_t,
-        pairing=tuple(tuple(r) for r in ptable),
+        mul2={key: entry for key, entry in table.items() if entry},
+        pairing=ptable,
         c1=c1_vec if c1_vec is not None else DivisorClass(tuple(ZERO for _ in range(nd))),
         c2=c2_vec if c2_vec is not None else CurveClass(tuple(ZERO for _ in range(nc))),
         euler=euler,

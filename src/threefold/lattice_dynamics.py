@@ -25,15 +25,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .intersection_ring import (
-    CurveClass,
-    DivisorClass,
-    ThreefoldModel,
-    ValidationError,
-    multiply_divisors,
-    pair,
-    triple,
-)
+from .intersection_ring import ThreefoldModel, ValidationError, triple_products
 from .polynomials import (
     AlgebraicNumber,
     berkowitz_charpoly,
@@ -105,7 +97,7 @@ def _mat_inverse_q(a):
 
 def curve_matrix(model: ThreefoldModel, A) -> list[list[Fraction]]:
     """The action on curve coefficient vectors dual to A under the pairing."""
-    P = [list(row) for row in model.pairing]
+    P = [list(model.dense_row(i)) for i in range(len(model.divisor_basis))]
     A_inv_t = _mat_transpose(_mat_inverse_q(A))
     return _mat_mul(_mat_inverse_q(P), _mat_mul(A_inv_t, P))
 
@@ -144,27 +136,32 @@ def validate_action(model: ThreefoldModel, A) -> ActionValidation:
     if det != 0:
         B = curve_matrix(model, A)
 
-    basis = [model.divisor([ONE if k == i else ZERO for k in range(n)]) for i in range(n)]
-    images = [model.divisor(_mat_vec(A, [ONE if k == i else ZERO for k in range(n)])) for i in range(n)]
-    form_broken = None
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                lhs = triple(model, images[i], images[j], images[k])
-                rhs = triple(model, basis[i], basis[j], basis[k])
-                if lhs != rhs:
-                    form_broken = (i, j, k, rhs, lhs)
-                    break
-            if form_broken:
-                break
-        if form_broken:
-            break
-    if form_broken:
-        i, j, k, rhs, lhs = form_broken
+    # basis triple products before and after A, on i <= j <= k only; the
+    # images T(Ae_i, Ae_j; Ae_k) are summed over the non-zero T(p, q; r)
+    # and the non-zero entries A[p][i], A[q][j], A[r][k]
+    form = triple_products(model)
+    before = {key: t for key, t in form.items() if key[1] <= key[2]}
+    after: dict[tuple[int, int, int], Fraction] = {}
+    rows = [[(i, v) for i, v in enumerate(row) if v] for row in A]
+    for (p, q, r), t in form.items():
+        for p1, q1 in {(p, q), (q, p)}:
+            for i, a in rows[p1]:
+                for j, b in rows[q1]:
+                    if j < i:
+                        continue
+                    for k, c in rows[r]:
+                        if k >= j:
+                            after[(i, j, k)] = after.get((i, j, k), ZERO) + a * b * c * t
+    broken = [
+        key for key in set(before) | set(after)
+        if before.get(key, ZERO) != after.get(key, ZERO)
+    ]
+    if broken:
+        i, j, k = min(broken)
         names = model.divisor_names()
         violations.append(
             f"triple product not preserved on ({names[i]},{names[j]},{names[k]}): "
-            f"{rhs} -> {lhs}"
+            f"{before.get((i, j, k), ZERO)} -> {after.get((i, j, k), ZERO)}"
         )
 
     if _mat_vec(A, list(model.c1.coeffs)) != list(model.c1.coeffs):
@@ -486,28 +483,25 @@ def eigenclass_constraints(
         def fr(x: Fraction):
             return mpmath.mpf(x.numerator) / x.denominator
 
-        mul2f = [[[fr(c) for c in model.mul2[i][j]] for j in range(n)] for i in range(n)]
-        pairf = [[fr(c) for c in row] for row in model.pairing]
+        mul2f = [
+            (i, j, [(k, fr(c)) for k, c in entry.items()])
+            for (i, j), entry in model.mul2.items()
+        ]
+        pairf = [(i, a, fr(v)) for (i, a), v in model.pairing.items()]
         c1f = [fr(c) for c in model.c1.coeffs]
         c2f = [fr(c) for c in model.c2.coeffs]
 
         def mulf(x, y):
             out = [mpmath.mpf(0)] * n
-            for i in range(n):
-                if x[i] == 0:
-                    continue
-                for j in range(n):
-                    f = x[i] * y[j]
-                    if f == 0:
-                        continue
-                    row = mul2f[i][j]
-                    for k in range(n):
-                        if row[k]:
-                            out[k] += f * row[k]
+            for i, j, entry in mul2f:
+                f = x[i] * y[j] if i == j else x[i] * y[j] + x[j] * y[i]
+                if f:
+                    for k, v in entry:
+                        out[k] += f * v
             return out
 
         def pairfv(d, c):
-            return sum(d[i] * pairf[i][a] * c[a] for i in range(n) for a in range(n))
+            return sum(d[i] * v * c[a] for i, a, v in pairf)
 
         zeta2 = mulf(zeta, zeta)
         c1c1 = mulf(c1f, c1f)

@@ -77,6 +77,14 @@ class TowerDocument:
         return self.tower.top()
 
 
+def _rational(text: str, line: int, col: int | None = None) -> Fraction:
+    """A p/q literal the tokenizer already matched; q = 0 is a located error."""
+    try:
+        return QQ(text)
+    except ZeroDivisionError:
+        raise TowerParseError(f"zero denominator in coefficient {text!r}", line, col) from None
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<sign>[+-])|(?P<num>\d+/\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<star>\*))"
 )
@@ -116,7 +124,7 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve):
         if m.group("num"):
             if pending_num is not None:
                 raise TowerParseError("two coefficients in a row", line, col0 + pos)
-            pending_num = QQ(m.group("num"))
+            pending_num = _rational(m.group("num"), line, col0 + m.start("num") + 1)
             continue
         if m.group("star"):
             if pending_num is None:
@@ -318,7 +326,7 @@ def _parse_curve_options(rest: str, line_no: int, model, resolve_divisor):
                 opts["surface"] = SurfaceData(
                     surface=DivisorClass(tuple(vec)),
                     mu=int(m.group("mu")),
-                    kappa=QQ(kappa) if kappa is not None else None,
+                    kappa=_rational(kappa, line_no) if kappa is not None else None,
                 )
             pos += m.end()
             break
@@ -388,7 +396,7 @@ def _parse_custom_block(lines, start):
             m = re.match(r"^(\S+)\s+(\S+)\s*=\s*(-?\d+(?:/\d+)?)$", tail)
             if not m:
                 raise TowerParseError("malformed pair entry (want 'pair d c = p/q')", line_no)
-            pairing[(m.group(1), m.group(2))] = QQ(m.group(3))
+            pairing[(m.group(1), m.group(2))] = _rational(m.group(3), line_no)
         elif head == "c1":
             c1_expr = (tail.lstrip("= ").strip(), line_no)
         elif head == "c2":
@@ -474,10 +482,9 @@ def serialize_model(model: ThreefoldModel) -> str:
         lines.append(f"curve {name}")
     for i in range(len(dn)):
         for j in range(i, len(dn)):
-            lines.append(f"mul {dn[i]} {dn[j]} = {render_class(cn, model.mul2[i][j])}")
+            lines.append(f"mul {dn[i]} {dn[j]} = {render_class(cn, model.dense_row(i, j))}")
     for i in range(len(dn)):
-        for a in range(len(cn)):
-            v = model.pairing[i][a]
+        for a, v in enumerate(model.dense_row(i)):
             if v != 0:
                 lines.append(f"pair {dn[i]} {cn[a]} = {v}")
     lines.append(f"c1 = {render_class(dn, model.c1.coeffs)}")

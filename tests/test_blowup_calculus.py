@@ -15,6 +15,7 @@ from threefold import (
     gamma,
     line_strict_transform,
     make_base,
+    make_custom_base,
     multiply_divisors,
     pair,
     pairing_determinant,
@@ -262,3 +263,44 @@ def test_tower_evaluation():
     assert [m.picard for m in models] == [1, 2, 3, 4]
     assert models[-1].euler == 4 + 2 + 2 + 2
     assert tower.top().picard == 4
+
+
+def test_blowup_adds_only_its_new_entries():
+    # the parent's entries carry over untouched (padding is implicit); a
+    # point adds E.E and pair(E, L), a curve the products F meets and F.F
+    model = blow_up_point(blow_up_point(make_base("p3")))
+    center = line_strict_transform(model, (1, 2))
+    after = blow_up_curve(model, center)
+    n = len(model.divisor_basis)
+    assert {k: v for k, v in after.mul2.items() if n not in k} == model.mul2
+    assert {k: v for k, v in after.pairing.items() if n not in k} == model.pairing
+    # F meets h, E1 and E2 (each pairs 1 with l - L1 - L2); F.F = -C - 2M
+    assert {k: v for k, v in after.mul2.items() if n in k} == {
+        (0, n): {n: Q(1)},
+        (1, n): {n: Q(1)},
+        (2, n): {n: Q(1)},
+        (n, n): {0: Q(-1), 1: Q(1), 2: Q(1), n: Q(-2)},
+    }
+    assert after.pairing[(n, n)] == -1
+    point = blow_up_point(after)
+    m = n + 1
+    assert {k: v for k, v in point.mul2.items() if m in k} == {(m, m): {m: Q(-1)}}
+    assert {k: v for k, v in point.pairing.items() if m in k} == {(m, m): Q(-1)}
+
+
+def test_curve_blowup_skips_divisors_whose_pairing_cancels():
+    # a pairs 1 with both x and y, so a.(x - y) = 0 and F.a needs no entry
+    base = make_custom_base(
+        label="skew",
+        divisor_names=["a", "b"],
+        curve_names=["x", "y"],
+        mul2={},
+        pairing={("a", "x"): 1, ("a", "y"): 1, ("b", "y"): 1},
+        c1={"a": 1},
+        c2={"x": 1},
+        euler=4,
+    )
+    after = blow_up_curve(base, CurveCenterSpec(base.curve({"x": 1, "y": -1}), genus=0))
+    assert (0, 2) not in after.mul2
+    assert after.mul2[(1, 2)] == {2: Q(-1)}
+    validate_model(after)

@@ -188,3 +188,154 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "ring", "show", "-")
     assert code == 0
     assert "c1 = 4 h" in out
+
+
+# P3, four points, the lines through p1 p2 and p3 p4, the conic through p1 p2 p3
+MIXED_TOWER = """base p3
+blowup point
+blowup point
+blowup point
+blowup point
+blowup curve class = l - L1 - L2 genus = 0
+blowup curve class = l - L3 - L4 genus = 0
+blowup curve class = 2 l - L1 - L2 - L3 genus = 0
+"""
+
+# `ring show --format records` of MIXED_TOWER, zero products and pairings
+# included; every key and value is part of the records contract
+MIXED_TOWER_RECORDS = """label=P3+pt+pt+pt+pt+C5+C6+C7
+picard=8
+euler=18
+divisor_basis=h,E1,E2,E3,E4,F1,F2,F3
+curve_basis=l,L1,L2,L3,L4,M1,M2,M3
+mul.h.h=l
+mul.h.E1=0
+mul.h.E2=0
+mul.h.E3=0
+mul.h.E4=0
+mul.h.F1=M1
+mul.h.F2=M2
+mul.h.F3=2 M3
+mul.E1.E1=-L1
+mul.E1.E2=0
+mul.E1.E3=0
+mul.E1.E4=0
+mul.E1.F1=M1
+mul.E1.F2=0
+mul.E1.F3=M3
+mul.E2.E2=-L2
+mul.E2.E3=0
+mul.E2.E4=0
+mul.E2.F1=M1
+mul.E2.F2=0
+mul.E2.F3=M3
+mul.E3.E3=-L3
+mul.E3.E4=0
+mul.E3.F1=0
+mul.E3.F2=M2
+mul.E3.F3=M3
+mul.E4.E4=-L4
+mul.E4.F1=0
+mul.E4.F2=M2
+mul.E4.F3=0
+mul.F1.F1=-l + L1 + L2 - 2 M1
+mul.F1.F2=0
+mul.F1.F3=0
+mul.F2.F2=-l + L3 + L4 - 2 M2
+mul.F2.F3=0
+mul.F3.F3=-2 l + L1 + L2 + L3
+pair.h.l=1
+pair.h.L1=0
+pair.h.L2=0
+pair.h.L3=0
+pair.h.L4=0
+pair.h.M1=0
+pair.h.M2=0
+pair.h.M3=0
+pair.E1.l=0
+pair.E1.L1=-1
+pair.E1.L2=0
+pair.E1.L3=0
+pair.E1.L4=0
+pair.E1.M1=0
+pair.E1.M2=0
+pair.E1.M3=0
+pair.E2.l=0
+pair.E2.L1=0
+pair.E2.L2=-1
+pair.E2.L3=0
+pair.E2.L4=0
+pair.E2.M1=0
+pair.E2.M2=0
+pair.E2.M3=0
+pair.E3.l=0
+pair.E3.L1=0
+pair.E3.L2=0
+pair.E3.L3=-1
+pair.E3.L4=0
+pair.E3.M1=0
+pair.E3.M2=0
+pair.E3.M3=0
+pair.E4.l=0
+pair.E4.L1=0
+pair.E4.L2=0
+pair.E4.L3=0
+pair.E4.L4=-1
+pair.E4.M1=0
+pair.E4.M2=0
+pair.E4.M3=0
+pair.F1.l=0
+pair.F1.L1=0
+pair.F1.L2=0
+pair.F1.L3=0
+pair.F1.L4=0
+pair.F1.M1=-1
+pair.F1.M2=0
+pair.F1.M3=0
+pair.F2.l=0
+pair.F2.L1=0
+pair.F2.L2=0
+pair.F2.L3=0
+pair.F2.L4=0
+pair.F2.M1=0
+pair.F2.M2=-1
+pair.F2.M3=0
+pair.F3.l=0
+pair.F3.L1=0
+pair.F3.L2=0
+pair.F3.L3=0
+pair.F3.L4=0
+pair.F3.M1=0
+pair.F3.M2=0
+pair.F3.M3=-1
+c1=4 h - 2 E1 - 2 E2 - 2 E3 - 2 E4 - F1 - F2 - F3
+c2=10 l - 2 L1 - 2 L2 - 2 L3 - L4 - 2 M3
+"""
+
+
+def test_ring_show_records_golden(capsys, tmp_path):
+    f = tmp_path / "mixed.txt"
+    f.write_text(MIXED_TOWER)
+    code, out, _ = run(capsys, "ring", "show", str(f), "--format", "records")
+    assert code == 0
+    assert out == MIXED_TOWER_RECORDS
+
+
+def test_zero_denominator_is_a_located_error_not_a_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    f = tmp_path / "malformed.tower"
+    f.write_text("base p3\nblowup point\nblowup curve class = 1/0*l genus = 0\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "threefold.cli", "ring", "show", str(f), "--format", "records"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 3, col 22: zero denominator in coefficient '1/0'")
+    assert "Traceback" not in proc.stderr

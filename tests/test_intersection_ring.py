@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -11,6 +13,7 @@ from threefold import (
     blow_up_point,
     make_base,
     make_custom_base,
+    models_equivalent,
     multiply_divisors,
     pair,
     pairing_determinant,
@@ -123,7 +126,7 @@ def test_ci_chern_classes_match_series_oracle(n, degrees, c1, c2):
     deg = 1
     for d in degrees:
         deg *= d
-    assert m.pairing[0][0] == deg
+    assert m.pairing == {(0, 0): deg}
     assert m.euler == oracle[3] * deg
     assert "picard-rank-1" in m.base_flags
     assert "c2-movable-positive" in m.base_flags
@@ -250,3 +253,153 @@ def test_class_arithmetic_is_exact():
     assert c.scale(Q(3)).coeffs == (Q(1), Q(6))
     assert (-d).coeffs == (Q(-1, 6), Q(1))
     assert CurveClass((Q(0), Q(0))).is_zero()
+
+
+# -- sparse tables: canonical form, validation, hashing ----------------------
+
+
+def _mixed_tower_model():
+    """P3, four points, two lines and a conic through three of the points."""
+    model = make_base("p3")
+    for _ in range(4):
+        model = blow_up_point(model)
+    for coeffs in (
+        {"l": 1, "L1": -1, "L2": -1},
+        {"l": 1, "L3": -1, "L4": -1},
+        {"l": 2, "L1": -1, "L2": -1, "L3": -1},
+    ):
+        model = blow_up_curve(model, CurveCenterSpec(model.curve(coeffs), genus=0))
+    return model
+
+
+def test_multiply_divisors_matches_dense_rows():
+    # sparse and dense classes against the sum over every ordered pair of
+    # dense rows
+    rng = random.Random(13)
+    model = _mixed_tower_model()
+    nd = len(model.divisor_basis)
+    for support in (1, 2, nd):
+        for _ in range(20):
+            d1, d2 = (
+                DivisorClass(tuple(
+                    Q(rng.randint(-3, 3), rng.randint(1, 2)) if k in picked else Q(0)
+                    for k in range(nd)
+                ))
+                for picked in (rng.sample(range(nd), support), rng.sample(range(nd), support))
+            )
+            dense = [Q(0)] * nd
+            for i, ci in enumerate(d1.coeffs):
+                for j, cj in enumerate(d2.coeffs):
+                    for a, v in enumerate(model.dense_row(i, j)):
+                        dense[a] += ci * cj * v
+            assert multiply_divisors(model, d1, d2).coeffs == tuple(dense)
+
+
+def test_tables_are_canonical_sparse_dicts():
+    model = _mixed_tower_model()
+    assert all(i <= j for i, j in model.mul2)
+    assert all(entry and all(entry.values()) for entry in model.mul2.values())
+    assert all(model.pairing.values())
+    assert model.dense_row(5, 0) == model.dense_row(0, 5)
+    validate_model(model)
+
+
+def _custom(mul2, pairing=None, divisors=("a", "b"), curves=("x", "y")):
+    return make_custom_base(
+        label="sparse",
+        divisor_names=list(divisors),
+        curve_names=list(curves),
+        mul2=mul2,
+        pairing=pairing if pairing is not None else {("a", "x"): 1, ("b", "y"): 1},
+        c1={"a": 1},
+        c2={"x": 1},
+        euler=4,
+    )
+
+
+def test_custom_base_drops_zero_coefficients():
+    plain = _custom({("a", "a"): {"x": 1}})
+    padded = _custom(
+        {("a", "a"): {"x": 1, "y": 0}, ("b", "a"): {"x": 0}, ("b", "b"): CurveClass((Q(0), Q(0)))},
+        pairing={("a", "x"): 1, ("b", "y"): 1, ("a", "y"): 0},
+    )
+    assert padded.mul2 == {(0, 0): {0: 1}}
+    assert padded.pairing == {(0, 0): 1, (1, 1): 1}
+    assert padded == plain
+    assert models_equivalent(padded, plain)
+
+
+def test_custom_base_rejects_conflicting_orders():
+    with pytest.raises(ValidationError, match="conflicting"):
+        _custom({("a", "a"): {"x": 1}, ("a", "b"): {"y": 1}, ("b", "a"): {"y": 0}})
+
+
+def test_validate_model_rejects_asymmetric_triple_product():
+    # T(a, a; b) = pair(b, y) = 1 but T(a, b; a) = 0
+    with pytest.raises(ValidationError, match=r"not symmetric on \(a, a, b\)"):
+        _custom({("a", "a"): {"y": 1}})
+    # three placements of one triple: T(b, c; a) = 1 against two zeros, and
+    # T(a, b; c) = T(a, c; b) = 1 against T(b, c; a) = 0
+    for mul2 in ({("b", "c"): {"x": 1}}, {("a", "b"): {"z": 1}, ("a", "c"): {"y": 1}}):
+        with pytest.raises(ValidationError, match=r"not symmetric on \(a, b, c\)"):
+            _custom(
+                mul2,
+                pairing={("a", "x"): 1, ("b", "y"): 1, ("c", "z"): 1},
+                divisors=("a", "b", "c"),
+                curves=("x", "y", "z"),
+            )
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        ({"mul2": {(0, 1): {0: Q(1)}, (1, 1): {1: Q(1)}, (0, 0): {1: Q(0)}}}, "explicit zero"),
+        ({"mul2": {(0, 1): {0: Q(1)}, (1, 1): {1: Q(1)}, (0, 0): {}}}, "empty"),
+        ({"mul2": {(1, 0): {0: Q(1)}, (1, 1): {1: Q(1)}}}, "i <= j"),
+        ({"mul2": {(0, 1): {0: Q(1)}, (1, 2): {1: Q(1)}}}, "i <= j"),
+        ({"mul2": {(0, 1): {2: Q(1)}, (1, 1): {1: Q(1)}}}, "out of range"),
+        ({"pairing": {(0, 1): Q(1), (1, 0): Q(1), (0, 0): Q(0)}}, "explicit zero"),
+        ({"pairing": {(0, 1): Q(1), (1, 0): Q(1), (0, 2): Q(1)}}, "out of range"),
+    ],
+)
+def test_validate_model_rejects_non_canonical_tables(tables, message):
+    model = dataclasses.replace(make_base("p2xp1"), **tables)
+    with pytest.raises(ValidationError, match=message):
+        validate_model(model)
+
+
+def test_models_hash_and_compare_by_tables():
+    a = blow_up_point(make_base("p3"))
+    b = blow_up_point(make_base("p3"))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, make_base("p3")}) == 2
+    assert hash(_mixed_tower_model()) == hash(_mixed_tower_model())
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = Q(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[x] > perm[y] for x in range(n) for y in range(x + 1, n))
+        term = Q(-1) ** inversions
+        for r in range(n):
+            term *= rows[r][perm[r]]
+        total += term
+    return total
+
+
+def test_pairing_determinant_matches_leibniz_on_sparse_pairings():
+    rng = random.Random(17)
+    assert pairing_determinant(make_base("p2xp1")) == -1
+    for n in (2, 3, 4, 5):
+        model = make_base("p3")
+        for _ in range(n - 1):
+            model = blow_up_point(model)
+        for _ in range(40):
+            rows = [
+                [Q(rng.randint(-2, 2)) if rng.random() < 0.4 else Q(0) for _ in range(n)]
+                for _ in range(n)
+            ]
+            pairing = {(i, a): v for i, row in enumerate(rows) for a, v in enumerate(row) if v}
+            sparse = dataclasses.replace(model, pairing=pairing)
+            assert pairing_determinant(sparse) == _leibniz_det(rows)

@@ -4,13 +4,16 @@ from fractions import Fraction as Q
 import pytest
 
 from threefold import (
+    CurveCenterSpec,
     ValidationError,
+    blow_up_curve,
     blow_up_point,
     make_base,
     make_custom_base,
     dynamical_degrees,
     eigenclass_constraints,
     rationality_obstruction,
+    triple,
     validate_action,
 )
 from threefold.lattice_dynamics import (
@@ -110,7 +113,7 @@ def test_pairing_preserved_jointly():
     x2 = blow_up_point(blow_up_point(make_base("p3")))
     swap = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
     B = curve_matrix(x2, swap)
-    P = x2.pairing
+    P = [x2.dense_row(i) for i in range(3)]
     n = 3
     for i in range(n):
         for j in range(n):
@@ -272,3 +275,40 @@ def test_square_dominance_on_salem_model_action():
     assert square_dominance_certified(rep)
     assert lambda2_at_least_one_certified(rep)
     assert rep.primitive_hint is False  # reciprocal spectrum
+
+
+def _first_broken_triple(model, A):
+    """The seed's dense loop: first basis triple i <= j <= k whose product
+    changes under A, as the validate_action violation text."""
+    n = len(model.divisor_basis)
+    basis = [model.divisor([Q(int(t == i)) for t in range(n)]) for i in range(n)]
+    images = [model.divisor([Q(A[p][i]) for p in range(n)]) for i in range(n)]
+    names = model.divisor_names()
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                lhs = triple(model, images[i], images[j], images[k])
+                rhs = triple(model, basis[i], basis[j], basis[k])
+                if lhs != rhs:
+                    return (
+                        f"triple product not preserved on ({names[i]},{names[j]},{names[k]}): "
+                        f"{rhs} -> {lhs}"
+                    )
+    return None
+
+
+def test_validate_action_triple_check_matches_dense_loop():
+    rng = random.Random(23)
+    x2 = blow_up_point(blow_up_point(make_base("p3")))
+    line = blow_up_curve(x2, CurveCenterSpec(x2.curve({"l": 1, "L1": -1, "L2": -1}), genus=0))
+    for model in (x2, make_base("p1cubed"), line, zero_product_model(4)):
+        n = len(model.divisor_basis)
+        for _ in range(40):
+            if rng.random() < 0.5:
+                perm = rng.sample(range(n), n)
+                A = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+            else:
+                A = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)]
+            found = [s for s in validate_action(model, A).violations if s.startswith("triple")]
+            expected = _first_broken_triple(model, A)
+            assert found == ([expected] if expected else [])

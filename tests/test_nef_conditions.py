@@ -339,13 +339,32 @@ def closed_form_checks(report):
     assert eq_c1sq.coeffs[-1] == (-2 if n >= 2 else 0)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+# n = 20 (rho = 211) used to exhaust memory with dense rho^3 tables; n = 30 is rho = 466
+@pytest.mark.parametrize("n", [*range(1, 13), 20, 30])
 def test_p3_points_lines_forced(n):
     report = check_p3_points_lines(n)
     assert report.forced, report.verdict
     assert report.maximum == 0
     assert replay_certificate(report.system, "deg_u", report.result)
     closed_form_checks(report)
+
+
+def test_p3_points_lines_n30_under_2gib_address_space():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from threefold import check_p3_points_lines\n"
+        "print(check_p3_points_lines(30).verdict)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "deg(u)=0 forced"
 
 
 def test_p3_points_lines_case_structure():

@@ -158,3 +158,108 @@ end
         parse_tower(bad.replace("c1 = a\n", ""))
     with pytest.raises(TowerParseError, match="never closed"):
         parse_tower("base custom\nlabel x\n")
+
+
+# P3, four points, the lines through p1 p2 and p3 p4, the conic through p1 p2 p3
+MIXED_TOWER = """base p3
+blowup point
+blowup point
+blowup point
+blowup point
+blowup curve class = l - L1 - L2 genus = 0
+blowup curve class = l - L3 - L4 genus = 0
+blowup curve class = 2 l - L1 - L2 - L3 genus = 0
+"""
+
+# serialize_model of the top of MIXED_TOWER: every unordered product,
+# zeros included, then the non-zero pairings
+MIXED_TOWER_SERIALIZED = """base custom
+label P3+pt+pt+pt+pt+C5+C6+C7
+divisor h
+divisor E1
+divisor E2
+divisor E3
+divisor E4
+divisor F1
+divisor F2
+divisor F3
+curve l
+curve L1
+curve L2
+curve L3
+curve L4
+curve M1
+curve M2
+curve M3
+mul h h = l
+mul h E1 = 0
+mul h E2 = 0
+mul h E3 = 0
+mul h E4 = 0
+mul h F1 = M1
+mul h F2 = M2
+mul h F3 = 2 M3
+mul E1 E1 = -L1
+mul E1 E2 = 0
+mul E1 E3 = 0
+mul E1 E4 = 0
+mul E1 F1 = M1
+mul E1 F2 = 0
+mul E1 F3 = M3
+mul E2 E2 = -L2
+mul E2 E3 = 0
+mul E2 E4 = 0
+mul E2 F1 = M1
+mul E2 F2 = 0
+mul E2 F3 = M3
+mul E3 E3 = -L3
+mul E3 E4 = 0
+mul E3 F1 = 0
+mul E3 F2 = M2
+mul E3 F3 = M3
+mul E4 E4 = -L4
+mul E4 F1 = 0
+mul E4 F2 = M2
+mul E4 F3 = 0
+mul F1 F1 = -l + L1 + L2 - 2 M1
+mul F1 F2 = 0
+mul F1 F3 = 0
+mul F2 F2 = -l + L3 + L4 - 2 M2
+mul F2 F3 = 0
+mul F3 F3 = -2 l + L1 + L2 + L3
+pair h l = 1
+pair E1 L1 = -1
+pair E2 L2 = -1
+pair E3 L3 = -1
+pair E4 L4 = -1
+pair F1 M1 = -1
+pair F2 M2 = -1
+pair F3 M3 = -1
+c1 = 4 h - 2 E1 - 2 E2 - 2 E3 - 2 E4 - F1 - F2 - F3
+c2 = 10 l - 2 L1 - 2 L2 - 2 L3 - L4 - 2 M3
+euler = 18
+picard = 8
+end
+"""
+
+
+def test_serialize_model_golden():
+    top = parse_tower(MIXED_TOWER).top()
+    assert serialize_model(top) == MIXED_TOWER_SERIALIZED
+    assert models_equivalent(parse_tower(MIXED_TOWER_SERIALIZED).top(), top)
+
+
+def test_zero_denominator_is_a_parse_error():
+    with pytest.raises(TowerParseError, match="zero denominator in coefficient '1/0'") as err:
+        parse_tower("base p3\nblowup point\nblowup curve class = 1/0*l genus = 0\n")
+    assert (err.value.line, err.value.col) == (3, 22)
+    with pytest.raises(TowerParseError, match="zero denominator") as err:
+        parse_tower(
+            "base p3\nblowup point\n"
+            "blowup curve class = l - L1 genus = 0 surface = h; mu=1; kappa=1/0\n"
+        )
+    assert err.value.line == 3
+    custom = "base custom\ndivisor a\ncurve x\nmul a a = x\npair a x = 1/0\nc1 = a\nc2 = x\neuler = 4\nend\n"
+    with pytest.raises(TowerParseError, match="zero denominator") as err:
+        parse_tower(custom)
+    assert err.value.line == 5
