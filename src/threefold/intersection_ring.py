@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .polynomials import bareiss_solve
+
 QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -309,50 +311,15 @@ def triple_products(model: ThreefoldModel) -> dict[tuple[int, int, int], Fractio
 
 
 def pairing_determinant(model: ThreefoldModel) -> Fraction:
-    """Determinant of the divisor/curve pairing matrix (exact).
-
-    Gaussian elimination on the sparse rows: column by column, the first
-    remaining row with an entry there is the pivot and is cleared from the
-    others, so a pairing with one entry per row costs O(rho^2) lookups.
-    """
+    """Determinant of the divisor/curve pairing matrix (exact), by
+    fraction-free elimination of its sparse rows."""
     n = len(model.divisor_basis)
     if len(model.curve_basis) != n:
         raise ValidationError("pairing matrix is not square")
-    rows: dict[int, dict[int, Fraction]] = {i: {} for i in range(n)}
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for (i, a), v in model.pairing.items():
         rows[i][a] = v
-    det = ONE
-    pivot_row = []
-    for col in range(n):
-        piv = next((r for r, row in rows.items() if col in row), None)
-        if piv is None:
-            return ZERO
-        prow = rows.pop(piv)
-        pivot_row.append(piv)
-        pv = prow[col]
-        det *= pv
-        for row in rows.values():
-            if col not in row:
-                continue
-            f = row[col] / pv
-            for a, v in prow.items():
-                w = row.get(a, ZERO) - f * v
-                if w:
-                    row[a] = w
-                else:
-                    del row[a]
-    # sign of the permutation col -> pivot_row[col]
-    seen = [False] * n
-    for start in range(n):
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = pivot_row[k]
-            length += 1
-        if length and length % 2 == 0:
-            det = -det
-    return det
+    return QQ(bareiss_solve(rows)[0])
 
 
 def _index_key(key, n1: int, n2: int) -> bool:

@@ -28,11 +28,10 @@ import mpmath
 from .intersection_ring import ThreefoldModel, ValidationError, triple_products
 from .polynomials import (
     AlgebraicNumber,
+    bareiss_solve,
     berkowitz_charpoly,
     certified_spectral_radius,
     count_real_roots,
-    int_matrix_det,
-    matrix_adjugate_unimodular,
     minimal_polynomial_of_root,
     poly_compose_square,
     poly_divmod,
@@ -63,43 +62,34 @@ def _as_int(v) -> int:
     raise ValidationError(f"action matrices must have integer entries, got {v!r}")
 
 
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)
-    ]
-
-
 def _mat_vec(a, v):
     return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
 
 
-def _mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def _mat_inverse_q(a):
-    n = len(a)
-    aug = [[QQ(a[i][j]) for j in range(n)] + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValidationError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _det_and_curve_matrix(model: ThreefoldModel, A):
+    """det A and B = P^-1 A^-T P, B None when A is singular: one elimination
+    solves A^T Y = P for det(A) Y, a second P X = det(A) Y for
+    det(P) det(A) B."""
+    n = len(A)
+    P = [{} for _ in range(n)]
+    for (i, a), v in model.pairing.items():
+        P[i][a] = v
+    det, Y = bareiss_solve([dict(enumerate(col)) for col in zip(*A)], P)
+    if Y is None:
+        return 0, None
+    det_p, X = bareiss_solve(P, Y)
+    if X is None:
+        raise ValidationError("singular matrix")
+    d = det * det_p
+    return det, [[QQ(r.get(k, 0), d) for k in range(n)] for r in X]
 
 
 def curve_matrix(model: ThreefoldModel, A) -> list[list[Fraction]]:
     """The action on curve coefficient vectors dual to A under the pairing."""
-    P = [list(model.dense_row(i)) for i in range(len(model.divisor_basis))]
-    A_inv_t = _mat_transpose(_mat_inverse_q(A))
-    return _mat_mul(_mat_inverse_q(P), _mat_mul(A_inv_t, P))
+    B = _det_and_curve_matrix(model, A)[1]
+    if B is None:
+        raise ValidationError("singular matrix")
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +119,9 @@ def validate_action(model: ThreefoldModel, A) -> ActionValidation:
         raise ValidationError(f"action matrix must be {n}x{n} for this model")
     A = [[_as_int(v) for v in row] for row in A]
     violations = []
-    det = int_matrix_det(A)
+    det, B = _det_and_curve_matrix(model, A)
     if det not in (1, -1):
         violations.append(f"det = {det}, not +-1")
-    B = None
-    if det != 0:
-        B = curve_matrix(model, A)
 
     # basis triple products before and after A, on i <= j <= k only; the
     # images T(Ae_i, Ae_j; Ae_k) are summed over the non-zero T(p, q; r)
@@ -279,8 +266,9 @@ def dynamical_degrees(
     """Certified spectral radii of the divisor action and its curve dual.
 
     With a model, the curve action is derived from the pairing and strict
-    mode insists validate_action passes first.  Without a model the matrix
-    only needs to be unimodular and A^-1 provides the second degree.
+    mode insists validate_action passes first (and takes its curve matrix).
+    Without a model the matrix only needs to be unimodular and A^-1
+    provides the second degree.
     """
     if model is not None:
         if strict:
@@ -289,14 +277,17 @@ def dynamical_degrees(
                 raise ValidationError(
                     "action fails validation: " + "; ".join(v.violations)
                 )
-        B = curve_matrix(model, A)
+            B = v.action.curve_matrix
+        else:
+            B = curve_matrix(model, A)
         mode = "model"
     else:
         A = [[_as_int(x) for x in row] for row in A]
-        det = int_matrix_det(A)
+        n = len(A)
+        det, adj = bareiss_solve([dict(enumerate(row)) for row in A], [{i: 1} for i in range(n)])
         if det not in (1, -1):
             raise ValidationError(f"raw mode needs a unimodular matrix, det = {det}")
-        B = matrix_adjugate_unimodular(A)
+        B = [[det * r.get(j, 0) for j in range(n)] for r in adj]
         mode = "raw"
 
     l1 = certified_spectral_radius(A, width)
@@ -445,10 +436,7 @@ def eigenclass_constraints(
     """
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
-    v = validate_action(model, A)
-    if not v.ok:
-        raise ValidationError("action fails validation: " + "; ".join(v.violations))
-    report = dynamical_degrees(model, A, strict=False)
+    report = dynamical_degrees(model, A)
     l1 = report.lambda1
     if float(l1) <= 1 + tolerance:
         return EigenclassReport(

@@ -4,6 +4,8 @@ Polynomials are dense coefficient lists, lowest degree first, over Fraction
 (integer inputs stay integral where the algorithm allows).  The pieces:
 
 - berkowitz_charpoly: division-free characteristic polynomial.
+- bareiss_solve: the one exact determinant/solve, fraction-free on sparse
+  rows; int_matrix_det and matrix_adjugate_unimodular are thin wrappers.
 - Sturm-chain real-root counting/isolation with exact rational endpoints.
 - disk_root_count: number of distinct roots in |x| < R, via the Moebius map
   onto a half-plane and an exact Routh table.  Used to certify that no
@@ -17,10 +19,10 @@ Polynomials are dense coefficient lists, lowest degree first, over Fraction
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 
 import sympy
 
@@ -119,24 +121,25 @@ def poly_monic(p):
     return [c / lead for c in p]
 
 
-def poly_primitive_int(p):
-    """Scale a rational polynomial to primitive integer coefficients with
-    positive leading coefficient."""
-    from math import gcd
-
+def _primitive_part(p) -> list[int]:
+    """Clear denominators and divide by the content, never flipping signs
+    (a sign flip would corrupt a Sturm chain)."""
     p = poly_trim([QQ(c) for c in p])
     den = 1
     for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(den, c.denominator)
     ints = [int(c * den) for c in p]
     g = 0
     for c in ints:
-        g = gcd(g, abs(c))
-    if g:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+        g = gcd(g, c)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def poly_primitive_int(p):
+    """Scale a rational polynomial to primitive integer coefficients with
+    positive leading coefficient."""
+    ints = _primitive_part(p)
+    return [-c for c in ints] if ints[-1] < 0 else ints
 
 
 def poly_squarefree(p):
@@ -195,7 +198,7 @@ def poly_to_str(p, var: str = "x") -> str:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and exterior square
+# characteristic polynomial, Kronecker square and companion matrix
 # ---------------------------------------------------------------------------
 
 
@@ -237,19 +240,6 @@ def berkowitz_charpoly(matrix) -> list[int]:
     return list(reversed(vec))
 
 
-def exterior_square(matrix):
-    """Matrix of the induced action on 2-vectors, basis e_i ^ e_j (i < j)."""
-    n = len(matrix)
-    pairs = list(itertools.combinations(range(n), 2))
-    out = []
-    for (i, j) in pairs:
-        row = []
-        for (k, l) in pairs:
-            row.append(matrix[i][k] * matrix[j][l] - matrix[i][l] * matrix[j][k])
-        out.append(row)
-    return out
-
-
 def kronecker_square(matrix):
     """The Kronecker product of the matrix with itself (eigenvalues are all
     pairwise eigenvalue products, self-products included)."""
@@ -266,60 +256,116 @@ def kronecker_square(matrix):
 
 
 def companion_matrix(p):
-    """Companion matrix of a polynomial (low-to-high), made monic first."""
-    mono = poly_monic(p)
-    n = poly_degree(mono)
-    out = [[ZERO] * n for _ in range(n)]
+    """Companion matrix of a polynomial (low-to-high), made monic first; an
+    integral coefficient is an int entry, so integer work stays in ints."""
+    mono = [c.numerator if c.denominator == 1 else c for c in poly_monic(p)]
+    n = len(mono) - 1
+    out = [[0] * n for _ in range(n)]
     for i in range(1, n):
-        out[i][i - 1] = ONE
+        out[i][i - 1] = 1
     for i in range(n):
         out[i][n - 1] = -mono[i]
     return out
 
 
-def int_matrix_det(matrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [[int(v) for v in row] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+# ---------------------------------------------------------------------------
+# determinants and inverses: one fraction-free elimination
+# ---------------------------------------------------------------------------
+
+
+def bareiss_solve(rows, rhs=None):
+    """Fraction-free (Bareiss) elimination of a square matrix M with row
+    pivoting; returns (det M, det M * X) for M X = rhs.
+
+    rows[i] is row i of M and rhs[i] row i of the right-hand side, both as
+    mappings {column: value} (zeros may be left out); det M * X comes back
+    in the same sparse form, or as None without rhs or when M is singular.
+    Integer input is eliminated in ints throughout: after step k each entry
+    is a minor of order k + 2 (Sylvester's identity), so each update's
+    division by the previous pivot is exact, and so is each back-substitution
+    division, since det M * X = adj(M) * rhs is integral (Cramer's rule).
+    A row with fractions is scaled first by the common denominator of its
+    entries in M and rhs, which leaves X unchanged; det M is then the
+    eliminated determinant over the product of the scales (E. H. Bareiss,
+    Math. Comp. 22, 1968).
+    """
+    n = len(rows)
+    work = []
+    scale = 1
+    for i, row in enumerate(rows):
+        entries = dict(row)
+        if rhs is not None:
+            # right-hand-side column k rides along as column n + k
+            entries.update((n + k, v) for k, v in rhs[i].items())
+        s = 1
+        for v in entries.values():
+            s = lcm(s, v.denominator)
+        scale *= s
+        work.append({c: v.numerator * (s // v.denominator) for c, v in entries.items() if v})
+
+    # row i of the step-k matrix is work[i] * prev / last[i]: a row with no
+    # entry in the pivot column would only be rescaled by pk / prev, so it
+    # is left as it is, and the telescoped scale is applied when it is next
+    # used (as pivot row, or updated with its own last pivot as divisor)
+    sign, prev, pivots, last = 1, 1, [], [1] * n
+    for k in range(n):
+        p = next((r for r in range(k, n) if k in work[r]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            work[k], work[p] = work[p], work[k]
+            last[k], last[p] = last[p], last[k]
+            sign = -sign
+        if last[k] != prev:
+            work[k] = {c: v * prev // last[k] for c, v in work[k].items()}
+        rk = work[k]
+        pk = rk.pop(k)
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            ri = work[i]
+            a = ri.pop(k, 0)
+            if a:
+                for c in ri:
+                    ri[c] *= pk
+                for c, v in rk.items():
+                    ri[c] = ri.get(c, 0) - a * v
+                work[i] = {c: v // last[i] for c, v in ri.items() if v}
+                last[i] = pk
+        pivots.append(pk)
+        prev = pk
+
+    def unscaled(v):
+        v *= sign
+        return v if scale == 1 else QQ(v, scale)
+
+    if rhs is None:
+        return unscaled(prev), None
+    # back-substitution of prev * X, row by row from the bottom
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = {c - n: v * prev for c, v in work[i].items() if c >= n}
+        for j, u in work[i].items():
+            if j < n:
+                for c, v in x[j].items():
+                    acc[c] = acc.get(c, 0) - u * v
+        x[i] = {c: v // pivots[i] for c, v in acc.items() if v}
+    return unscaled(prev), [{c: unscaled(v) for c, v in r.items()} for r in x]
+
+
+def int_matrix_det(matrix) -> int:
+    """Exact integer determinant (bareiss_solve)."""
+    return bareiss_solve([{j: int(v) for j, v in enumerate(row)} for row in matrix])[0]
 
 
 def matrix_adjugate_unimodular(matrix):
     """Inverse of a unimodular integer matrix, as an integer matrix."""
     n = len(matrix)
-    det = int_matrix_det(matrix)
+    det, adj = bareiss_solve(
+        [{j: int(v) for j, v in enumerate(row)} for row in matrix],
+        [{i: 1} for i in range(n)],
+    )
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {det})")
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            row.append(((-1) ** (i + j)) * int_matrix_det(minor) * det)
-        adj.append(row)
-    return adj
+    return [[det * r.get(j, 0) for j in range(n)] for r in adj]
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +377,10 @@ def matrix_adjugate_unimodular(matrix):
 # (sign of sum_i c_i p^i q^(d-i)), so refinement never touches Fraction
 # arithmetic in the inner loop.
 
-from functools import lru_cache
-
 
 @lru_cache(maxsize=4096)
 def _squarefree_int_cached(p: tuple) -> tuple:
     return tuple(poly_primitive_int(poly_squarefree(list(p))))
-
-
-def _primitive_same_sign(p) -> list[int]:
-    """Clear denominators and divide by the content, never flipping signs
-    (a sign flip would corrupt a Sturm chain)."""
-    from math import gcd
-
-    p = poly_trim([QQ(c) for c in p])
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
 
 
 @lru_cache(maxsize=4096)
@@ -362,12 +388,12 @@ def _sturm_chain_int(p: tuple) -> tuple:
     chain = [list(p)]
     d = poly_derivative(chain[0])
     if poly_degree(d) >= 0:
-        chain.append(_primitive_same_sign(d))
+        chain.append(_primitive_part(d))
     while poly_degree(chain[-1]) > 0:
         _, r = poly_divmod(chain[-2], chain[-1])
         if all(c == 0 for c in r):
             break
-        chain.append(_primitive_same_sign([-c for c in r]))
+        chain.append(_primitive_part([-c for c in r]))
     return tuple(tuple(q) for q in chain)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -24,6 +25,7 @@ from threefold.lattice_dynamics import (
     lambda2_at_least_one_certified,
     square_dominance_certified,
 )
+from threefold.nef_conditions import _p3_points_lines_models
 from threefold.polynomials import AlgebraicNumber, berkowitz_charpoly
 
 
@@ -91,6 +93,20 @@ def test_validate_detects_each_violation():
     assert "c1" in text
 
 
+def p3lines_point_swap(n=10):
+    """p3lines' X2 for n points (rho = 1 + n + n(n-1)/2) and the action of
+    the point transposition (1 2): E1 <-> E2 and F(1j) <-> F(2j), the
+    exceptional divisors over the lines through p1 and p2 (F12 stays)."""
+    x2 = _p3_points_lines_models(n)[1]
+    lines = list(itertools.combinations(range(1, n + 1), 2))
+    swap = {1: 2, 2: 1}
+    image = [0] + [swap.get(i, i) for i in range(1, n + 1)] + [
+        n + 1 + lines.index(tuple(sorted((swap.get(i, i), swap.get(j, j)))))
+        for i, j in lines
+    ]
+    return x2, [[int(image[j] == i) for j in range(len(image))] for i in range(len(image))]
+
+
 def test_validate_exceptional_swap_is_ok():
     x2 = blow_up_point(blow_up_point(make_base("p3")))
     swap = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
@@ -102,6 +118,22 @@ def test_validate_exceptional_swap_is_ok():
         (Q(0), Q(0), Q(1)),
         (Q(0), Q(1), Q(0)),
     )
+    # the point transposition on X2 (rho = 56): the curves l, L_i, M_k are
+    # permuted like the divisors h, E_i, F_k
+    x2, A = p3lines_point_swap()
+    v = validate_action(x2, A)
+    assert v.ok and len(A) == 56
+    assert v.action.curve_matrix == tuple(tuple(Q(a) for a in row) for row in A)
+
+
+def test_singular_action_is_reported_and_curve_matrix_raises():
+    x2 = blow_up_point(blow_up_point(make_base("p3")))
+    A = [[1, 0, 0], [0, 1, 1], [0, 1, 1]]
+    v = validate_action(x2, A)
+    assert not v.ok and v.action is None
+    assert "det = 0, not +-1" in v.violations
+    with pytest.raises(ValidationError, match="^singular matrix$"):
+        curve_matrix(x2, A)
 
 
 def test_validate_dimension_mismatch_raises():
@@ -112,15 +144,16 @@ def test_validate_dimension_mismatch_raises():
 def test_pairing_preserved_jointly():
     x2 = blow_up_point(blow_up_point(make_base("p3")))
     swap = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
-    B = curve_matrix(x2, swap)
-    P = [x2.dense_row(i) for i in range(3)]
-    n = 3
-    for i in range(n):
-        for j in range(n):
-            lhs = sum(
-                Q(swap[k][i]) * P[k][l] * B[l][j] for k in range(n) for l in range(n)
-            )
-            assert lhs == P[i][j]
+    for model, A in ((x2, swap), p3lines_point_swap()):
+        n = len(A)
+        B = curve_matrix(model, A)
+        P = [model.dense_row(i) for i in range(n)]
+        # A^T P B = P, summed over the non-zero entries of A and of A^T P
+        cols = [[(k, a) for k, a in enumerate(col) if a] for col in zip(*A)]
+        for i in range(n):
+            AtP = [(l, v) for l in range(n) if (v := sum(a * P[k][l] for k, a in cols[i]))]
+            for j in range(n):
+                assert sum(v * B[l][j] for l, v in AtP) == P[i][j]
 
 
 def test_identity_degrees():

@@ -3,18 +3,23 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_intersection_ring import _leibniz_det
 from threefold.polynomials import (
     AlgebraicNumber,
+    bareiss_solve,
     berkowitz_charpoly,
     cauchy_root_bound,
     certified_spectral_radius,
+    companion_matrix,
     count_real_roots,
     disk_root_count,
     disk_root_count_robust,
-    exterior_square,
     int_matrix_det,
     isolate_real_roots,
+    kronecker_square,
     matrix_adjugate_unimodular,
     minimal_polynomial_of_root,
     poly_compose_square,
@@ -66,6 +71,108 @@ def test_adjugate_inverse():
         assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     with pytest.raises(ValueError):
         matrix_adjugate_unimodular([[2, 0], [0, 1]])
+
+
+def _square(elements, max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+# zeros are drawn often so that pivots are missing and rows must be swapped
+_INTS = st.one_of(st.just(0), st.integers(-6, 6))
+_RATIONALS = st.one_of(st.just(Q(0)), st.fractions(-4, 4, max_denominator=6))
+
+
+def _sparse(rows):
+    return [dict(enumerate(row)) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square(_INTS, 6), st.data())
+def test_bareiss_det_and_solve_on_integer_matrices(m, data):
+    det, none = bareiss_solve(_sparse(m))
+    assert det == _leibniz_det(m) and none is None
+    assert type(det) is int and int_matrix_det(m) == det
+    # det * X comes back in ints and solves M X = det * B
+    n = len(m)
+    b = data.draw(st.lists(st.lists(_INTS, min_size=2, max_size=2), min_size=n, max_size=n))
+    det2, dx = bareiss_solve(_sparse(m), _sparse(b))
+    assert det2 == det
+    if det == 0:
+        assert dx is None
+        return
+    x = [[r.get(k, 0) for k in range(2)] for r in dx]
+    assert all(type(v) is int for r in x for v in r)
+    for i in range(n):
+        for k in range(2):
+            assert sum(m[i][t] * x[t][k] for t in range(n)) == det * b[i][k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square(_RATIONALS, 6), st.data())
+def test_bareiss_det_and_solve_on_rational_matrices(m, data):
+    n = len(m)
+    b = data.draw(st.lists(st.lists(_RATIONALS, min_size=1, max_size=1), min_size=n, max_size=n))
+    det, dx = bareiss_solve(_sparse(m), _sparse(b))
+    assert det == _leibniz_det(m)
+    if det == 0:
+        assert dx is None
+        return
+    for i in range(n):
+        assert sum(m[i][t] * dx[t].get(0, 0) for t in range(n)) == det * b[i][0]
+
+
+@st.composite
+def unimodular_matrices(draw, max_n=24):
+    """Row operations x_i += c x_j on the identity, then a signed row
+    permutation: det = +-1, entries of every size."""
+    n = draw(st.integers(1, max_n))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=3 * n)):
+        if i != j:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return [[s * v for v in m[p]] for s, p in zip(signs, draw(st.permutations(range(n))))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_matrices())
+def test_unimodular_inverse_property(m):
+    n = len(m)
+    inv = matrix_adjugate_unimodular(m)
+    assert all(type(v) is int for row in inv for v in row)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert [[sum(m[i][t] * inv[t][j] for t in range(n)) for j in range(n)] for i in range(n)] == identity
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square(_INTS, 6).filter(lambda m: len(m) > 1), st.data())
+def test_singular_input_raises(m, data):
+    # the last row is a combination of the others
+    n = len(m)
+    cs = data.draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    m[-1] = [sum(c * m[i][j] for i, c in enumerate(cs)) for j in range(n)]
+    assert int_matrix_det(m) == 0
+    assert bareiss_solve(_sparse(m), [{i: 1} for i in range(n)]) == (0, None)
+    with pytest.raises(ValueError, match=r"^matrix is not unimodular \(det = 0\)$"):
+        matrix_adjugate_unimodular(m)
+
+
+def test_companion_matrix_has_int_entries():
+    assert companion_matrix([2, -3, 0, 1]) == [[0, 0, -2], [1, 0, 3], [0, 1, 0]]
+    assert all(type(v) is int for row in companion_matrix([2, -3, 0, 1]) for v in row)
+    # 2x^2 + 1 is made monic: only the non-integral coefficient is a Fraction
+    half = companion_matrix([1, 0, 2])
+    assert half == [[0, Q(-1, 2)], [1, 0]]
+    assert type(half[0][1]) is Q and type(half[1][0]) is int and type(half[1][1]) is int
+    # the Kronecker-square charpoly comes out in ints and equals the Fraction one
+    ints = companion_matrix([Q(-1), Q(-1), Q(0), Q(1)])
+    fracs = [[Q(v) for v in row] for row in ints]
+    cp = berkowitz_charpoly(kronecker_square(ints))
+    assert all(type(c) is int for c in cp)
+    assert cp == berkowitz_charpoly(kronecker_square(fracs))
 
 
 def test_real_root_isolation_matches_numpy():
@@ -135,21 +242,6 @@ def test_disk_count_robust_perturbs_boundary():
     p = [-1, 0, 1]  # roots at +-1 exactly on the unit circle
     count, used = disk_root_count_robust(p, Q(1), direction=+1)
     assert count == 2 and used > 1
-
-
-def test_exterior_square_eigenvalues():
-    rng = random.Random(53)
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        ev = np.linalg.eigvals(np.array(m, dtype=float))
-        sq = exterior_square(m)
-        ev2 = sorted(np.linalg.eigvals(np.array(sq, dtype=float)))
-        want = sorted(
-            ev[i] * ev[j] for i in range(n) for j in range(i + 1, n)
-        )
-        for a, b in zip(ev2, want):
-            assert abs(a - b) < 1e-6
 
 
 def test_compose_square_roots():
