@@ -199,7 +199,12 @@ def cmd_dynamics(args) -> int:
             rep.head("action is not a lattice automorphism candidate")
             rep.emit(args.format)
             return 0
-    degrees = dynamical_degrees(model, A, strict=False)
+    if model is not None:
+        # the eigenclass check certifies both degrees; they are not redone
+        ec = eigenclass_constraints(model, A, tolerance=args.tolerance)
+        degrees = ec.degrees
+    else:
+        degrees = dynamical_degrees(None, A, strict=False)
     rep.head(
         f"lambda1 = {float(degrees.lambda1):.10f}, lambda2 = {float(degrees.lambda2):.10f}, "
         f"entropy = {degrees.entropy:.10f}"
@@ -217,7 +222,6 @@ def cmd_dynamics(args) -> int:
     rat = rationality_obstruction(charpoly)
     rep.add("rationality_obstruction", rat.status)
     if model is not None:
-        ec = eigenclass_constraints(model, A, tolerance=args.tolerance)
         rep.add("eigenclass_status", ec.status)
         if ec.detail:
             rep.add("eigenclass_detail", ec.detail)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .intersection_ring import ThreefoldModel, ValidationError, triple_products
 from .polynomials import (
     AlgebraicNumber,
@@ -369,6 +367,7 @@ class EigenclassReport:
     eigenvector: tuple[float, ...] = ()
     includes_lambda_neq_constraints: bool = False
     detail: str = ""
+    degrees: DegreeReport | None = None  # the certified degrees it used
 
 
 def _root_multiplicity(charpoly, minpoly) -> int:
@@ -387,6 +386,8 @@ def _root_multiplicity(charpoly, minpoly) -> int:
 
 def _nullspace_mp(A, lam, n, prec):
     """Nullspace basis of (A - lam I) with mpmath at the given precision."""
+    import mpmath
+
     with mpmath.workprec(prec):
         M = [[mpmath.mpf(A[i][j]) - (lam if i == j else 0) for j in range(n)] for i in range(n)]
         tol = mpmath.mpf(2) ** (-prec // 2)
@@ -432,7 +433,7 @@ def eigenclass_constraints(
     reported against the tolerance; when lambda1 != lambda2 is certified
     the componentwise |(zeta.c1)_k| constraints are reported as well.  The
     vector is the leading eigenvector of the lattice action, not a
-    certified nef class.
+    certified nef class.  The report carries the DegreeReport it certified.
     """
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
@@ -444,7 +445,10 @@ def eigenclass_constraints(
             lambda1=float(l1),
             tolerance=tolerance,
             detail="no conclusion: entropy zero regime",
+            degrees=report,
         )
+
+    import mpmath  # loaded for the first eigenvector, not at import
 
     n = len(model.divisor_basis)
     charpoly = berkowitz_charpoly([[_as_int(x) for x in row] for row in A])
@@ -462,6 +466,7 @@ def eigenclass_constraints(
                 tolerance=tolerance,
                 detail=f"leading eigenspace defective: algebraic multiplicity {mult}, "
                 f"numeric nullity {len(basis)}",
+                degrees=report,
             )
         zeta = basis[0]
         norm = max(abs(c) for c in zeta)
@@ -514,4 +519,5 @@ def eigenclass_constraints(
         eigenvector=tuple(float(c) for c in zeta),
         includes_lambda_neq_constraints=report.primitive_hint,
         detail="leading eigenvector residuals (eigenvector is not certified nef)",
+        degrees=report,
     )

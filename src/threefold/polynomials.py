@@ -1,15 +1,25 @@
 """Exact integer-polynomial tools for certified spectral radii.
 
-Polynomials are dense coefficient lists, lowest degree first, over Fraction
-(integer inputs stay integral where the algorithm allows).  The pieces:
+Polynomials are dense coefficient lists, lowest degree first.  The
+certification core works on integer lists: a rational input is first
+scaled to its primitive integer part (same roots), and every gcd,
+squarefree part, Sturm chain, sign evaluation and Routh table after that
+stays in int arithmetic.  Fractions remain in two places: the rational
+interval endpoints the root routines return (they are integers over one
+common denominator while being refined), and poly_divmod, the exact
+division over Q that lattice_dynamics._root_multiplicity uses.  The pieces:
 
 - berkowitz_charpoly: division-free characteristic polynomial.
 - bareiss_solve: the one exact determinant/solve, fraction-free on sparse
   rows; int_matrix_det and matrix_adjugate_unimodular are thin wrappers.
-- Sturm-chain real-root counting/isolation with exact rational endpoints.
+- poly_gcd and poly_squarefree: the primitive polynomial remainder
+  sequence (W. S. Brown, J. ACM 18, 1971); one cache of squarefree parts,
+  keyed by the primitive integer tuple, serves every caller below.
+- Sturm-chain real-root counting/isolation with exact rational endpoints;
+  an isolating interval is refined by the sign of the squarefree part.
 - disk_root_count: number of distinct roots in |x| < R, via the Moebius map
-  onto a half-plane and an exact Routh table.  Used to certify that no
-  complex root escapes past the leading real root.
+  onto a half-plane and a fraction-free Routh table.  Used to certify that
+  no complex root escapes past the leading real root.
 - certified_spectral_radius: spectral radius of an integer matrix as an
   exact algebraic number (minimal polynomial + isolating interval).  When
   the dominant modulus is not carried by real roots alone, the squared
@@ -23,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-
-import sympy
 
 QQ = Fraction
 ZERO = Fraction(0)
@@ -52,15 +60,6 @@ def poly_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def poly_scale(p, a):
-    return [a * c for c in p]
 
 
 def poly_mul(p, q):
@@ -103,16 +102,6 @@ def poly_divmod(p, q):
     return poly_trim(quot), poly_trim(rem)
 
 
-def poly_gcd(p, q):
-    a, b = poly_trim(p), poly_trim(q)
-    while poly_degree(b) >= 0 and any(c != 0 for c in b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-        if all(c == 0 for c in b):
-            break
-    return poly_monic(a)
-
-
 def poly_monic(p):
     p = poly_trim([QQ(c) for c in p])
     lead = p[-1]
@@ -124,14 +113,14 @@ def poly_monic(p):
 def _primitive_part(p) -> list[int]:
     """Clear denominators and divide by the content, never flipping signs
     (a sign flip would corrupt a Sturm chain)."""
-    p = poly_trim([QQ(c) for c in p])
-    den = 1
-    for c in p:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    ints = poly_trim(p)
+    if not all(type(c) is int for c in ints):
+        rats = [QQ(c) for c in ints]
+        den = 1
+        for c in rats:
+            den = lcm(den, c.denominator)
+        ints = [c.numerator * (den // c.denominator) for c in rats]
+    g = gcd(*ints)
     return [c // g for c in ints] if g > 1 else ints
 
 
@@ -142,17 +131,70 @@ def poly_primitive_int(p):
     return [-c for c in ints] if ints[-1] < 0 else ints
 
 
+def _pseudo_remainder(a, b) -> list[int]:
+    """A positive integer multiple of the remainder of a by b over Q, for
+    integer a and b (b non-zero): each step scales a by |lc(b)| / g only,
+    with g the gcd of lc(b) and the term it cancels."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(a) > db:
+        c = a[-1]
+        if c:
+            g = gcd(c, lb)
+            m, f = lb // g, c // g
+            if m < 0:
+                m, f = -m, -f
+            if m != 1:
+                a = [m * v for v in a]
+            shift = len(a) - 1 - db
+            for i, v in enumerate(b):
+                a[shift + i] -= f * v
+        a.pop()
+    return poly_trim(a) if a else [0]
+
+
+def poly_gcd(p, q):
+    """Greatest common divisor as a primitive integer polynomial with
+    positive leading coefficient, by the primitive polynomial remainder
+    sequence: integer pseudo-remainders, each divided by its content
+    (W. S. Brown, J. ACM 18, 1971)."""
+    a, b = _primitive_part(p), _primitive_part(q)
+    while any(b):
+        a, b = b, _primitive_part(_pseudo_remainder(a, b))
+    return [-c for c in a] if a[-1] < 0 else a
+
+
+def _exact_quotient(p, g) -> list[int]:
+    """p / g for integer polynomials where g divides p over Z."""
+    rem = list(p)
+    dg, lg = len(g) - 1, g[-1]
+    quot = [0] * (len(p) - dg)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + dg] // lg
+        if c:
+            for i, v in enumerate(g):
+                rem[k + i] -= c * v
+    return quot
+
+
+@lru_cache(maxsize=4096)
+def _squarefree_int(p: tuple) -> tuple:
+    """Squarefree part of a primitive integer polynomial with positive
+    leading coefficient, in the same form (p itself when p is squarefree)."""
+    g = poly_gcd(p, poly_derivative(p))
+    if len(g) == 1:
+        return p
+    return tuple(_exact_quotient(p, g))
+
+
+def _int_key(p) -> tuple:
+    return tuple(poly_primitive_int(p))
+
+
 def poly_squarefree(p):
-    """Squarefree part of p (same distinct roots, multiplicity one)."""
-    d = poly_derivative(p)
-    if poly_degree(d) < 0:
-        return poly_monic(p)
-    g = poly_gcd(p, d)
-    if poly_degree(g) == 0:
-        return poly_monic(p)
-    q, r = poly_divmod(p, g)
-    assert all(c == 0 for c in r)
-    return poly_monic(q)
+    """Squarefree part of p (same distinct roots, multiplicity one), as a
+    primitive integer polynomial with positive leading coefficient."""
+    return list(_squarefree_int(_int_key(p)))
 
 
 def poly_negate_variable(p):
@@ -372,29 +414,27 @@ def matrix_adjugate_unimodular(matrix):
 # Sturm chains and real-root isolation
 # ---------------------------------------------------------------------------
 #
-# Chains are cached per integer-coefficient tuple and every sign evaluation
-# at a rational p/q is done homogeneously in integers
-# (sign of sum_i c_i p^i q^(d-i)), so refinement never touches Fraction
-# arithmetic in the inner loop.
-
-
-@lru_cache(maxsize=4096)
-def _squarefree_int_cached(p: tuple) -> tuple:
-    return tuple(poly_primitive_int(poly_squarefree(list(p))))
+# Chains are cached per integer-coefficient tuple, built from the same
+# pseudo-remainders as poly_gcd, and every sign evaluation at a rational
+# num/den is done homogeneously in integers (sign of
+# sum_i c_i num^i den^(d-i)), so counting, isolation and refinement never
+# touch Fraction arithmetic in the inner loop.
 
 
 @lru_cache(maxsize=4096)
 def _sturm_chain_int(p: tuple) -> tuple:
-    chain = [list(p)]
-    d = poly_derivative(chain[0])
-    if poly_degree(d) >= 0:
-        chain.append(_primitive_part(d))
-    while poly_degree(chain[-1]) > 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if all(c == 0 for c in r):
+    chain = [p]
+    d = poly_derivative(p)
+    if any(d):
+        chain.append(tuple(_primitive_part(d)))
+    while len(chain[-1]) > 1:
+        # a positive multiple of the remainder: the primitive part of its
+        # negation is the chain's next entry, sign included
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not any(r):
             break
-        chain.append(_primitive_part([-c for c in r]))
-    return tuple(tuple(q) for q in chain)
+        chain.append(tuple(_primitive_part([-c for c in r])))
+    return tuple(chain)
 
 
 def _sign_at_rational(q: tuple, num: int, den: int) -> int:
@@ -412,25 +452,29 @@ def _sign_at_rational(q: tuple, num: int, den: int) -> int:
     return 0
 
 
-def _variations_at(chain, x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    signs = []
+def _variations(chain, num: int, den: int) -> int:
+    """Sign changes along the chain at num/den (den > 0), zeros skipped."""
+    changes, last = 0, 0
     for q in chain:
         s = _sign_at_rational(q, num, den)
         if s:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            if s != last and last:
+                changes += 1
+            last = s
+    return changes
 
 
 def _chain_for(p) -> tuple:
-    key = tuple(poly_primitive_int(poly_trim(p)))
-    return _sturm_chain_int(_squarefree_int_cached(key))
+    return _sturm_chain_int(_squarefree_int(_int_key(p)))
 
 
 def count_real_roots(p, lo, hi) -> int:
     """Distinct real roots of p in (lo, hi]; p need not be squarefree."""
     chain = _chain_for(p)
-    return _variations_at(chain, QQ(lo)) - _variations_at(chain, QQ(hi))
+    lo, hi = QQ(lo), QQ(hi)
+    return _variations(chain, lo.numerator, lo.denominator) - _variations(
+        chain, hi.numerator, hi.denominator
+    )
 
 
 def cauchy_root_bound(p) -> Fraction:
@@ -446,42 +490,68 @@ def cauchy_root_bound(p) -> Fraction:
 def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals (lo, hi], one per distinct real root."""
     chain = _chain_for(p)
-    sf = list(chain[0])
-    bound = cauchy_root_bound(sf)
+    bound = cauchy_root_bound(chain[0])
     out = []
 
-    def recurse(lo, hi, v_lo, v_hi):
+    # (lo/den, hi/den] is bisected at (lo + hi)/(2 den)
+    def recurse(lo, hi, den, v_lo, v_hi):
         count = v_lo - v_hi
         if count == 0:
             return
         if count == 1:
-            out.append((lo, hi))
+            out.append((QQ(lo, den), QQ(hi, den)))
             return
-        mid = (lo + hi) / 2
-        v_mid = _variations_at(chain, mid)
-        recurse(lo, mid, v_lo, v_mid)
-        recurse(mid, hi, v_mid, v_hi)
+        mid, den = lo + hi, 2 * den
+        v_mid = _variations(chain, mid, den)
+        recurse(2 * lo, mid, den, v_lo, v_mid)
+        recurse(mid, 2 * hi, den, v_mid, v_hi)
 
-    recurse(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))
+    b, den = bound.numerator, bound.denominator
+    recurse(-b, b, den, _variations(chain, -b, den), _variations(chain, b, den))
     return out
 
 
 def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (lo, hi] of a root of p below `width`."""
+    """Shrink an isolating interval (lo, hi] of a root of p below `width`.
+
+    The endpoints are bisected as integers over one common denominator.
+    Once (lo, hi] holds a single root, a simple root of the squarefree part
+    sf, the root lies in (lo, mid] exactly when sf(mid) = 0 or sf changes
+    sign between lo and mid; when lo is another root of sf, the sign just
+    right of it is that of sf'(lo).  An interval holding several roots is
+    bisected by Sturm counts towards its leftmost root.
+    """
     chain = _chain_for(p)
-    lo, hi = QQ(lo), QQ(hi)
-    v_lo = _variations_at(chain, lo)
-    v_hi = _variations_at(chain, hi)
+    lo, hi, width = QQ(lo), QQ(hi), QQ(width)
+    den = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    v_lo, v_hi = _variations(chain, a, den), _variations(chain, b, den)
     if v_lo - v_hi <= 0:
         raise ValueError("interval does not isolate a root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v_mid = _variations_at(chain, mid)
+
+    # a bisection doubles den and keeps b - a, so the number of bisections
+    # that bring (b - a) / den down to width is known from the start
+    steps = 0
+    while (b - a) * width.denominator > (width.numerator * den) << steps:
+        steps += 1
+    while steps and v_lo - v_hi > 1:
+        steps -= 1
+        mid, den = a + b, 2 * den
+        v_mid = _variations(chain, mid, den)
         if v_lo - v_mid > 0:
-            hi, v_hi = mid, v_mid
+            a, b, v_hi = 2 * a, mid, v_mid
         else:
-            lo, v_lo = mid, v_mid
-    return lo, hi
+            a, b, v_lo = mid, 2 * b, v_mid
+    if steps:
+        sf = chain[0]
+        s_lo = _sign_at_rational(sf, a, den) or _sign_at_rational(poly_derivative(sf), a, den)
+        for _ in range(steps):
+            mid, den = a + b, 2 * den
+            if _sign_at_rational(sf, mid, den) != s_lo:
+                a, b = 2 * a, mid
+            else:
+                a, b = mid, 2 * b
+    return QQ(a, den), QQ(b, den)
 
 
 # ---------------------------------------------------------------------------
@@ -494,30 +564,35 @@ class BoundaryRoot(Exception):
 
 
 def _routh_left_halfplane_count(p) -> int:
-    """Number of roots with Re < 0, all-exact; raises BoundaryRoot on a
-    degenerate table (roots on the imaginary axis or symmetric pairs)."""
-    p = poly_trim([QQ(c) for c in p])
+    """Number of roots with Re < 0 of an integer polynomial; raises
+    BoundaryRoot on a degenerate table (roots on the imaginary axis or
+    symmetric pairs).  The table is fraction-free: where the classical row
+    is divided by the first entry c of the row above, this one is
+    multiplied by |c| and divided by its content, a positive multiple of
+    the classical row, so every sign and every zero are the same."""
+    p = poly_trim(p)
     n = poly_degree(p)
     if n <= 0:
         return 0
     # rows ordered from the leading coefficient down
-    coeffs = list(reversed(p))
-    row1 = coeffs[0::2]
-    row2 = coeffs[1::2]
+    coeffs = p[::-1]
+    row1, row2 = coeffs[0::2], coeffs[1::2]
     width = len(row1)
-    row1 = row1 + [ZERO] * (width - len(row1))
-    row2 = row2 + [ZERO] * (width - len(row2))
-    table = [row1, row2]
+    table = [row1, row2 + [0] * (width - len(row2))]
     for _ in range(n - 1):
         prev, cur = table[-2], table[-1]
-        if cur[0] == 0:
+        c0, p0 = cur[0], prev[0]
+        if c0 == 0:
             raise BoundaryRoot
-        new = []
-        for j in range(width - 1):
-            new.append((cur[0] * prev[j + 1] - prev[0] * cur[j + 1]) / cur[0])
-        new.append(ZERO)
+        if c0 < 0:
+            c0, p0 = -c0, -p0
+        new = [c0 * prev[j + 1] - p0 * cur[j + 1] for j in range(width - 1)]
+        g = gcd(*new)
+        if g > 1:
+            new = [c // g for c in new]
+        new.append(0)
         table.append(new)
-        if all(c == 0 for c in new) and len(table) <= n:
+        if not any(new) and len(table) <= n:
             raise BoundaryRoot
     firsts = [row[0] for row in table[: n + 1]]
     if any(f == 0 for f in firsts):
@@ -527,34 +602,36 @@ def _routh_left_halfplane_count(p) -> int:
     return n - changes
 
 
+@lru_cache(maxsize=64)
+def _moebius_basis(n: int) -> tuple:
+    """(1 + w)^k (1 - w)^(n - k) for k = 0..n, as integer coefficient tuples."""
+    plus, minus = [[1]], [[1]]
+    for _ in range(n):
+        plus.append(poly_mul(plus[-1], [1, 1]))
+        minus.append(poly_mul(minus[-1], [1, -1]))
+    return tuple(tuple(poly_mul(plus[k], minus[n - k])) for k in range(n + 1))
+
+
 def disk_root_count(p, radius: Fraction) -> int:
     """Distinct roots of p with |x| < radius (exact; raises BoundaryRoot if a
     root sits on the circle of that radius, caller perturbs)."""
-    sf = poly_squarefree(p)
-    n = poly_degree(sf)
+    sf = _squarefree_int(_int_key(p))
+    n = len(sf) - 1
     if n <= 0:
         return 0
-    # scale: roots of g(y) = sf(radius * y) in unit disk
-    g = [QQ(c) * radius**i for i, c in enumerate(sf)]
+    # scale: for radius = a/b the roots of g(y) = b^n sf(a y / b) in the
+    # unit disk are those of sf in |x| < radius
+    radius = QQ(radius)
+    a, b = radius.numerator, radius.denominator
+    g = [c * a**i * b ** (n - i) for i, c in enumerate(sf)]
     # Moebius x = (1+w)/(1-w) maps Re w < 0 onto |x| < 1:
-    # h(w) = (1-w)^n g((1+w)/(1-w))
-    one_plus = [ONE, ONE]
-    one_minus = [ONE, -ONE]
-    h = [ZERO]
-    pow_plus = [ONE]
-    pow_minus = [ONE]
-    plus_powers = [[ONE]]
-    minus_powers = [[ONE]]
-    for _ in range(n):
-        plus_powers.append(poly_mul(plus_powers[-1], one_plus))
-        minus_powers.append(poly_mul(minus_powers[-1], one_minus))
-    for k in range(n + 1):
-        if g[k] == 0:
-            continue
-        term = poly_scale(poly_mul(plus_powers[k], minus_powers[n - k]), g[k])
-        h = poly_add(h, term)
-    h = poly_trim(h)
-    if poly_degree(h) < n:
+    # h(w) = (1-w)^n g((1+w)/(1-w)) = sum_k g_k (1+w)^k (1-w)^(n-k)
+    h = [0] * (n + 1)
+    for gk, basis in zip(g, _moebius_basis(n)):
+        if gk:
+            for j, v in enumerate(basis):
+                h[j] += gk * v
+    if h[-1] == 0:
         # degree drop means g(-1) = 0, i.e. a root at x = -radius
         raise BoundaryRoot
     return _routh_left_halfplane_count(h)
@@ -613,9 +690,9 @@ class AlgebraicNumber:
 
 @lru_cache(maxsize=2048)
 def _irreducible_factors_int(p: tuple) -> tuple:
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x**i for i, c in enumerate(p))
-    _, factors = sympy.Poly(expr, x).factor_list()
+    import sympy  # loaded on the first factorisation, not at import
+
+    _, factors = sympy.Poly(p[::-1], sympy.Symbol("x"), domain="ZZ").factor_list()
     return tuple(
         tuple(int(c) for c in reversed(fac.all_coeffs())) for fac, _mult in factors
     )
@@ -739,17 +816,16 @@ def _verified_radius_interval(sf, n, lo, hi, width):
 
 
 def _certified_radius_from_poly(p, matrix, width) -> AlgebraicNumber:
-    sf = poly_squarefree(p)
-    n = poly_degree(sf)
+    key = _int_key(p)
+    sf = poly_squarefree(key)
+    n = len(sf) - 1
     if n <= 0:
         raise ValueError("constant polynomial has no spectral radius")
-    if poly_eval(sf, 0) == 0:
+    if sf[0] == 0:
         raise ValueError("singular matrix: zero eigenvalue")
 
-    constant = abs(poly_eval([QQ(c) for c in poly_primitive_int(p)], 0))
-    lead = abs(poly_primitive_int(p)[-1])
-    # product of |roots| = constant/lead ; >= 1 forces radius >= 1
-    if constant >= lead:
+    # product of |roots| = |constant/lead| ; >= 1 forces radius >= 1
+    if abs(key[0]) >= key[-1]:
         cnt, _ = disk_root_count_robust(sf, ONE + QQ(1, 10**6), direction=+1)
         if cnt == n:
             # Kronecker: all roots in the closed unit disk with unit product,

@@ -87,7 +87,8 @@ def test_dynamics_with_model(capsys, tmp_path):
     assert "eigenclass_status: entropy-zero" in out
 
 
-def test_dynamics_positive_entropy_eigenclass(capsys, tmp_path):
+def _salem_files(tmp_path):
+    """A 5x5 Salem action on a synthetic model: (matrix file, tower file)."""
     from threefold import make_custom_base, serialize_model
 
     divisors = [f"d{i}" for i in range(1, 5)] + ["f"]
@@ -113,11 +114,110 @@ def test_dynamics_positive_entropy_eigenclass(capsys, tmp_path):
         [0, 0, 0, 0, 1],
     ]
     mat.write_text("\n".join(" ".join(str(v) for v in r) for r in rows) + "\n")
+    return mat, tower
+
+
+def test_dynamics_positive_entropy_eigenclass(capsys, tmp_path):
+    mat, tower = _salem_files(tmp_path)
     code, out, _ = run(capsys, "dynamics", "--matrix", str(mat), "--model", str(tower))
     assert code == 0
     assert "eigenclass_status: ok" in out
     assert "lambda1_minpoly: x^4 - 2*x^3 - 2*x + 1" in out
     assert "residual.zeta_c2" in out
+
+
+def test_dynamics_with_model_certifies_each_degree_once(capsys, tmp_path, monkeypatch):
+    import threefold.lattice_dynamics as ld
+
+    calls = []
+    certify = ld.certified_spectral_radius
+
+    def counted(matrix, *args):
+        calls.append(len(matrix))
+        return certify(matrix, *args)
+
+    monkeypatch.setattr(ld, "certified_spectral_radius", counted)
+    mat, tower = _salem_files(tmp_path)
+    code, out, _ = run(capsys, "dynamics", "--matrix", str(mat), "--model", str(tower))
+    assert code == 0 and "eigenclass_status: ok" in out
+    assert calls == [5, 5]
+
+
+# `dynamics --format records` of raw-mode actions: every interval endpoint is
+# part of the records contract
+DYNAMICS_RECORDS = {
+    # lambda2 is complex-dominant: certified through the Kronecker square
+    "3 0 -1\n-2 -1 1\n3 -1 -1\n": """mode=raw
+lambda1=1.8392867552
+lambda1_minpoly=x^3 - x^2 - x - 1
+lambda1_interval=[126394823385/68719476736, 63197411693/34359738368] (width <= 1.455e-11)
+lambda2=1.3562030656
+lambda2_minpoly=x^6 - x^4 - x^2 - 1
+lambda2_interval=[15122169501999057003940033923357253305449013/11150372599265311570767859136324180752990208, \
+30244339003998114007886161433696044287130667/22300745198530623141535718272648361505980416] (width <= 2.732e-22)
+entropy=0.609377863434
+primitive_hint=true
+rationality_obstruction=consistent
+""",
+    # the spectral radius phi is carried by the negative root -phi
+    "0 1\n1 -1\n": """mode=raw
+lambda1=1.6180339887
+lambda1_minpoly=x^2 - x - 1
+lambda1_interval=[111190449047/68719476736, 13898806131/8589934592] (width <= 1.455e-11)
+lambda2=1.6180339887
+lambda2_minpoly=x^2 - x - 1
+lambda2_interval=[111190449047/68719476736, 13898806131/8589934592] (width <= 1.455e-11)
+entropy=0.481211825056
+primitive_hint=false
+rationality_obstruction=consistent
+""",
+    # cube roots of unity: radius exactly 1
+    "0 -1\n1 -1\n": """mode=raw
+lambda1=1.0000000000
+lambda1_minpoly=x - 1
+lambda1_interval=[1, 1] (width <= 0.000e+00)
+lambda2=1.0000000000
+lambda2_minpoly=x - 1
+lambda2_interval=[1, 1] (width <= 0.000e+00)
+entropy=0.000000000000
+primitive_hint=false
+rationality_obstruction=consistent
+""",
+    # a matrix of the criterion-6 distribution
+    "1 2 -1\n2 3 -2\n1 1 -2\n": """mode=raw
+lambda1=3.6963927793
+lambda1_minpoly=x^3 - 2*x^2 - 6*x - 1
+lambda1_interval=[2032113420855/549755813888, 1016056710431/274877906944] (width <= 1.273e-11)
+lambda2=5.6118587098
+lambda2_minpoly=x^3 - 6*x^2 + 2*x + 1
+lambda2_interval=[771287988107/137438953472, 3085151952435/549755813888] (width <= 1.273e-11)
+entropy=1.724881985480
+primitive_hint=true
+rationality_obstruction=consistent
+""",
+}
+
+
+@pytest.mark.parametrize("matrix", list(DYNAMICS_RECORDS))
+def test_dynamics_records_golden(capsys, tmp_path, matrix):
+    f = tmp_path / "action.mat"
+    f.write_text(matrix)
+    code, out, _ = run(capsys, "dynamics", "--matrix", str(f), "--format", "records")
+    assert code == 0
+    assert out == DYNAMICS_RECORDS[matrix]
+
+
+def test_cli_import_loads_neither_sympy_nor_mpmath():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, threefold.cli; print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_dynamics_invalid_action_reports(capsys, tmp_path):

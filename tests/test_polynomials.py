@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from test_intersection_ring import _leibniz_det
 from threefold.polynomials import (
     AlgebraicNumber,
+    BoundaryRoot,
+    _chain_for,
     bareiss_solve,
     berkowitz_charpoly,
     cauchy_root_bound,
@@ -23,8 +26,15 @@ from threefold.polynomials import (
     matrix_adjugate_unimodular,
     minimal_polynomial_of_root,
     poly_compose_square,
+    poly_derivative,
+    poly_divmod,
     poly_eval,
+    poly_gcd,
+    poly_mul,
+    poly_primitive_int,
+    poly_squarefree,
     poly_to_str,
+    poly_trim,
     refine_root_interval,
 )
 
@@ -348,3 +358,229 @@ def test_algebraic_number_refined():
     b = a.refined(Q(1, 10**6))
     assert b.width <= Q(1, 10**6)
     assert b.lo >= a.lo and b.hi <= a.hi
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer core against the Fraction routines it
+# replaced, kept here as references (Euclid's gcd over Q, the Sturm chain of
+# Fraction remainders, Sturm-count bisection, the Moebius map and Routh
+# table on Fractions)
+# ---------------------------------------------------------------------------
+
+
+def _ref_monic(p):
+    p = poly_trim([Q(c) for c in p])
+    return [c / p[-1] for c in p] if p[-1] else p
+
+
+def _ref_gcd(p, q):
+    a, b = poly_trim(p), poly_trim(q)
+    while any(c != 0 for c in b):
+        a, b = b, poly_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _ref_squarefree(p):
+    d = poly_derivative(p)
+    if not any(d):
+        return _ref_monic(p)
+    g = _ref_gcd(p, d)
+    if len(g) == 1:
+        return _ref_monic(p)
+    q, r = poly_divmod(p, g)
+    assert not any(r)
+    return _ref_monic(q)
+
+
+def _ref_primitive_part(p):
+    p = poly_trim([Q(c) for c in p])
+    den = 1
+    for c in p:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _ref_sturm_chain(p):
+    chain = [list(p)]
+    d = poly_derivative(chain[0])
+    if any(d):
+        chain.append(_ref_primitive_part(d))
+    while len(poly_trim(chain[-1])) > 1:
+        _, r = poly_divmod(chain[-2], chain[-1])
+        if not any(r):
+            break
+        chain.append(_ref_primitive_part([-c for c in r]))
+    return [tuple(q) for q in chain]
+
+
+def _ref_variations(chain, x):
+    signs = [v > 0 for v in (poly_eval([Q(c) for c in q], Q(x)) for q in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_refine(p, lo, hi, width):
+    chain = _ref_sturm_chain(poly_primitive_int(_ref_squarefree(p)))
+    lo, hi = Q(lo), Q(hi)
+    v_lo, v_hi = _ref_variations(chain, lo), _ref_variations(chain, hi)
+    if v_lo - v_hi <= 0:
+        raise ValueError("interval does not isolate a root")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v_mid = _ref_variations(chain, mid)
+        if v_lo - v_mid > 0:
+            hi, v_hi = mid, v_mid
+        else:
+            lo, v_lo = mid, v_mid
+    return lo, hi
+
+
+def _ref_routh(p):
+    p = poly_trim([Q(c) for c in p])
+    n = len(p) - 1
+    if n <= 0:
+        return 0
+    coeffs = list(reversed(p))
+    row1, row2 = coeffs[0::2], coeffs[1::2]
+    width = len(row1)
+    table = [row1, row2 + [Q(0)] * (width - len(row2))]
+    for _ in range(n - 1):
+        prev, cur = table[-2], table[-1]
+        if cur[0] == 0:
+            raise BoundaryRoot
+        new = [(cur[0] * prev[j + 1] - prev[0] * cur[j + 1]) / cur[0] for j in range(width - 1)]
+        table.append(new + [Q(0)])
+        if not any(new) and len(table) <= n:
+            raise BoundaryRoot
+    firsts = [row[0] for row in table[: n + 1]]
+    if any(f == 0 for f in firsts):
+        raise BoundaryRoot
+    return n - sum(1 for a, b in zip(firsts, firsts[1:]) if (a > 0) != (b > 0))
+
+
+def _ref_disk_root_count(p, radius):
+    sf = _ref_squarefree(p)
+    n = len(sf) - 1
+    if n <= 0:
+        return 0
+    g = [c * Q(radius) ** i for i, c in enumerate(sf)]
+    h = [Q(0)] * (n + 1)
+    for k, gk in enumerate(g):
+        term = [gk]
+        for _ in range(k):
+            term = poly_mul(term, [1, 1])
+        for _ in range(n - k):
+            term = poly_mul(term, [1, -1])
+        for j, v in enumerate(term):
+            h[j] += v
+    if h[-1] == 0:
+        raise BoundaryRoot
+    return _ref_routh(h)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except BoundaryRoot:
+        return "boundary"
+
+
+_FACTOR = st.lists(st.integers(-4, 4), min_size=1, max_size=3).flatmap(
+    lambda low: st.sampled_from([1, -1, 2, -3]).map(lambda lead: low + [lead])
+)
+
+
+@st.composite
+def repeated_factor_polys(draw, max_degree=12):
+    """Products of small integer factors with multiplicities up to 3."""
+    p = [draw(st.sampled_from([1, -1, 2, -6]))]
+    for f, m in draw(st.lists(st.tuples(_FACTOR, st.integers(1, 3)), min_size=1, max_size=4)):
+        if len(p) - 1 + m * (len(f) - 1) > max_degree:
+            continue
+        for _ in range(m):
+            p = poly_mul(p, f)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_factor_polys())
+def test_squarefree_matches_sympy_and_reference(p):
+    import sympy
+
+    x = sympy.Symbol("x")
+    want = sympy.Poly(p[::-1], x, domain="ZZ").sqf_part().all_coeffs()[::-1]
+    got = poly_squarefree(p)
+    assert all(type(c) is int for c in got) and got[-1] > 0
+    assert got == poly_primitive_int(want)
+    assert _ref_monic(got) == _ref_squarefree(p)
+    # a rational multiple has the same squarefree part
+    assert poly_squarefree([Q(c, 3) for c in p]) == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_factor_polys(8), repeated_factor_polys(8))
+def test_gcd_matches_fraction_euclid(p, q):
+    g = poly_gcd(p, q)
+    assert all(type(c) is int for c in g) and g[-1] > 0
+    assert _ref_monic(g) == _ref_gcd(p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_factor_polys())
+def test_sturm_chain_matches_fraction_remainders(p):
+    chain = _chain_for(p)
+    assert list(chain) == _ref_sturm_chain(poly_squarefree(p))
+
+
+_RADII = st.fractions(Q(1, 10), 5, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_factor_polys(8), _RADII)
+def test_disk_root_count_matches_fraction_routh(p, radius):
+    assert _outcome(disk_root_count, p, radius) == _outcome(_ref_disk_root_count, p, radius)
+
+
+def test_disk_root_count_on_circle_roots():
+    # x^2 - 1 on |x| = 1 (a root at -radius), x^2 + 4 on |x| = 2 (+-2i on the
+    # imaginary axis after the Moebius map), and a negative leading coefficient
+    for p, radius in [([-1, 0, 1], 1), ([4, 0, 1], 2), ([-4, 0, -1], 2), ([1, 0, 0, 1], 1)]:
+        assert _outcome(_ref_disk_root_count, p, Q(radius)) == "boundary"
+        with pytest.raises(BoundaryRoot):
+            disk_root_count(p, Q(radius))
+    assert disk_root_count([4, 0, 1], Q(3)) == _ref_disk_root_count([4, 0, 1], Q(3)) == 2
+    assert disk_root_count([-4, 0, -1], Q(1)) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_factor_polys(), st.integers(1, 60))
+def test_isolation_and_refinement_match_sturm_bisection(p, bits):
+    width = Q(1, 2**bits)
+    intervals = isolate_real_roots(p)
+    for lo, hi in intervals:
+        assert count_real_roots(p, lo, hi) == 1
+        assert refine_root_interval(p, lo, hi, width) == _ref_refine(p, lo, hi, width)
+    if intervals:
+        # an interval holding every real root is bisected towards the leftmost
+        lo, hi = intervals[0][0], intervals[-1][1]
+        assert refine_root_interval(p, lo, hi, width) == _ref_refine(p, lo, hi, width)
+
+
+def test_refinement_edge_cases():
+    # lo is another root: (x - 1)(x - 2) on (1, 3]
+    p = [2, -3, 1]
+    lo, hi = refine_root_interval(p, 1, 3, Q(1, 2**20))
+    assert (lo, hi) == _ref_refine(p, 1, 3, Q(1, 2**20))
+    assert lo < 2 <= hi
+    # a root exactly at a midpoint goes left: x - 1 on (0, 2]
+    assert refine_root_interval([-1, 1], 0, 2, Q(1, 8)) == (Q(7, 8), Q(1))
+    assert _ref_refine([-1, 1], 0, 2, Q(1, 8)) == (Q(7, 8), Q(1))
+    # a negative leading coefficient: -(x^2 - 2), and its repeated square
+    for q in ([2, 0, -1], poly_mul([2, 0, -1], [2, 0, -1])):
+        assert isolate_real_roots(q) == isolate_real_roots([-2, 0, 1])
+        lo, hi = refine_root_interval(q, 1, 2, Q(1, 10**12))
+        assert (lo, hi) == _ref_refine(q, 1, 2, Q(1, 10**12))
+        assert 0 < lo and lo * lo < 2 < hi * hi
+    with pytest.raises(ValueError, match="^interval does not isolate a root$"):
+        refine_root_interval([2, -3, 1], 2, Q(5, 2), Q(1, 8))
