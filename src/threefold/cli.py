@@ -40,7 +40,6 @@ from .nef_conditions import (
     check_picard1,
     check_tower,
 )
-from .polynomials import berkowitz_charpoly
 from .towerfile import TowerParseError, parse_tower, render_class, serialize_model
 
 QQ = Fraction
@@ -204,7 +203,7 @@ def cmd_dynamics(args) -> int:
         ec = eigenclass_constraints(model, A, tolerance=args.tolerance)
         degrees = ec.degrees
     else:
-        degrees = dynamical_degrees(None, A, strict=False)
+        degrees = dynamical_degrees(None, A)
     rep.head(
         f"lambda1 = {float(degrees.lambda1):.10f}, lambda2 = {float(degrees.lambda2):.10f}, "
         f"entropy = {degrees.entropy:.10f}"
@@ -218,8 +217,7 @@ def cmd_dynamics(args) -> int:
     rep.add("lambda2_interval", _interval_str(degrees.lambda2))
     rep.add("entropy", f"{degrees.entropy:.12f}")
     rep.add("primitive_hint", degrees.primitive_hint)
-    charpoly = berkowitz_charpoly(A)
-    rat = rationality_obstruction(charpoly)
+    rat = rationality_obstruction(degrees.charpoly)
     rep.add("rationality_obstruction", rat.status)
     if model is not None:
         rep.add("eigenclass_status", ec.status)

@@ -5,13 +5,15 @@ An action is an integer matrix A on the divisor basis (the pullback action
 on divisor coefficient vectors).  The induced curve matrix is
 B = P^-1 A^-T P with P the divisor/curve pairing, the unique matrix with
 pairing(A x, B y) = pairing(x, y).  The first dynamical degree is the
-spectral radius of A, the second that of B; in raw mode (no model) B is
-replaced by A^-1, which is the same thing whenever a perfect pairing
-identifies the curve lattice with the dual of the divisor lattice.
+spectral radius of A, the second that of B.  B is similar to A^-T, so its
+characteristic polynomial is, up to sign, the reversal x^n chi_A(1/x) of
+chi_A (lambda2(f) = lambda1(f^-1)).  Both degrees, the determinant, the
+eigenvalue multiplicity and the rational-root obstruction are read from
+chi_A alone, with or without a model.
 
 Both degrees are certified exactly: minimal polynomial plus an isolating
 interval of width <= 1e-10, with disk counts ruling out larger complex
-moduli (see polynomials.certified_spectral_radius).  Comparisons between
+moduli (see polynomials.certified_radius_from_charpoly).  Comparisons between
 certified numbers (lambda1 != lambda2, lambda1^2 >= lambda2, lambda2 >= 1)
 are decided by interval refinement plus minimal-polynomial identity, never
 by floating point.
@@ -26,13 +28,14 @@ from fractions import Fraction
 from .intersection_ring import ThreefoldModel, ValidationError, triple_products
 from .polynomials import (
     AlgebraicNumber,
+    _exact_quotient,
+    _pseudo_remainder,
     bareiss_solve,
     berkowitz_charpoly,
-    certified_spectral_radius,
+    certified_radius_from_charpoly,
     count_real_roots,
     minimal_polynomial_of_root,
     poly_compose_square,
-    poly_divmod,
     poly_eval,
     poly_trim,
     refine_root_interval,
@@ -80,14 +83,6 @@ def _det_and_curve_matrix(model: ThreefoldModel, A):
         raise ValidationError("singular matrix")
     d = det * det_p
     return det, [[QQ(r.get(k, 0), d) for k in range(n)] for r in X]
-
-
-def curve_matrix(model: ThreefoldModel, A) -> list[list[Fraction]]:
-    """The action on curve coefficient vectors dual to A under the pairing."""
-    B = _det_and_curve_matrix(model, A)[1]
-    if B is None:
-        raise ValidationError("singular matrix")
-    return B
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +234,8 @@ class DegreeReport:
 
     lambda1 and lambda2 carry exact minimal polynomials and isolating
     intervals of width <= 1e-10; entropy is the float log of the larger;
-    primitive_hint is True only when lambda1 != lambda2 is certified.
+    primitive_hint is True only when lambda1 != lambda2 is certified;
+    charpoly is chi_A = det(xI - A), low-to-high, that both came from.
     """
 
     lambda1: AlgebraicNumber
@@ -247,6 +243,7 @@ class DegreeReport:
     entropy: float
     primitive_hint: bool
     mode: str  # "model" or "raw"
+    charpoly: tuple[int, ...]
 
     def lambda1_float(self) -> float:
         return float(self.lambda1)
@@ -258,44 +255,35 @@ class DegreeReport:
 def dynamical_degrees(
     model: ThreefoldModel | None,
     A,
-    strict: bool = True,
     width: Fraction = DEGREE_INTERVAL_WIDTH,
 ) -> DegreeReport:
     """Certified spectral radii of the divisor action and its curve dual.
 
-    With a model, the curve action is derived from the pairing and strict
-    mode insists validate_action passes first (and takes its curve matrix).
-    Without a model the matrix only needs to be unimodular and A^-1
-    provides the second degree.
+    Both come from chi_A: lambda1 is certified from it and lambda2 from its
+    reversal, the characteristic polynomial of A^-1 (and of the curve
+    matrix B) up to sign.  With a model, validate_action must pass first.
+    Without one the matrix only needs to be unimodular, which is read from
+    chi_A(0) = (-1)^n det A.
     """
     if model is not None:
-        if strict:
-            v = validate_action(model, A)
-            if not v.ok:
-                raise ValidationError(
-                    "action fails validation: " + "; ".join(v.violations)
-                )
-            B = v.action.curve_matrix
-        else:
-            B = curve_matrix(model, A)
-        mode = "model"
-    else:
-        A = [[_as_int(x) for x in row] for row in A]
-        n = len(A)
-        det, adj = bareiss_solve([dict(enumerate(row)) for row in A], [{i: 1} for i in range(n)])
-        if det not in (1, -1):
-            raise ValidationError(f"raw mode needs a unimodular matrix, det = {det}")
-        B = [[det * r.get(j, 0) for j in range(n)] for r in adj]
-        mode = "raw"
+        v = validate_action(model, A)
+        if not v.ok:
+            raise ValidationError("action fails validation: " + "; ".join(v.violations))
+    A = [[_as_int(x) for x in row] for row in A]
+    cp = berkowitz_charpoly(A)
+    det = (-1) ** len(A) * cp[0]
+    if model is None and det not in (1, -1):
+        raise ValidationError(f"raw mode needs a unimodular matrix, det = {det}")
 
-    l1 = certified_spectral_radius(A, width)
-    l2 = certified_spectral_radius(B, width)
+    l1 = certified_radius_from_charpoly(cp, width)
+    l2 = certified_radius_from_charpoly(cp[::-1], width)
     primitive = algebraic_compare(l1, l2) != 0
     entropy = math.log(max(float(l1), float(l2)))
     if l1.is_one() and l2.is_one():
         entropy = 0.0
     return DegreeReport(
-        lambda1=l1, lambda2=l2, entropy=entropy, primitive_hint=primitive, mode=mode
+        lambda1=l1, lambda2=l2, entropy=entropy, primitive_hint=primitive,
+        mode="raw" if model is None else "model", charpoly=tuple(cp),
     )
 
 
@@ -371,17 +359,13 @@ class EigenclassReport:
 
 
 def _root_multiplicity(charpoly, minpoly) -> int:
-    mult = 0
-    q = [QQ(c) for c in charpoly]
-    m = [QQ(c) for c in minpoly]
-    while True:
-        quot, rem = poly_divmod(q, m)
-        if any(c != 0 for c in rem):
-            return mult
+    """How often the irreducible primitive minpoly divides the monic integer
+    charpoly; each quotient is integral by Gauss's lemma."""
+    mult, q = 0, list(charpoly)
+    while len(q) >= len(minpoly) and not any(_pseudo_remainder(q, minpoly)):
+        q = _exact_quotient(q, minpoly)
         mult += 1
-        q = quot
-        if len(q) == 1:
-            return mult
+    return mult
 
 
 def _nullspace_mp(A, lam, n, prec):
@@ -451,8 +435,7 @@ def eigenclass_constraints(
     import mpmath  # loaded for the first eigenvector, not at import
 
     n = len(model.divisor_basis)
-    charpoly = berkowitz_charpoly([[_as_int(x) for x in row] for row in A])
-    mult = _root_multiplicity(charpoly, list(l1.minpoly))
+    mult = _root_multiplicity(report.charpoly, l1.minpoly)
     prec = EIGENVECTOR_PRECISION_BITS
     l1_narrow = l1.refined(QQ(1, 2 ** (prec + 16)))
     with mpmath.workprec(prec + 32):

@@ -4,10 +4,10 @@ Polynomials are dense coefficient lists, lowest degree first.  The
 certification core works on integer lists: a rational input is first
 scaled to its primitive integer part (same roots), and every gcd,
 squarefree part, Sturm chain, sign evaluation and Routh table after that
-stays in int arithmetic.  Fractions remain in two places: the rational
-interval endpoints the root routines return (they are integers over one
-common denominator while being refined), and poly_divmod, the exact
-division over Q that lattice_dynamics._root_multiplicity uses.  The pieces:
+stays in int arithmetic.  Fractions remain only in the rational interval
+endpoints the root routines return (they are integers over one common
+denominator while being refined); exact division is _exact_quotient on
+integer polynomials.  The pieces:
 
 - berkowitz_charpoly: division-free characteristic polynomial.
 - bareiss_solve: the one exact determinant/solve, fraction-free on sparse
@@ -20,11 +20,13 @@ division over Q that lattice_dynamics._root_multiplicity uses.  The pieces:
 - disk_root_count: number of distinct roots in |x| < R, via the Moebius map
   onto a half-plane and a fraction-free Routh table.  Used to certify that
   no complex root escapes past the leading real root.
-- certified_spectral_radius: spectral radius of an integer matrix as an
-  exact algebraic number (minimal polynomial + isolating interval).  When
-  the dominant modulus is not carried by real roots alone, the squared
-  radius is recovered as the largest real root of the Kronecker-square
-  characteristic polynomial, which always carries it.
+- certified_radius_from_charpoly: the largest root modulus of an integer
+  characteristic polynomial as an exact algebraic number (minimal
+  polynomial + isolating interval); certified_spectral_radius is its
+  matrix front.  When the dominant modulus is not carried by real roots
+  alone, the squared radius is recovered as the largest real root of the
+  characteristic polynomial of the Kronecker square of the companion
+  matrix of the squarefree part, which always carries it.
 """
 
 from __future__ import annotations
@@ -77,29 +79,6 @@ def poly_derivative(p):
     if len(p) <= 1:
         return [0]
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def poly_divmod(p, q):
-    """Exact division with remainder over the rationals."""
-    p = [QQ(c) for c in poly_trim(p)]
-    q = [QQ(c) for c in poly_trim(q)]
-    dq = poly_degree(q)
-    if dq < 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    quot = [ZERO] * max(1, len(p) - dq)
-    rem = p[:]
-    lead = q[-1]
-    while poly_degree(rem) >= dq:
-        dr = poly_degree(rem)
-        f = rem[dr] / lead
-        quot[dr - dq] = f
-        for i in range(dq + 1):
-            rem[dr - dq + i] -= f * q[i]
-        rem = poly_trim(rem)
-        if all(c == 0 for c in rem):
-            rem = [ZERO]
-            break
-    return poly_trim(quot), poly_trim(rem)
 
 
 def poly_monic(p):
@@ -737,19 +716,9 @@ DEFAULT_WIDTH = QQ(1, 10**10)
 
 
 def certified_spectral_radius(matrix, width: Fraction = DEFAULT_WIDTH) -> AlgebraicNumber:
-    """Spectral radius of an integer matrix as a certified algebraic number.
-
-    Strategy: if every root of the characteristic polynomial lies in the
-    closed unit disk and the matrix is invertible over Z, the radius is
-    exactly 1 (all eigenvalues are then roots of unity).  Otherwise isolate
-    the largest-modulus real root r and certify with two disk counts that
-    the annulus just around |r| contains only real roots and nothing lies
-    outside; when a complex pair dominates (or ties with a real root), the
-    squared radius is recovered as the largest real root of the Kronecker-
-    square characteristic polynomial and verified by the same disk counts.
-    """
-    p = berkowitz_charpoly(matrix)
-    return _certified_radius_from_poly(p, matrix, width)
+    """Spectral radius of an integer matrix as a certified algebraic number
+    (certified_radius_from_charpoly of its characteristic polynomial)."""
+    return certified_radius_from_charpoly(berkowitz_charpoly(matrix), width)
 
 
 def _abs_interval(lo, hi):
@@ -784,14 +753,15 @@ def _dominant_real_root(sf, width):
         if not overlapping:
             return refined[champion]
         if len(overlapping) == 1:
-            # an exact opposite-sign twin has the same modulus; either works
+            # an exact opposite-sign twin has the same modulus; either works.
+            # The champion has one exactly when gcd(sf(x), sf(-x)) has a root
+            # in the champion's own (lo, hi]
             k = overlapping[0]
             same_sign = (refined[k][1] <= 0) == (refined[champion][1] <= 0)
             if not same_sign:
                 even_part = poly_gcd(sf, poly_negate_variable(sf))
                 lo, hi = refined[champion]
-                a, b = (lo, hi) if hi > 0 else (-hi, -lo)
-                if poly_degree(even_part) > 0 and count_real_roots(even_part, a, b) > 0:
+                if poly_degree(even_part) > 0 and count_real_roots(even_part, lo, hi) > 0:
                     return refined[champion]
         intervals = refined
         w = w / 2**16
@@ -815,7 +785,22 @@ def _verified_radius_interval(sf, n, lo, hi, width):
     return r_in, r_out, inner
 
 
-def _certified_radius_from_poly(p, matrix, width) -> AlgebraicNumber:
+def certified_radius_from_charpoly(p, width: Fraction = DEFAULT_WIDTH) -> AlgebraicNumber:
+    """Largest root modulus of the characteristic polynomial p of an integer
+    matrix invertible over Z (or of its reversal, the characteristic
+    polynomial of the inverse up to sign), as a certified algebraic number.
+
+    Strategy: if every root lies in the closed unit disk, the radius is
+    exactly 1 (all roots are then roots of unity).  Otherwise isolate the largest-modulus real root r and certify with two
+    disk counts that the annulus just around |r| contains only real roots
+    and nothing lies outside; when a complex pair dominates (or ties with a
+    real root), the squared radius is recovered as the largest real root
+    of the characteristic polynomial of the Kronecker square of the
+    companion matrix of the squarefree part sf, and verified by the same
+    disk counts.  That square has the distinct eigenvalue products of any
+    matrix with the roots of p as eigenvalues, so its squarefree part, and
+    every interval derived from it, depends on sf alone.
+    """
     key = _int_key(p)
     sf = poly_squarefree(key)
     n = len(sf) - 1
@@ -869,10 +854,7 @@ def _certified_radius_from_poly(p, matrix, width) -> AlgebraicNumber:
             "could not certify the spectral radius (tied moduli on a matrix "
             "too large for the tensor-square fallback)"
         )
-    source = matrix if matrix is not None else companion_matrix(sf)
-    if len(source) > 8:
-        source = companion_matrix(sf)
-    cp = berkowitz_charpoly(kronecker_square(source))
+    cp = berkowitz_charpoly(kronecker_square(companion_matrix(sf)))
     cp_sf = poly_squarefree(cp)
     reals = isolate_real_roots(cp_sf)
     if not reals:

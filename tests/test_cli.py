@@ -130,17 +130,46 @@ def test_dynamics_with_model_certifies_each_degree_once(capsys, tmp_path, monkey
     import threefold.lattice_dynamics as ld
 
     calls = []
-    certify = ld.certified_spectral_radius
+    certify = ld.certified_radius_from_charpoly
 
-    def counted(matrix, *args):
-        calls.append(len(matrix))
-        return certify(matrix, *args)
+    def counted(charpoly, *args):
+        calls.append(len(charpoly) - 1)
+        return certify(charpoly, *args)
 
-    monkeypatch.setattr(ld, "certified_spectral_radius", counted)
+    monkeypatch.setattr(ld, "certified_radius_from_charpoly", counted)
     mat, tower = _salem_files(tmp_path)
     code, out, _ = run(capsys, "dynamics", "--matrix", str(mat), "--model", str(tower))
     assert code == 0 and "eigenclass_status: ok" in out
     assert calls == [5, 5]
+
+
+def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch):
+    import threefold.lattice_dynamics as ld
+    import threefold.polynomials as poly
+
+    charpolys, solves = [], []
+    charpoly, solve = poly.berkowitz_charpoly, poly.bareiss_solve
+
+    def counted_charpoly(matrix):
+        charpolys.append(len(matrix))
+        return charpoly(matrix)
+
+    def counted_solve(rows, *args):
+        solves.append(len(rows))
+        return solve(rows, *args)
+
+    for module in (ld, poly):
+        monkeypatch.setattr(module, "berkowitz_charpoly", counted_charpoly)
+        monkeypatch.setattr(module, "bareiss_solve", counted_solve)
+    mat, tower = _salem_files(tmp_path)
+    code, out, _ = run(capsys, "dynamics", "--matrix", str(mat), "--model", str(tower))
+    assert code == 0 and "eigenclass_status: ok" in out
+    assert charpolys == [5]
+    charpolys.clear()
+    solves.clear()
+    code, out, _ = run(capsys, "dynamics", "--matrix", str(mat))
+    assert code == 0 and "mode: raw" in out
+    assert charpolys == [5] and solves == []
 
 
 # `dynamics --format records` of raw-mode actions: every interval endpoint is

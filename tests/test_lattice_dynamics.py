@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threefold import (
     CurveCenterSpec,
@@ -21,12 +23,17 @@ from threefold.lattice_dynamics import (
     ALGEBRAIC_ONE,
     algebraic_compare,
     algebraic_square,
-    curve_matrix,
     lambda2_at_least_one_certified,
     square_dominance_certified,
 )
 from threefold.nef_conditions import _p3_points_lines_models
-from threefold.polynomials import AlgebraicNumber, berkowitz_charpoly
+from threefold.polynomials import (
+    AlgebraicNumber,
+    berkowitz_charpoly,
+    certified_spectral_radius,
+    matrix_adjugate_unimodular,
+    poly_mul,
+)
 
 
 def companion(poly):
@@ -126,14 +133,12 @@ def test_validate_exceptional_swap_is_ok():
     assert v.action.curve_matrix == tuple(tuple(Q(a) for a in row) for row in A)
 
 
-def test_singular_action_is_reported_and_curve_matrix_raises():
+def test_singular_action_is_reported():
     x2 = blow_up_point(blow_up_point(make_base("p3")))
     A = [[1, 0, 0], [0, 1, 1], [0, 1, 1]]
     v = validate_action(x2, A)
     assert not v.ok and v.action is None
     assert "det = 0, not +-1" in v.violations
-    with pytest.raises(ValidationError, match="^singular matrix$"):
-        curve_matrix(x2, A)
 
 
 def test_validate_dimension_mismatch_raises():
@@ -146,7 +151,7 @@ def test_pairing_preserved_jointly():
     swap = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
     for model, A in ((x2, swap), p3lines_point_swap()):
         n = len(A)
-        B = curve_matrix(model, A)
+        B = validate_action(model, A).action.curve_matrix
         P = [model.dense_row(i) for i in range(n)]
         # A^T P B = P, summed over the non-zero entries of A and of A^T P
         cols = [[(k, a) for k, a in enumerate(col) if a] for col in zip(*A)]
@@ -198,6 +203,60 @@ def test_model_mode_strict_rejects_invalid():
     x2 = blow_up_point(blow_up_point(make_base("p3")))
     with pytest.raises(ValidationError):
         dynamical_degrees(x2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def _monic_unit_poly(draw, degree):
+    """A monic integer polynomial of the given degree with constant term +-1."""
+    if degree == 0:
+        return [1]
+    middle = draw(st.lists(st.integers(-2, 2), min_size=degree - 1, max_size=degree - 1))
+    return [draw(st.sampled_from([1, -1]))] + middle + [1]
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Unimodular integer matrices of rank 2-8: a row-permuted product of
+    elementary row operations, or the companion matrix of f^r g with f and g
+    monic, constant term +-1 (defective when r = 2; many of either kind are
+    complex-dominant and reach the Kronecker fallback)."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        A = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 3 * n))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+        return [A[p] for p in draw(st.permutations(range(n)))]
+    r = draw(st.integers(1, 2))
+    d = draw(st.integers(1, n // r))
+    f = _monic_unit_poly(draw, d)
+    g = _monic_unit_poly(draw, n - r * d)
+    return companion(poly_mul(f, g) if r == 1 else poly_mul(poly_mul(f, f), g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unimodular_matrices())
+@example([[3, 0, -1], [-2, -1, 1], [3, -1, -1]])  # lambda2 complex-dominant
+@example(companion(poly_mul(PLASTIC, PLASTIC)))  # defective, complex-dominant inverse
+@example(companion([-1, 0, 0, -1, 1, 1]))  # inverse: a +-1 twin under a complex pair
+def test_lambda2_from_reversed_charpoly_matches_inverse(A):
+    # lambda2 comes from the reversal of chi_A; the reference certifies the
+    # integer inverse's own characteristic polynomial
+    got = dynamical_degrees(None, A).lambda2
+    ref = certified_spectral_radius(matrix_adjugate_unimodular(A))
+    assert (got.minpoly, got.lo, got.hi) == (ref.minpoly, ref.lo, ref.hi)
+
+
+def test_lambda2_from_reversed_charpoly_matches_curve_matrix():
+    # the reference certifies the curve matrix B = P^-1 A^-T P itself
+    for model, A in (
+        p3lines_point_swap(5),
+        (zero_product_model(5), block_plus_fixed(companion(SALEM_QUARTIC))),
+        (zero_product_model(4), block_plus_fixed(companion(PLASTIC))),
+    ):
+        got = dynamical_degrees(model, A).lambda2
+        ref = certified_spectral_radius(validate_action(model, A).action.curve_matrix)
+        assert (got.minpoly, got.lo, got.hi) == (ref.minpoly, ref.lo, ref.hi)
 
 
 def test_rationality_obstruction_cases():
@@ -278,8 +337,6 @@ def test_eigenclass_plastic_block_includes_part2():
 def test_eigenclass_defective_leading_eigenspace():
     # companion of (x^4-2x^3-2x+1)^2 is non-derogatory: algebraic
     # multiplicity 2, geometric multiplicity 1 at the Salem root
-    from threefold.polynomials import poly_mul
-
     p2 = poly_mul(SALEM_QUARTIC, SALEM_QUARTIC)
     model = zero_product_model(9, c1={"f": 0}, c2={"g": 0})
     A = block_plus_fixed(companion([int(c) for c in p2]))

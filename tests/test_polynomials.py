@@ -26,8 +26,8 @@ from threefold.polynomials import (
     matrix_adjugate_unimodular,
     minimal_polynomial_of_root,
     poly_compose_square,
+    poly_degree,
     poly_derivative,
-    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_mul,
@@ -183,6 +183,19 @@ def test_companion_matrix_has_int_entries():
     cp = berkowitz_charpoly(kronecker_square(ints))
     assert all(type(c) is int for c in cp)
     assert cp == berkowitz_charpoly(kronecker_square(fracs))
+    # with repeated eigenvalues, the Kronecker square of M and that of the
+    # companion matrix of M's squarefree part have the same distinct
+    # eigenvalue products, so the same squarefree charpoly
+    for m in (
+        [[1, 1, 0], [0, 1, 0], [0, 0, -1]],  # Jordan block at 1, and -1
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # +-i twice
+        [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]],  # golden pair twice
+        [[2, 1, 0], [0, 2, 1], [0, 0, 2]],  # one Jordan block at 2
+    ):
+        sf = poly_squarefree(berkowitz_charpoly(m))
+        assert poly_squarefree(berkowitz_charpoly(kronecker_square(m))) == poly_squarefree(
+            berkowitz_charpoly(kronecker_square(companion_matrix(sf)))
+        )
 
 
 def test_real_root_isolation_matches_numpy():
@@ -362,10 +375,33 @@ def test_algebraic_number_refined():
 
 # ---------------------------------------------------------------------------
 # differential tests: the integer core against the Fraction routines it
-# replaced, kept here as references (Euclid's gcd over Q, the Sturm chain of
-# Fraction remainders, Sturm-count bisection, the Moebius map and Routh
-# table on Fractions)
+# replaced, kept here as references (division with remainder and Euclid's
+# gcd over Q, the Sturm chain of Fraction remainders, Sturm-count bisection,
+# the Moebius map and Routh table on Fractions)
 # ---------------------------------------------------------------------------
+
+
+def poly_divmod(p, q):
+    """Exact division with remainder over the rationals."""
+    p = [Q(c) for c in poly_trim(p)]
+    q = [Q(c) for c in poly_trim(q)]
+    dq = poly_degree(q)
+    if dq < 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    quot = [Q(0)] * max(1, len(p) - dq)
+    rem = p[:]
+    lead = q[-1]
+    while poly_degree(rem) >= dq:
+        dr = poly_degree(rem)
+        f = rem[dr] / lead
+        quot[dr - dq] = f
+        for i in range(dq + 1):
+            rem[dr - dq + i] -= f * q[i]
+        rem = poly_trim(rem)
+        if all(c == 0 for c in rem):
+            rem = [Q(0)]
+            break
+    return poly_trim(quot), poly_trim(rem)
 
 
 def _ref_monic(p):
