@@ -29,10 +29,10 @@ from .blowup_calculus import BlowupTower
 from .case_studies import ci_c2, ci_c2_series_check, euler_budget, g_quadratic, ueno_report
 from .intersection_ring import ValidationError
 from .lattice_dynamics import (
+    InvalidActionError,
     dynamical_degrees,
     eigenclass_constraints,
     rationality_obstruction,
-    validate_action,
 )
 from .linprog import LinProgError
 from .nef_conditions import (
@@ -190,17 +190,18 @@ def cmd_dynamics(args) -> int:
     model = None
     if args.model:
         model = _load_tower(args.model).top()
-        validation = validate_action(model, A)
-        rep.add("action_valid", validation.ok)
-        for i, v in enumerate(validation.violations):
-            rep.add(f"violation.{i}", v)
-        if not validation.ok:
+        # the eigenclass check validates the action and certifies both
+        # degrees; neither is redone here
+        try:
+            ec = eigenclass_constraints(model, A, tolerance=args.tolerance)
+        except InvalidActionError as e:
+            rep.add("action_valid", False)
+            for i, v in enumerate(e.validation.violations):
+                rep.add(f"violation.{i}", v)
             rep.head("action is not a lattice automorphism candidate")
             rep.emit(args.format)
             return 0
-    if model is not None:
-        # the eigenclass check certifies both degrees; they are not redone
-        ec = eigenclass_constraints(model, A, tolerance=args.tolerance)
+        rep.add("action_valid", True)
         degrees = ec.degrees
     else:
         degrees = dynamical_degrees(None, A)

@@ -29,7 +29,6 @@ from .intersection_ring import ThreefoldModel, ValidationError, triple_products
 from .polynomials import (
     AlgebraicNumber,
     _exact_quotient,
-    _pseudo_remainder,
     bareiss_solve,
     berkowitz_charpoly,
     certified_radius_from_charpoly,
@@ -101,6 +100,14 @@ class ActionValidation:
     ok: bool
     violations: tuple[str, ...]
     action: AutomorphismAction | None
+
+
+class InvalidActionError(ValidationError):
+    """An action that fails validate_action; carries that ActionValidation."""
+
+    def __init__(self, validation: ActionValidation):
+        super().__init__("action fails validation: " + "; ".join(validation.violations))
+        self.validation = validation
 
 
 def validate_action(model: ThreefoldModel, A) -> ActionValidation:
@@ -261,14 +268,14 @@ def dynamical_degrees(
 
     Both come from chi_A: lambda1 is certified from it and lambda2 from its
     reversal, the characteristic polynomial of A^-1 (and of the curve
-    matrix B) up to sign.  With a model, validate_action must pass first.
-    Without one the matrix only needs to be unimodular, which is read from
-    chi_A(0) = (-1)^n det A.
+    matrix B) up to sign.  With a model, validate_action must pass first,
+    or InvalidActionError carries its report.  Without one the matrix only
+    needs to be unimodular, which is read from chi_A(0) = (-1)^n det A.
     """
     if model is not None:
         v = validate_action(model, A)
         if not v.ok:
-            raise ValidationError("action fails validation: " + "; ".join(v.violations))
+            raise InvalidActionError(v)
     A = [[_as_int(x) for x in row] for row in A]
     cp = berkowitz_charpoly(A)
     det = (-1) ** len(A) * cp[0]
@@ -360,10 +367,9 @@ class EigenclassReport:
 
 def _root_multiplicity(charpoly, minpoly) -> int:
     """How often the irreducible primitive minpoly divides the monic integer
-    charpoly; each quotient is integral by Gauss's lemma."""
+    charpoly; division over Z decides it, by Gauss's lemma."""
     mult, q = 0, list(charpoly)
-    while len(q) >= len(minpoly) and not any(_pseudo_remainder(q, minpoly)):
-        q = _exact_quotient(q, minpoly)
+    while (q := _exact_quotient(q, minpoly)) is not None:
         mult += 1
     return mult
 
@@ -418,10 +424,11 @@ def eigenclass_constraints(
     the componentwise |(zeta.c1)_k| constraints are reported as well.  The
     vector is the leading eigenvector of the lattice action, not a
     certified nef class.  The report carries the DegreeReport it certified.
+    The action is validated before the tolerance is checked.
     """
+    report = dynamical_degrees(model, A)
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
-    report = dynamical_degrees(model, A)
     l1 = report.lambda1
     if float(l1) <= 1 + tolerance:
         return EigenclassReport(

@@ -20,6 +20,14 @@ integer polynomials.  The pieces:
 - disk_root_count: number of distinct roots in |x| < R, via the Moebius map
   onto a half-plane and a fraction-free Routh table.  Used to certify that
   no complex root escapes past the leading real root.
+- minimal_polynomial_of_root: the irreducible factor over Z owning a root.
+  The factoriser intersects the factor-degree sets of the polynomial mod
+  a few primes (distinct-degree factorisation through the Berlekamp
+  matrix), which proves most inputs irreducible; the rest are split mod a
+  prime (Cantor-Zassenhaus), Hensel-lifted above a Mignotte bound and
+  recombined exhaustively with exact trial division.  Its cache is keyed
+  by the smaller of a squarefree part and its reversal, so the
+  characteristic polynomials of A and A^-1 are factored once.
 - certified_radius_from_charpoly: the largest root modulus of an integer
   characteristic polynomial as an exact algebraic number (minimal
   polynomial + isolating interval); certified_spectral_radius is its
@@ -31,10 +39,12 @@ integer polynomials.  The pieces:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from itertools import combinations, zip_longest
+from math import comb, gcd, isqrt, lcm
 
 QQ = Fraction
 ZERO = Fraction(0)
@@ -143,17 +153,18 @@ def poly_gcd(p, q):
     return [-c for c in a] if a[-1] < 0 else a
 
 
-def _exact_quotient(p, g) -> list[int]:
-    """p / g for integer polynomials where g divides p over Z."""
-    rem = list(p)
+def _exact_quotient(p, g) -> list[int] | None:
+    """p / g for integer polynomials, or None if g does not divide p over Z."""
     dg, lg = len(g) - 1, g[-1]
-    quot = [0] * (len(p) - dg)
+    rem, quot = list(p), [0] * (len(p) - dg)
     for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = rem[k + dg] // lg
+        c, r = divmod(rem[k + dg], lg)
+        if r:
+            return None
+        quot[k] = c
         if c:
-            for i, v in enumerate(g):
-                rem[k + i] -= c * v
-    return quot
+            rem[k : k + dg + 1] = [x - c * y for x, y in zip(rem[k : k + dg + 1], g)]
+    return None if any(rem[:dg]) else quot
 
 
 @lru_cache(maxsize=4096)
@@ -667,19 +678,327 @@ class AlgebraicNumber:
         return self.lo == self.hi == 1
 
 
-@lru_cache(maxsize=2048)
-def _irreducible_factors_int(p: tuple) -> tuple:
-    import sympy  # loaded on the first factorisation, not at import
+# ---------------------------------------------------------------------------
+# factorisation over Z: degree sets mod p (Musser, J. ACM 25, 1978), then
+# Hensel lifting and exhaustive recombination (Zassenhaus, J. Number
+# Theory 1, 1969)
+# ---------------------------------------------------------------------------
+#
+# A polynomial mod m is a list of ints in [0, m), low-to-high, without
+# leading zeros ([] is zero); every divisor below has a leading coefficient
+# invertible mod m.
 
-    _, factors = sympy.Poly(p[::-1], sympy.Symbol("x"), domain="ZZ").factor_list()
-    return tuple(
-        tuple(int(c) for c in reversed(fac.all_coeffs())) for fac, _mult in factors
-    )
+GOOD_PRIMES = 3  # primes whose degree sets are intersected before lifting
+
+
+def _mod_strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mod_add(a, b, m, sign: int = 1) -> list:
+    """a + sign * b mod m."""
+    return _mod_strip([(x + sign * y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mod_mul(a, b, m) -> list:
+    if not a or not b:
+        return []
+    out, lb = [0] * (len(a) + len(b) - 1), len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + lb] = [o + x * y for o, y in zip(out[i : i + lb], b)]
+    return _mod_strip([c % m for c in out])
+
+
+def _mod_divmod(a, b, m) -> tuple[list, list]:
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    inv = pow(b[-1], -1, m)
+    r, q = list(a), [0] * (len(a) - db)
+    # entries are reduced only when they become the leading one
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] * inv % m
+        if c:
+            r[k : k + db] = [x - c * y for x, y in zip(r[k : k + db], b)]
+    return q, _mod_strip([c % m for c in r[:db]])
+
+
+def _mod_monic(a, m) -> list:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _mod_gcd(a, b, p) -> list:
+    """Monic gcd over F_p of a non-zero a and any b."""
+    while b:
+        a, b = b, _mod_divmod(a, b, p)[1]
+    return _mod_monic(a, p)
+
+
+def _mod_gcdex(a, b, p) -> tuple[list, list]:
+    """s, t with s a + t b = 1 over F_p, deg s < deg b, deg t < deg a, for
+    coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _mod_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod_add(s0, _mod_mul(q, s1, p), p, -1)
+        t0, t1 = t1, _mod_add(t0, _mod_mul(q, t1, p), p, -1)
+    inv = pow(r0[0], -1, p)  # r0 is the non-zero constant gcd
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _mod_powmod(a, e: int, g, p) -> list:
+    out, a = [1], _mod_divmod(a, g, p)[1]
+    while e:
+        if e & 1:
+            out = _mod_divmod(_mod_mul(out, a, p), g, p)[1]
+        e >>= 1
+        if e:
+            a = _mod_divmod(_mod_mul(a, a, p), g, p)[1]
+    return out
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _berlekamp_rows(f, p) -> list[list]:
+    """Row i is x^(i p) mod f (length deg f), for a monic f over F_p: the
+    Berlekamp matrix, whose vector-matrix product is h -> h^p mod f."""
+    n = len(f) - 1
+    neg = [(-c) % p for c in f[:n]]
+    cur, rows = [1] + [0] * (n - 1), []
+    for k in range((n - 1) * p + 1):
+        if k % p == 0:
+            cur = [c % p for c in cur]
+            rows.append(cur)
+        lead, cur = cur[-1] % p, [0] + cur[:-1]
+        if lead:
+            cur = [x + lead * y for x, y in zip(cur, neg)]
+    return rows
+
+
+def _frobenius(h, rows, p) -> list:
+    """h^p mod f for h reduced mod f, from the Berlekamp rows of f."""
+    acc = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            acc = [a + c * r for a, r in zip(acc, row)]
+    return _mod_strip([a % p for a in acc])
+
+
+def _distinct_degree_factors(f, rows, p) -> list[tuple[int, list]]:
+    """[(d, product of the monic degree-d factors)] of a monic squarefree f
+    over F_p."""
+    out, g, h, d = [], f, [0, 1], 0
+    while 2 * (d + 1) <= len(g) - 1:
+        d += 1
+        h = _frobenius(h, rows, p)
+        # gcd(g, x^(p^d) - x) collects the factors of degree d
+        u = _mod_gcd(g, _mod_add(h, [0, 1], p, -1), p)
+        if len(u) > 1:
+            out.append((d, u))
+            g = _mod_divmod(g, u, p)[0]
+    if len(g) > 1:
+        out.append((len(g) - 1, g))
+    return out
+
+
+def _equal_degree_factors(g, d: int, rows, p, rng) -> list[list]:
+    """Monic irreducible factors over F_p (p odd) of g, a product of
+    distinct monic factors of degree d dividing f (whose Berlekamp rows
+    are given): Cantor-Zassenhaus splitting, with a^((p^d - 1)/2) taken as
+    (a a^p ... a^(p^(d-1)))^((p-1)/2)."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _mod_strip([rng.randrange(p) for _ in range(len(g) - 1)])
+        if len(a) < 2:
+            continue
+        b = t = a
+        for _ in range(d - 1):
+            t = _frobenius(t, rows, p)
+            b = _mod_divmod(_mod_mul(b, t, p), g, p)[1]
+        b = _mod_powmod(b, (p - 1) // 2, g, p)
+        u = _mod_gcd(g, _mod_add(b, [1], p, -1), p)
+        if 1 < len(u) < len(g):
+            return _equal_degree_factors(u, d, rows, p, rng) + _equal_degree_factors(
+                _mod_divmod(g, u, p)[0], d, rows, p, rng
+            )
+
+
+def _hensel_lift(f, factors, p, k: int) -> list[list]:
+    """Monic lifts mod p^k of the monic factors of f mod p, where
+    f = lc(f) * prod(factors) mod p: a factor tree of quadratic Hensel
+    steps (von zur Gathen and Gerhard, Modern Computer Algebra, Algorithm
+    15.10), each from p^e to p^min(2e, k)."""
+    if len(factors) == 1:
+        return [_mod_monic(f, p**k)]
+    half = len(factors) // 2
+    g, h = [f[-1] % p], [1]
+    for u in factors[:half]:
+        g = _mod_mul(g, u, p)
+    for u in factors[half:]:
+        h = _mod_mul(h, u, p)
+    s, t = _mod_gcdex(g, h, p)
+    e = 1
+    while e < k:
+        e = min(2 * e, k)
+        m = p**e
+        err = _mod_add(f, _mod_mul(g, h, m), m, -1)
+        q, r = _mod_divmod(_mod_mul(s, err, m), h, m)
+        g = _mod_add(_mod_add(g, _mod_mul(t, err, m), m), _mod_mul(q, g, m), m)
+        h = _mod_add(h, r, m)
+        if e < k:
+            b = _mod_add(_mod_add(_mod_mul(s, g, m), _mod_mul(t, h, m), m), [1], m, -1)
+            c, d = _mod_divmod(_mod_mul(s, b, m), h, m)
+            s = _mod_add(s, d, m, -1)
+            t = _mod_add(_mod_add(t, _mod_mul(t, b, m), m, -1), _mod_mul(c, g, m), m, -1)
+    return _hensel_lift(g, factors[:half], p, k) + _hensel_lift(h, factors[half:], p, k)
+
+
+def _recombine(f, modular, p, degrees_allowed: int) -> tuple:
+    """Irreducible factors over Z of f from its monic factors mod p.
+
+    A factor g of degree d <= D of any factor F of f has, times
+    lc(F) / lc(g), Mahler measure at most M(f) <= ||f||_2, so its
+    coefficients are at most C(D, D // 2) ||f||_2 in size (Mignotte); the
+    factors are lifted mod p^k above 2 lc(f) times that, where every factor
+    of F is the symmetric residue of lc(F) times a subset of the lifts.
+    D is the largest proper factor degree allowed at every prime tried,
+    and a subset of any other degree is skipped.  Subsets are tried by
+    increasing size and divided out exactly, so each factor found is
+    irreducible and what remains at the end is too.
+    """
+    n, lc = len(f) - 1, f[-1]
+    top = (degrees_allowed & ((1 << n) - 1)).bit_length() - 1
+    bound = 2 * lc * comb(top, top // 2) * (isqrt(sum(c * c for c in f)) + 1)
+    k = 1
+    while p**k <= bound:
+        k += 1
+    modulus, half = p**k, p**k // 2
+    lifts = _hensel_lift(list(f), modular, p, k)
+    found, rest, remaining, size = [], list(f), list(range(len(lifts))), 1
+    while 2 * size <= len(remaining):
+        for subset in combinations(remaining, size):
+            if not degrees_allowed >> sum(len(lifts[i]) - 1 for i in subset) & 1:
+                continue
+            lead = rest[-1]
+            # constant term first: it must divide lc(F) F(0)
+            c0 = lead
+            for i in subset:
+                c0 = c0 * lifts[i][0] % modulus
+            c0 = c0 - modulus if c0 > half else c0
+            if c0 == 0 or lead * rest[0] % c0:
+                continue
+            g = [lead % modulus]
+            for i in subset:
+                g = _mod_mul(g, lifts[i], modulus)
+            g = poly_primitive_int([c - modulus if c > half else c for c in g])
+            quot = _exact_quotient(rest, g)
+            if quot is not None:
+                found.append(tuple(g))
+                rest = quot
+                remaining = [i for i in remaining if i not in subset]
+                break
+        else:
+            size += 1
+    found.append(tuple(poly_primitive_int(rest)))
+    return tuple(found)
+
+
+@lru_cache(maxsize=2048)
+def _factor_squarefree(f: tuple) -> tuple:
+    """Irreducible factors over Z of a primitive squarefree f with lc > 0,
+    f(0) != 0 and degree >= 1, each primitive with lc > 0.
+
+    An even f is m(x^2), and each irreducible factor h of m gives h(x^2),
+    which is irreducible unless a root b of h is a square in Q(b)
+    (Capelli); then the norm (-1)^deg(h) h(0) / lc(h) of b is a rational
+    square.  So h(x^2) is factored only when that norm is a square."""
+    if len(f) > 3 and not any(f[1::2]):
+        out = []
+        for h in _factor_squarefree(f[::2]):
+            h2 = [0] * (2 * len(h) - 1)
+            h2[::2] = h
+            norm = (-1) ** (len(h) - 1) * h[0] * h[-1]
+            if norm < 0 or isqrt(norm) ** 2 != norm:
+                out.append(tuple(h2))
+            else:
+                out.extend(_factor_by_primes(tuple(h2)))
+        return tuple(out)
+    return _factor_by_primes(f)
+
+
+def _factor_by_primes(f: tuple) -> tuple:
+    """_factor_squarefree without the even case.
+
+    The degree set of f mod p (the sums of sub-multisets of its factor
+    degrees) contains the degree of every factor over Z; once the
+    intersection over good primes holds only 0 and deg f, f is proven
+    irreducible.  Otherwise f is lifted from the prime with fewest factors
+    and recombined."""
+    n = len(f) - 1
+    allowed, best, tried = (1 << (n + 1)) - 1, None, 0
+    for p in _odd_primes():
+        if f[-1] % p == 0:
+            continue
+        fp = _mod_monic([c % p for c in f], p)
+        if len(_mod_gcd(fp, _mod_strip([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
+            continue  # not squarefree mod p
+        rows = _berlekamp_rows(fp, p)
+        ddf = _distinct_degree_factors(fp, rows, p)
+        sums, count = 1, 0
+        for d, u in ddf:
+            for _ in range((len(u) - 1) // d):
+                sums |= sums << d
+                count += 1
+        allowed &= sums
+        if allowed == 1 | 1 << n:
+            return (f,)
+        if best is None or count < best[0]:
+            best = (count, p, rows, ddf)
+        tried += 1
+        if tried == GOOD_PRIMES:
+            break
+    _, p, rows, ddf = best
+    rng = random.Random(p)
+    modular = [v for d, u in ddf for v in _equal_degree_factors(u, d, rows, p, rng)]
+    return _recombine(f, modular, p, allowed)
+
+
+def _irreducible_factors_int(p: tuple) -> tuple:
+    """Distinct irreducible factors over Z of a primitive integer
+    polynomial with lc > 0, each primitive with lc > 0.  The factoriser's
+    cache is keyed by the smaller of the squarefree part and its reversal,
+    whose factors are the reversed factors, so a characteristic polynomial
+    and the reversed one (of the inverse matrix) are factored once."""
+    sf = _squarefree_int(p)
+    head = ()
+    if sf[0] == 0:
+        head, sf = ((0, 1),), sf[1:]
+    if len(sf) == 1:
+        return head
+    rev = tuple(poly_primitive_int(sf[::-1]))
+    if rev < sf:
+        return head + tuple(tuple(poly_primitive_int(g[::-1])) for g in _factor_squarefree(rev))
+    return head + _factor_squarefree(sf)
 
 
 def minimal_polynomial_of_root(p, lo, hi) -> list[int]:
     """Irreducible integer factor of p whose root lies in the isolating
-    interval (lo, hi]; interval is refined until a unique factor matches."""
+    interval (lo, hi], primitive with a positive leading coefficient.  The
+    distinct irreducible factors of p come from the package's factoriser
+    over Z (_irreducible_factors_int); the interval is refined
+    until exactly one of them has a root in it."""
     ints = poly_primitive_int(p)
     candidates = [list(f) for f in _irreducible_factors_int(tuple(ints))]
     while True:

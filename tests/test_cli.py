@@ -144,11 +144,19 @@ def test_dynamics_with_model_certifies_each_degree_once(capsys, tmp_path, monkey
 
 
 def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch):
+    import threefold.cli as cli
     import threefold.lattice_dynamics as ld
     import threefold.polynomials as poly
 
-    charpolys, solves = [], []
-    charpoly, solve = poly.berkowitz_charpoly, poly.bareiss_solve
+    charpolys, solves, validations = [], [], []
+    charpoly, solve, validate = poly.berkowitz_charpoly, poly.bareiss_solve, ld.validate_action
+
+    def counted_validate(model, A):
+        validations.append(len(A))
+        return validate(model, A)
+
+    monkeypatch.setattr(ld, "validate_action", counted_validate)
+    monkeypatch.setattr(cli, "validate_action", counted_validate, raising=False)
 
     def counted_charpoly(matrix):
         charpolys.append(len(matrix))
@@ -165,6 +173,7 @@ def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch
     code, out, _ = run(capsys, "dynamics", "--matrix", str(mat), "--model", str(tower))
     assert code == 0 and "eigenclass_status: ok" in out
     assert charpolys == [5]
+    assert validations == [5]
     charpolys.clear()
     solves.clear()
     code, out, _ = run(capsys, "dynamics", "--matrix", str(mat))
@@ -236,17 +245,34 @@ def test_dynamics_records_golden(capsys, tmp_path, matrix):
     assert out == DYNAMICS_RECORDS[matrix]
 
 
-def test_cli_import_loads_neither_sympy_nor_mpmath():
+def test_cli_import_loads_neither_sympy_nor_mpmath(tmp_path):
+    """Importing the CLI loads neither; certifying dynamical degrees (the
+    golden raw actions and the Salem action with its model) never loads
+    sympy."""
     import os
     import subprocess
     import sys
 
+    runs = []
+    for k, matrix in enumerate(DYNAMICS_RECORDS):
+        f = tmp_path / f"golden{k}.mat"
+        f.write_text(matrix)
+        runs.append(["dynamics", "--matrix", str(f)])
+    mat, tower = _salem_files(tmp_path)
+    runs.append(["dynamics", "--matrix", str(mat), "--model", str(tower)])
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, threefold.cli; print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"
+    code = f"""
+import contextlib, io, sys
+import threefold.cli
+print(sorted({{'sympy', 'mpmath'}} & set(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [threefold.cli.main(argv) for argv in {runs!r}]
+print(codes, 'sympy' in sys.modules)
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", f"{[0] * len(runs)} False"]
 
 
 def test_dynamics_invalid_action_reports(capsys, tmp_path):
@@ -258,6 +284,17 @@ def test_dynamics_invalid_action_reports(capsys, tmp_path):
     assert code == 0
     assert "action_valid: false" in out
     assert "violation.0" in out
+    code, out, _ = run(
+        capsys, "dynamics", "--matrix", str(mat), "--model", str(tower), "--format", "records"
+    )
+    assert code == 0
+    assert out == (
+        "action_valid=false\n"
+        "violation.0=det = 2, not +-1\n"
+        "violation.1=triple product not preserved on (h,h,h): 1 -> 8\n"
+        "violation.2=c1 is not fixed\n"
+        "violation.3=c2 is not fixed\n"
+    )
 
 
 def test_budget_cli(capsys):

@@ -12,6 +12,7 @@ from threefold.polynomials import (
     AlgebraicNumber,
     BoundaryRoot,
     _chain_for,
+    _irreducible_factors_int,
     bareiss_solve,
     berkowitz_charpoly,
     cauchy_root_bound,
@@ -620,3 +621,85 @@ def test_refinement_edge_cases():
         assert 0 < lo and lo * lo < 2 < hi * hi
     with pytest.raises(ValueError, match="^interval does not isolate a root$"):
         refine_root_interval([2, -3, 1], 2, Q(5, 2), Q(1, 8))
+
+
+# ---------------------------------------------------------------------------
+# factorisation over Z, against sympy's factor_list
+# ---------------------------------------------------------------------------
+
+
+def _sympy_factors(p):
+    import sympy
+
+    _, factors = sympy.Poly(p[::-1], sympy.Symbol("x"), domain="ZZ").factor_list()
+    return sorted(
+        tuple(poly_primitive_int([int(c) for c in reversed(f.all_coeffs())])) for f, _ in factors
+    )
+
+
+def _factors(p):
+    return sorted(_irreducible_factors_int(tuple(poly_primitive_int(p))))
+
+
+def _check_factors(p):
+    got = _factors(p)
+    assert got == _sympy_factors(p)
+    # each factor once: their product is the squarefree part, exactly
+    prod = [1]
+    for f in got:
+        assert all(type(c) is int for c in f) and f[-1] > 0
+        prod = poly_mul(prod, list(f))
+    assert prod == poly_squarefree(p)
+    return got
+
+
+_CYCLOTOMIC = [
+    [-1, 1], [1, 1], [1, 0, 1], [1, 1, 1], [1, -1, 1], [1, 0, 0, 0, 1],
+    [1, 1, 1, 1, 1], [1, 0, -1, 0, 1], [1, 0, 0, 1, 0, 0, 1],
+]
+_SMALL_FACTOR = st.lists(st.integers(-5, 5), min_size=1, max_size=4).flatmap(
+    lambda low: st.sampled_from([1, 1, -1, 2, 3, -4]).map(lambda lead: low + [lead])
+)
+
+
+@st.composite
+def factor_products(draw):
+    """Products of one to three small integer polynomials, some non-monic,
+    some cyclotomic, times a content."""
+    p = [draw(st.sampled_from([1, -1, 2, -6]))]
+    for f in draw(
+        st.lists(st.one_of(_SMALL_FACTOR, st.sampled_from(_CYCLOTOMIC)), min_size=1, max_size=3)
+    ):
+        p = poly_mul(p, f)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_products())
+def test_factorisation_matches_sympy(p):
+    _check_factors(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_products().filter(lambda p: p[0] != 0))
+def test_reversal_has_reversed_factors(p):
+    reversed_factors = sorted(tuple(poly_primitive_int(f[::-1])) for f in _factors(p))
+    assert _factors(p[::-1]) == reversed_factors
+
+
+def test_factorisation_edge_cases():
+    # irreducible, but split mod every prime
+    assert _check_factors([1, 0, -10, 0, 1]) == [(1, 0, -10, 0, 1)]
+    swinnerton_dyer_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+    assert _check_factors(swinnerton_dyer_8) == [tuple(swinnerton_dyer_8)]
+    # an even polynomial g(x) g(-x)
+    assert _check_factors(poly_mul([-1, -1, 1], [-1, 1, 1])) == [(-1, -1, 1), (-1, 1, 1)]
+    # Lehmer's polynomial times x^12 - 1: one factor of degree 10, six cyclotomic
+    lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    got = _check_factors(poly_mul(lehmer, [-1] + [0] * 11 + [1]))
+    assert tuple(lehmer) in got and sorted(len(f) - 1 for f in got) == [1, 1, 2, 2, 2, 4, 10]
+    # non-monic: (2x^2 - 3)(3x^3 + x - 1), and g(x) g(-x) for a non-monic g
+    assert len(_check_factors(poly_mul([-3, 0, 2], [-1, 1, 0, 3]))) == 2
+    assert len(_check_factors(poly_mul([1, 3, 2, 5], [1, -3, 2, -5]))) == 2
+    # a factor x, and repeated factors
+    assert _check_factors(poly_mul([0, 1], poly_mul([-2, 0, 1], [-2, 0, 1]))) == [(-2, 0, 1), (0, 1)]
