@@ -237,9 +237,6 @@ class ThreefoldModel:
             raise ValidationError("curve vector has wrong length")
         return CurveClass(vec)
 
-    def zero_divisor(self) -> DivisorClass:
-        return DivisorClass((ZERO,) * len(self.divisor_basis))
-
     def zero_curve(self) -> CurveClass:
         return CurveClass((ZERO,) * len(self.curve_basis))
 

@@ -252,12 +252,6 @@ class DegreeReport:
     mode: str  # "model" or "raw"
     charpoly: tuple[int, ...]
 
-    def lambda1_float(self) -> float:
-        return float(self.lambda1)
-
-    def lambda2_float(self) -> float:
-        return float(self.lambda2)
-
 
 def dynamical_degrees(
     model: ThreefoldModel | None,
@@ -427,8 +421,8 @@ def eigenclass_constraints(
     The action is validated before the tolerance is checked.
     """
     report = dynamical_degrees(model, A)
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValidationError("tolerance must be finite and positive")
     l1 = report.lambda1
     if float(l1) <= 1 + tolerance:
         return EigenclassReport(

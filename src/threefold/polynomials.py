@@ -33,8 +33,9 @@ integer polynomials.  The pieces:
   polynomial + isolating interval); certified_spectral_radius is its
   matrix front.  When the dominant modulus is not carried by real roots
   alone, the squared radius is recovered as the largest real root of the
-  characteristic polynomial of the Kronecker square of the companion
-  matrix of the squarefree part, which always carries it.
+  symmetric square of the squarefree part (the polynomial of its pairwise
+  root products, built from power sums by Newton's identities), which
+  always carries it.
 """
 
 from __future__ import annotations
@@ -89,14 +90,6 @@ def poly_derivative(p):
     if len(p) <= 1:
         return [0]
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def poly_monic(p):
-    p = poly_trim([QQ(c) for c in p])
-    lead = p[-1]
-    if lead == 0:
-        return p
-    return [c / lead for c in p]
 
 
 def _primitive_part(p) -> list[int]:
@@ -230,7 +223,7 @@ def poly_to_str(p, var: str = "x") -> str:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial, Kronecker square and companion matrix
+# characteristic polynomial and symmetric square
 # ---------------------------------------------------------------------------
 
 
@@ -272,32 +265,34 @@ def berkowitz_charpoly(matrix) -> list[int]:
     return list(reversed(vec))
 
 
-def kronecker_square(matrix):
-    """The Kronecker product of the matrix with itself (eigenvalues are all
-    pairwise eigenvalue products, self-products included)."""
-    n = len(matrix)
-    out = []
-    for i in range(n):
-        for k in range(n):
-            row = []
-            for j in range(n):
-                for l in range(n):
-                    row.append(matrix[i][j] * matrix[k][l])
-            out.append(row)
-    return out
+def _symmetric_square(sf) -> list[int]:
+    """An integer polynomial of degree n(n+1)/2 whose roots are the
+    products alpha_i alpha_j (i <= j) of the roots alpha_1..alpha_n of the
+    integer polynomial sf.
 
-
-def companion_matrix(p):
-    """Companion matrix of a polynomial (low-to-high), made monic first; an
-    integral coefficient is an int entry, so integer work stays in ints."""
-    mono = [c.numerator if c.denominator == 1 else c for c in poly_monic(p)]
-    n = len(mono) - 1
-    out = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        out[i][i - 1] = 1
-    for i in range(n):
-        out[i][n - 1] = -mono[i]
-    return out
+    With a = lc(sf), g(x) = a^(n-1) sf(x / a) is monic with integer
+    coefficients and the roots a alpha_i.  Newton's identities give the
+    power sums s_k of those roots; the k-th power sum of their products
+    (i <= j) is (s_k^2 + s_2k) / 2, and Newton's identities turn these back
+    into the monic integer polynomial h with the roots a^2 alpha_i alpha_j
+    (each division by k is exact); h(a^2 x) has the roots alpha_i alpha_j
+    (Bostan, Flajolet, Salvy and Schost, J. Symbolic Comput. 41, 2006).
+    """
+    n, a = len(sf) - 1, sf[-1]
+    # coefficients of g from x^(n-1) down: e[i] belongs to x^(n-i)
+    e = [1] + [sf[n - i] * a ** (i - 1) for i in range(1, n + 1)]
+    m = n * (n + 1) // 2
+    s = [0] * (2 * m + 1)
+    for k in range(1, 2 * m + 1):
+        acc = k * e[k] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            acc += e[i] * s[k - i]
+        s[k] = -acc
+    sums = [0] + [(s[k] * s[k] + s[2 * k]) // 2 for k in range(1, m + 1)]
+    h = [1]  # h[i] belongs to x^(m-i)
+    for k in range(1, m + 1):
+        h.append(-sum(h[i] * sums[k - i] for i in range(k)) // k)
+    return [c * a ** (2 * j) for j, c in enumerate(reversed(h))]
 
 
 # ---------------------------------------------------------------------------
@@ -1114,11 +1109,10 @@ def certified_radius_from_charpoly(p, width: Fraction = DEFAULT_WIDTH) -> Algebr
     disk counts that the annulus just around |r| contains only real roots
     and nothing lies outside; when a complex pair dominates (or ties with a
     real root), the squared radius is recovered as the largest real root
-    of the characteristic polynomial of the Kronecker square of the
-    companion matrix of the squarefree part sf, and verified by the same
-    disk counts.  That square has the distinct eigenvalue products of any
-    matrix with the roots of p as eigenvalues, so its squarefree part, and
-    every interval derived from it, depends on sf alone.
+    of _symmetric_square(sf), the polynomial of the products of pairs of
+    roots of the squarefree part sf, and verified by the same disk counts.
+    Its squarefree part, and every interval derived from it, depends on the
+    distinct roots of p alone.
     """
     key = _int_key(p)
     sf = poly_squarefree(key)
@@ -1164,26 +1158,26 @@ def certified_radius_from_charpoly(p, width: Fraction = DEFAULT_WIDTH) -> Algebr
             lo, hi = refine_root_interval(sf, lo, hi, (hi - lo) / 2**10)
 
     # Complex-dominant or tied moduli.  The squared radius is always the
-    # largest real root of the Kronecker-square characteristic polynomial:
-    # alpha_max * conj(alpha_max) is real, positive, and no eigenvalue
-    # product can exceed it.  Quartic growth limits this to small matrices,
-    # which is where the generic annulus certificate can be defeated.
+    # largest real root of the symmetric square: alpha_max * conj(alpha_max)
+    # is real, positive, and no root product can exceed it.  Its degree
+    # n(n+1)/2 limits Sturm isolation of all its real roots to small
+    # matrices, which is where the generic annulus certificate can be
+    # defeated.
     if n > 8:
         raise ValueError(
             "could not certify the spectral radius (tied moduli on a matrix "
             "too large for the tensor-square fallback)"
         )
-    cp = berkowitz_charpoly(kronecker_square(companion_matrix(sf)))
-    cp_sf = poly_squarefree(cp)
+    cp_sf = poly_squarefree(_symmetric_square(sf))
     reals = isolate_real_roots(cp_sf)
     if not reals:
-        raise ValueError("tensor square has no real eigenvalue; engine bug")
+        raise ValueError("symmetric square has no real root; engine bug")
     lam_lo, lam_hi = max(reals, key=lambda iv: iv[1])
     lam_lo, lam_hi = refine_root_interval(
         cp_sf, lam_lo, lam_hi, min(width * width / 8, QQ(1, 10**12))
     )
     if lam_hi <= 0:
-        raise ValueError("tensor square has no positive real eigenvalue; engine bug")
+        raise ValueError("symmetric square has no positive real root; engine bug")
     m_lam = minimal_polynomial_of_root(cp_sf, lam_lo, lam_hi)
     s = AlgebraicNumber(tuple(m_lam), lam_lo, lam_hi)
     m2 = [0] * (2 * len(s.minpoly) - 1)

@@ -70,9 +70,6 @@ class TowerDocument:
     tower: BlowupTower
     aliases: dict[str, tuple[int, CurveClass]]  # name -> (basis size at def, class)
 
-    def models(self):
-        return self.tower.evaluate()
-
     def top(self) -> ThreefoldModel:
         return self.tower.top()
 

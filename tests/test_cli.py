@@ -126,6 +126,16 @@ def test_dynamics_positive_entropy_eigenclass(capsys, tmp_path):
     assert "residual.zeta_c2" in out
 
 
+def test_dynamics_rejects_non_finite_tolerance(capsys, tmp_path):
+    mat, tower = _salem_files(tmp_path)
+    for tolerance in ("nan", "inf"):
+        code, out, err = run(
+            capsys, "dynamics", "--matrix", str(mat), "--model", str(tower), "--tolerance", tolerance
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: tolerance must be finite and positive\n"
+
+
 def test_dynamics_with_model_certifies_each_degree_once(capsys, tmp_path, monkeypatch):
     import threefold.lattice_dynamics as ld
 
@@ -179,12 +189,19 @@ def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch
     code, out, _ = run(capsys, "dynamics", "--matrix", str(mat))
     assert code == 0 and "mode: raw" in out
     assert charpolys == [5] and solves == []
+    # complex-dominant lambda2: the pairwise-product fallback builds no matrix
+    charpolys.clear()
+    golden = tmp_path / "golden.mat"
+    golden.write_text("3 0 -1\n-2 -1 1\n3 -1 -1\n")
+    code, out, _ = run(capsys, "dynamics", "--matrix", str(golden))
+    assert code == 0 and "mode: raw" in out
+    assert charpolys == [3]
 
 
 # `dynamics --format records` of raw-mode actions: every interval endpoint is
 # part of the records contract
 DYNAMICS_RECORDS = {
-    # lambda2 is complex-dominant: certified through the Kronecker square
+    # lambda2 is complex-dominant: certified through the pairwise-product fallback
     "3 0 -1\n-2 -1 1\n3 -1 -1\n": """mode=raw
 lambda1=1.8392867552
 lambda1_minpoly=x^3 - x^2 - x - 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -218,7 +219,7 @@ def unimodular_matrices(draw):
     """Unimodular integer matrices of rank 2-8: a row-permuted product of
     elementary row operations, or the companion matrix of f^r g with f and g
     monic, constant term +-1 (defective when r = 2; many of either kind are
-    complex-dominant and reach the Kronecker fallback)."""
+    complex-dominant and reach the pairwise-product fallback)."""
     n = draw(st.integers(2, 8))
     if draw(st.booleans()):
         A = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -353,8 +354,9 @@ def test_eigenclass_rejects_invalid_action():
 
 def test_eigenclass_rejects_bad_tolerance():
     x2 = blow_up_point(make_base("p3"))
-    with pytest.raises(ValidationError):
-        eigenclass_constraints(x2, [[1, 0], [0, 1]], tolerance=0.0)
+    for tolerance in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="^tolerance must be finite and positive$"):
+            eigenclass_constraints(x2, [[1, 0], [0, 1]], tolerance=tolerance)
 
 
 def test_square_dominance_on_salem_model_action():

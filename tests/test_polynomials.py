@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_intersection_ring import _leibniz_det
@@ -13,17 +13,16 @@ from threefold.polynomials import (
     BoundaryRoot,
     _chain_for,
     _irreducible_factors_int,
+    _symmetric_square,
     bareiss_solve,
     berkowitz_charpoly,
     cauchy_root_bound,
     certified_spectral_radius,
-    companion_matrix,
     count_real_roots,
     disk_root_count,
     disk_root_count_robust,
     int_matrix_det,
     isolate_real_roots,
-    kronecker_square,
     matrix_adjugate_unimodular,
     minimal_polynomial_of_root,
     poly_compose_square,
@@ -169,34 +168,6 @@ def test_singular_input_raises(m, data):
     assert bareiss_solve(_sparse(m), [{i: 1} for i in range(n)]) == (0, None)
     with pytest.raises(ValueError, match=r"^matrix is not unimodular \(det = 0\)$"):
         matrix_adjugate_unimodular(m)
-
-
-def test_companion_matrix_has_int_entries():
-    assert companion_matrix([2, -3, 0, 1]) == [[0, 0, -2], [1, 0, 3], [0, 1, 0]]
-    assert all(type(v) is int for row in companion_matrix([2, -3, 0, 1]) for v in row)
-    # 2x^2 + 1 is made monic: only the non-integral coefficient is a Fraction
-    half = companion_matrix([1, 0, 2])
-    assert half == [[0, Q(-1, 2)], [1, 0]]
-    assert type(half[0][1]) is Q and type(half[1][0]) is int and type(half[1][1]) is int
-    # the Kronecker-square charpoly comes out in ints and equals the Fraction one
-    ints = companion_matrix([Q(-1), Q(-1), Q(0), Q(1)])
-    fracs = [[Q(v) for v in row] for row in ints]
-    cp = berkowitz_charpoly(kronecker_square(ints))
-    assert all(type(c) is int for c in cp)
-    assert cp == berkowitz_charpoly(kronecker_square(fracs))
-    # with repeated eigenvalues, the Kronecker square of M and that of the
-    # companion matrix of M's squarefree part have the same distinct
-    # eigenvalue products, so the same squarefree charpoly
-    for m in (
-        [[1, 1, 0], [0, 1, 0], [0, 0, -1]],  # Jordan block at 1, and -1
-        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # +-i twice
-        [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]],  # golden pair twice
-        [[2, 1, 0], [0, 2, 1], [0, 0, 2]],  # one Jordan block at 2
-    ):
-        sf = poly_squarefree(berkowitz_charpoly(m))
-        assert poly_squarefree(berkowitz_charpoly(kronecker_square(m))) == poly_squarefree(
-            berkowitz_charpoly(kronecker_square(companion_matrix(sf)))
-        )
 
 
 def test_real_root_isolation_matches_numpy():
@@ -378,7 +349,8 @@ def test_algebraic_number_refined():
 # differential tests: the integer core against the Fraction routines it
 # replaced, kept here as references (division with remainder and Euclid's
 # gcd over Q, the Sturm chain of Fraction remainders, Sturm-count bisection,
-# the Moebius map and Routh table on Fractions)
+# the Moebius map and Routh table on Fractions, the charpoly of the
+# Kronecker square of a companion matrix)
 # ---------------------------------------------------------------------------
 
 
@@ -516,6 +488,40 @@ def _ref_disk_root_count(p, radius):
     return _ref_routh(h)
 
 
+def kronecker_square(matrix):
+    """The Kronecker product of the matrix with itself (eigenvalues are all
+    pairwise eigenvalue products, self-products included)."""
+    n = len(matrix)
+    out = []
+    for i in range(n):
+        for k in range(n):
+            row = []
+            for j in range(n):
+                for l in range(n):
+                    row.append(matrix[i][j] * matrix[k][l])
+            out.append(row)
+    return out
+
+
+def companion_matrix(p):
+    """Companion matrix of a polynomial (low-to-high), made monic first; an
+    integral coefficient is an int entry, so integer work stays in ints."""
+    mono = [c.numerator if c.denominator == 1 else c for c in _ref_monic(p)]
+    n = len(mono) - 1
+    out = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        out[i][i - 1] = 1
+    for i in range(n):
+        out[i][n - 1] = -mono[i]
+    return out
+
+
+def _ref_pairwise_products(sf):
+    """Squarefree polynomial of the products of pairs of roots of sf: the
+    charpoly of the Kronecker square of its companion matrix."""
+    return poly_squarefree(berkowitz_charpoly(kronecker_square(companion_matrix(sf))))
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -621,6 +627,35 @@ def test_refinement_edge_cases():
         assert 0 < lo and lo * lo < 2 < hi * hi
     with pytest.raises(ValueError, match="^interval does not isolate a root$"):
         refine_root_interval([2, -3, 1], 2, Q(5, 2), Q(1, 8))
+
+
+_DENSE_POLYS = st.tuples(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=8), st.sampled_from([1, 1, -1, 2, 3])
+).map(lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_DENSE_POLYS)
+# repeated eigenvalues: the squarefree part loses the repeats
+@example(berkowitz_charpoly([[1, 1, 0], [0, 1, 0], [0, 0, -1]]))  # Jordan block at 1, and -1
+@example(berkowitz_charpoly([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]))  # +-i twice
+@example(berkowitz_charpoly([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]))  # golden pair twice
+@example(berkowitz_charpoly([[2, 1, 0], [0, 2, 1], [0, 0, 2]]))  # one Jordan block at 2
+def test_symmetric_square_matches_kronecker_square(p):
+    sf = poly_squarefree(p)
+    n, a = len(sf) - 1, sf[-1]
+    got = _symmetric_square(sf)
+    assert all(type(c) is int for c in got) and len(got) == n * (n + 1) // 2 + 1
+    got = poly_squarefree(got)
+    if a == 1 or n <= 4:
+        assert got == _ref_pairwise_products(sf)
+    else:
+        # a Fraction companion matrix of degree > 4 takes seconds: square
+        # the monic a^(n-1) sf(x / a), whose roots are a alpha_i, and map
+        # its products back with x -> a^2 x
+        monic = [c * a ** (n - 1 - i) for i, c in enumerate(sf[:-1])] + [1]
+        ref = _ref_pairwise_products(monic)
+        assert got == poly_squarefree([c * a ** (2 * i) for i, c in enumerate(ref)])
 
 
 # ---------------------------------------------------------------------------
