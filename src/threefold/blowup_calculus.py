@@ -31,7 +31,8 @@ F.F and pair(F, M) for a curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .intersection_ring import (
@@ -109,28 +110,46 @@ def curve_step(center: CurveCenterSpec) -> BlowupStep:
 
 @dataclass(frozen=True)
 class BlowupTower:
-    """A base spec plus an ordered list of blowup steps.
+    """A base model plus an ordered list of blowup steps, and the models
+    they build.
 
-    base is either a ThreefoldModel or a string accepted by make_base.
-    Curve centers must be dimensioned for the model at their own step.
+    Curve centers must be dimensioned for the model at their own step.  The
+    models [base, after step 1, ..., after step k] are built once, on first
+    use, and kept: evaluate() and top() read them, and with_step() extends
+    them by one blowup, so a tower grown step by step (as the tower-file
+    parser does) blows each step up exactly once.  Building them is what
+    validates the centers.
     """
 
     base: ThreefoldModel
     steps: tuple[BlowupStep, ...] = ()
 
-    def evaluate(self) -> list[ThreefoldModel]:
-        """One model per prefix: [base, after step 1, ..., after step k]."""
+    @cached_property
+    def _models(self) -> tuple[ThreefoldModel, ...]:
         models = [self.base]
         for step in self.steps:
-            cur = models[-1]
-            if step.kind == "point":
-                models.append(blow_up_point(cur))
-            else:
-                models.append(blow_up_curve(cur, step.center))
-        return models
+            models.append(_blow_up(models[-1], step))
+        return tuple(models)
+
+    def evaluate(self) -> list[ThreefoldModel]:
+        """One model per prefix: [base, after step 1, ..., after step k]."""
+        return list(self._models)
 
     def top(self) -> ThreefoldModel:
-        return self.evaluate()[-1]
+        return self._models[-1]
+
+    def with_step(self, step: BlowupStep) -> "BlowupTower":
+        """This tower one step longer, reusing the models already built."""
+        longer = BlowupTower(self.base, self.steps + (step,))
+        # the dataclass is frozen; seed the cache the way cached_property fills it
+        object.__setattr__(longer, "_models", self._models + (_blow_up(self.top(), step),))
+        return longer
+
+
+def _blow_up(model: ThreefoldModel, step: BlowupStep) -> ThreefoldModel:
+    if step.kind == "point":
+        return blow_up_point(model)
+    return blow_up_curve(model, step.center)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +195,6 @@ def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
         picard=model.picard + 1,
         base_flags=frozenset(),
         parent=model,
-        last_step="point",
     )
 
 
@@ -248,7 +266,6 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
         picard=model.picard + 1,
         base_flags=frozenset(),
         parent=model,
-        last_step="curve",
     )
 
 

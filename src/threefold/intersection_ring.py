@@ -166,8 +166,8 @@ class ThreefoldModel:
     dicts shallowly and adds only its new entries; the entry dicts are
     shared along the tower and must never be mutated.  dense_row reads one
     whole row, zeros included, for printing and matrix inversion.  Blowups
-    return new models; `parent` and `last_step` record the provenance used
-    by the pushforward/pullback maps and are ignored by equality.
+    return new models; `parent` records the provenance used by the
+    pushforward/pullback maps and is ignored by equality.
     """
 
     label: str
@@ -181,7 +181,6 @@ class ThreefoldModel:
     picard: int
     base_flags: frozenset[str] = frozenset()
     parent: "ThreefoldModel | None" = field(default=None, compare=False, repr=False)
-    last_step: str | None = field(default=None, compare=False)
 
     def __hash__(self) -> int:
         # the tables are dicts; equal models agree on every field hashed here

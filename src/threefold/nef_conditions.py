@@ -33,10 +33,9 @@ from fractions import Fraction
 from .blowup_calculus import (
     BlowupStep,
     BlowupTower,
-    CurveCenterSpec,
-    blow_up_curve,
-    blow_up_point,
-    gamma as blowup_gamma,
+    curve_step,
+    line_strict_transform,
+    point_step,
 )
 from .intersection_ring import (
     FLAG_C2_MOVABLE_POSITIVE,
@@ -247,14 +246,17 @@ class Picard1Report:
     alphas: tuple[Fraction, ...]
 
 
-def _tower_shape_ok(tower: BlowupTower) -> bool:
-    seen_curve = False
-    for step in tower.steps:
-        if step.kind == "curve":
-            seen_curve = True
-        elif seen_curve:
-            return False
-    return True
+def _whole_tower_gate(
+    tower: BlowupTower, theorem: str, flag: str, no_flag_case: str
+) -> TraceEntry | None:
+    """The UNVERIFIED entry of a whole-tower theorem (T3, T4) whose base lacks
+    its flag or whose steps are not all points then all curves; else None."""
+    if flag not in tower.base.base_flags:
+        return TraceEntry(0, theorem, no_flag_case)
+    kinds = [step.kind for step in tower.steps]
+    if ("curve", "point") in zip(kinds, kinds[1:]):
+        return TraceEntry(0, theorem, "steps-not-points-then-curves")
+    return None
 
 
 def check_picard1(tower: BlowupTower) -> Picard1Report:
@@ -267,22 +269,16 @@ def check_picard1(tower: BlowupTower) -> Picard1Report:
     when gamma vanishes and 2 H.C / gamma otherwise, and rationality of all
     of them is what makes the conditions hold.
     """
-    models = tower.evaluate()
-    base = models[0]
-
-    def unverified(case: str) -> Picard1Report:
-        entry = TraceEntry(0, "T3", case)
+    tower.top()  # builds, and so validates, every step
+    gate = _whole_tower_gate(tower, "T3", FLAG_PICARD_RANK_1, "base-not-picard-rank-1")
+    if gate is not None:
         return Picard1Report(
-            ConditionVerdict("A", UNVERIFIED, (entry,)),
-            ConditionVerdict("B", UNVERIFIED, (entry,)),
+            ConditionVerdict("A", UNVERIFIED, (gate,)),
+            ConditionVerdict("B", UNVERIFIED, (gate,)),
             (),
         )
 
-    if FLAG_PICARD_RANK_1 not in base.base_flags:
-        return unverified("base-not-picard-rank-1")
-    if not _tower_shape_ok(tower):
-        return unverified("steps-not-points-then-curves")
-
+    base = tower.base
     n_base_curves = len(base.curve_basis)
     H = base.divisor([ONE] + [ZERO] * (len(base.divisor_basis) - 1))
     alphas: list[Fraction] = []
@@ -339,15 +335,9 @@ def check_c2_positive_tower(tower: BlowupTower, condition: str) -> ConditionVerd
     if condition not in ("A", "B"):
         raise ValidationError("condition must be 'A' or 'B'")
     models = tower.evaluate()
-    base = models[0]
-    if FLAG_C2_MOVABLE_POSITIVE not in base.base_flags:
-        return ConditionVerdict(
-            condition, UNVERIFIED, (TraceEntry(0, "T4", "base-not-c2-positive"),)
-        )
-    if not _tower_shape_ok(tower):
-        return ConditionVerdict(
-            condition, UNVERIFIED, (TraceEntry(0, "T4", "steps-not-points-then-curves"),)
-        )
+    gate = _whole_tower_gate(tower, "T4", FLAG_C2_MOVABLE_POSITIVE, "base-not-c2-positive")
+    if gate is not None:
+        return ConditionVerdict(condition, UNVERIFIED, (gate,))
 
     entries = [TraceEntry(0, "T4", "c2-movable-positive")]
     all_margins_ok = True
@@ -403,21 +393,23 @@ class P3LinesReport:
 def _p3_points_lines_models(n: int):
     """Build X1 (P3 blown up in n points) and X2 (all connecting lines
     blown up on X1), returning (x1, x2, line count)."""
-    model = make_base("p3")
-    for _ in range(n):
-        model = blow_up_point(model)
-    x1 = model
+    tower = BlowupTower(make_base("p3"), (point_step(),) * n)
+    x1 = tower.top()
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for (i, j) in pairs:
-        coeffs = {"l": ONE, f"L{i}": -ONE, f"L{j}": -ONE}
-        vec = [ZERO] * len(model.curve_basis)
-        for name, c in coeffs.items():
-            vec[model.curve_index(name)] = c
-        center = CurveCenterSpec(
-            curve_class=model.curve(vec), genus=0, label=f"D{i}{j}"
-        )
-        model = blow_up_curve(model, center)
-    return x1, model, len(pairs)
+        tower = tower.with_step(curve_step(line_strict_transform(tower, (i, j), label=f"D{i}{j}")))
+    return x1, tower.top(), len(pairs)
+
+
+def _pair_by_basis(model: ThreefoldModel, curve) -> list[Fraction]:
+    """pair(e_k, curve) for every divisor generator e_k, in one walk over the
+    pairing table."""
+    cc = curve.coeffs
+    out = [ZERO] * len(model.divisor_basis)
+    for (k, a), v in model.pairing.items():
+        if cc[a]:
+            out[k] += v * cc[a]
+    return out
 
 
 def check_p3_points_lines(n: int) -> P3LinesReport:
@@ -442,13 +434,9 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
     variables = ["deg_u"] + [f"beta{l}" for l in range(1, n + 1)] + ["S"]
     nv = len(variables)
 
-    def basis_divisor(model, k):
-        return model.divisor([ONE if t == k else ZERO for t in range(len(model.divisor_basis))])
-
     # zeta . c2(X2) and zeta . c1(X2)^2, coefficient per basis divisor
-    c2_by_basis = [pair(x2, basis_divisor(x2, k), x2.c2) for k in range(nd)]
-    c1c1 = multiply_divisors(x2, x2.c1, x2.c1)
-    c1sq_by_basis = [pair(x2, basis_divisor(x2, k), c1c1) for k in range(nd)]
+    c2_by_basis = _pair_by_basis(x2, x2.c2)
+    c1sq_by_basis = _pair_by_basis(x2, multiply_divisors(x2, x2.c1, x2.c1))
 
     def assemble(by_basis, label):
         coeffs = [ZERO] * nv
@@ -482,14 +470,8 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
 
     def nef_row_from_curve(curve_coeffs: dict, label: str):
         # xi . D for xi = deg_u * h - sum beta_l E_l, D a curve class on X1
-        vec = [ZERO] * len(x1.curve_basis)
-        for name, c in curve_coeffs.items():
-            vec[x1.curve_index(name)] = c
-        d = x1.curve(vec)
-        coeffs = [ZERO] * nv
-        coeffs[0] = pair(x1, basis_divisor(x1, 0), d)
-        for l in range(1, n + 1):
-            coeffs[l] = -pair(x1, basis_divisor(x1, l), d)
+        by_basis = _pair_by_basis(x1, x1.curve(curve_coeffs))
+        coeffs = [by_basis[0]] + [-by_basis[l] for l in range(1, n + 1)] + [ZERO]
         ineqs.append(LinearForm(tuple(coeffs), label=label))
 
     if n <= 3:
@@ -567,9 +549,7 @@ def check_generalized(config: GeneralizedConfig) -> GeneralizedReport:
     bounded incidence row sums, (6 + gamma)/lambda > 11/2, and the
     per-curve c1 inequality, all computed through the engine."""
     n = config.n
-    model = make_base("p3")
-    for _ in range(n):
-        model = blow_up_point(model)
+    model = BlowupTower(make_base("p3"), (point_step(),) * n).top()
 
     details = []
     gamma_total = sum((QQ(deg) for deg, _g in config.curves), ZERO)

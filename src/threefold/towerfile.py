@@ -36,14 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blowup_calculus import (
-    BlowupStep,
-    BlowupTower,
-    CurveCenterSpec,
-    SurfaceData,
-    blow_up_curve,
-    blow_up_point,
-)
+from .blowup_calculus import BlowupStep, BlowupTower, CurveCenterSpec, SurfaceData
 from .intersection_ring import (
     CurveClass,
     DivisorClass,
@@ -150,6 +143,18 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve):
     return acc
 
 
+def _resolve_in(names):
+    """A resolver for _parse_linear_expr: the unit vector of a name in names."""
+
+    def resolve(nm):
+        if nm in names:
+            k = names.index(nm)
+            return [QQ(1) if t == k else ZERO for t in range(len(names))]
+        return None
+
+    return resolve
+
+
 def _strip_comment(raw: str) -> str:
     if "#" in raw:
         raw = raw[: raw.index("#")]
@@ -208,27 +213,18 @@ def parse_tower(text: str) -> TowerDocument:
             raise TowerParseError(str(e), idx + 1) from None
         idx += 1
 
-    model = base
-    steps: list[BlowupStep] = []
+    tower = BlowupTower(base)
     aliases: dict[str, tuple[int, CurveClass]] = {}
 
     def resolve_curve(name):
-        try:
-            k = model.curve_index(name)
-        except ValidationError:
-            if name in aliases:
-                size, cls = aliases[name]
-                cur = len(model.curve_basis)
-                return list(cls.coeffs) + [ZERO] * (cur - size)
-            return None
-        return [QQ(1) if a == k else ZERO for a in range(len(model.curve_basis))]
+        names = tower.top().curve_names()
+        if name not in names and name in aliases:
+            size, cls = aliases[name]
+            return list(cls.coeffs) + [ZERO] * (len(names) - size)
+        return _resolve_in(names)(name)
 
     def resolve_divisor(name):
-        try:
-            k = model.divisor_index(name)
-        except ValidationError:
-            return None
-        return [QQ(1) if a == k else ZERO for a in range(len(model.divisor_basis))]
+        return _resolve_in(tower.top().divisor_names())(name)
 
     while True:
         idx = next_meaningful(idx)
@@ -238,8 +234,7 @@ def parse_tower(text: str) -> TowerDocument:
         stmt = _strip_comment(lines[idx]).strip()
         idx += 1
         if stmt == "blowup point":
-            model = blow_up_point(model)
-            steps.append(BlowupStep("point"))
+            tower = tower.with_step(BlowupStep("point"))
             continue
         if stmt.startswith("blowup curve"):
             m = _CURVE_RE.match(stmt)
@@ -252,34 +247,30 @@ def parse_tower(text: str) -> TowerDocument:
                     "malformed curve blowup (expected 'blowup curve class = <expr> genus = <int> [options]')",
                     line_no,
                 )
-            cls_text = m.group("cls")
-            col0 = stmt.index(cls_text)
-            vec = _parse_linear_expr(cls_text, line_no, col0, resolve_curve)
-            genus = int(m.group("genus"))
-            opts = _parse_curve_options(m.group("rest"), line_no, model, resolve_divisor)
+            vec = _parse_linear_expr(m.group("cls"), line_no, m.start("cls"), resolve_curve)
             try:
+                opts = _parse_curve_options(m.group("rest"), line_no, m.start("rest"), resolve_divisor)
                 center = CurveCenterSpec(
-                    curve_class=model.curve(vec),
-                    genus=genus,
+                    curve_class=tower.top().curve(vec),
+                    genus=int(m.group("genus")),
                     normal_bundle_decomposable=opts.get("normal"),
                     tau0=opts.get("tau0"),
                     surface_data=opts.get("surface"),
                     movable_witness=opts.get("movable"),
                     label=opts.get("label", ""),
                 )
-                model = blow_up_curve(model, center)
+                tower = tower.with_step(BlowupStep("curve", center))
             except ValidationError as e:
                 raise TowerParseError(str(e), line_no) from None
-            steps.append(BlowupStep("curve", center))
             continue
         if stmt.startswith("alias"):
             m = re.match(r"^alias\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$", stmt)
             if not m:
                 raise TowerParseError("malformed alias (expected 'alias <name> = <expr>')", line_no)
-            name, expr = m.group(1), m.group(2)
+            name = m.group(1)
             if resolve_curve(name) is not None:
                 raise TowerParseError(f"alias {name!r} shadows an existing name", line_no)
-            vec = _parse_linear_expr(expr, line_no, stmt.index(expr), resolve_curve)
+            vec = _parse_linear_expr(m.group(2), line_no, m.start(2), resolve_curve)
             aliases[name] = (len(vec), CurveClass(tuple(vec)))
             continue
         if stmt.startswith("base"):
@@ -291,13 +282,13 @@ def parse_tower(text: str) -> TowerDocument:
             )
         raise TowerParseError(f"unrecognized statement {stmt.split()[0]!r}", line_no)
 
-    return TowerDocument(tower=BlowupTower(base, tuple(steps)), aliases=aliases)
+    return TowerDocument(tower=tower, aliases=aliases)
 
 
-def _parse_curve_options(rest: str, line_no: int, model, resolve_divisor):
+def _parse_curve_options(rest: str, line_no: int, col0: int, resolve_divisor):
+    """Options after 'genus = <int>'; rest starts at statement offset col0."""
     opts = {}
     pos = 0
-    rest = rest.strip()
     while pos < len(rest):
         while pos < len(rest) and rest[pos].isspace():
             pos += 1
@@ -317,8 +308,9 @@ def _parse_curve_options(rest: str, line_no: int, model, resolve_divisor):
             elif key == "label":
                 opts["label"] = m.group(1)
             else:
-                surf_text = m.group("surf").strip()
-                vec = _parse_linear_expr(surf_text, line_no, pos, resolve_divisor)
+                vec = _parse_linear_expr(
+                    m.group("surf").rstrip(), line_no, col0 + pos + m.start("surf"), resolve_divisor
+                )
                 kappa = m.group("kappa")
                 opts["surface"] = SurfaceData(
                     surface=DivisorClass(tuple(vec)),
@@ -363,6 +355,10 @@ def _parse_custom_block(lines, start):
             break
         head, _, tail = stmt.partition(" ")
         tail = tail.strip()
+        value = tail.lstrip("= ").strip()
+        col0 = len(stmt) - len(value)  # the value runs to the end of the statement
+        if head in ("divisor", "curve", "flag") and not tail:
+            raise TowerParseError(f"'{head}' needs a name", line_no)
         if head == "label":
             label = tail
         elif head == "divisor":
@@ -377,16 +373,7 @@ def _parse_custom_block(lines, start):
             if expr.strip() == "0":
                 vec = {name: ZERO for name in curves}
             else:
-                coeffs = _parse_linear_expr(
-                    expr,
-                    line_no,
-                    0,
-                    lambda nm: (
-                        [QQ(1) if t == curves.index(nm) else ZERO for t in range(len(curves))]
-                        if nm in curves
-                        else None
-                    ),
-                )
+                coeffs = _parse_linear_expr(expr, line_no, len(stmt) - len(expr), _resolve_in(curves))
                 vec = {name: coeffs[t] for t, name in enumerate(curves)}
             mul[(a, b)] = vec
         elif head == "pair":
@@ -395,13 +382,20 @@ def _parse_custom_block(lines, start):
                 raise TowerParseError("malformed pair entry (want 'pair d c = p/q')", line_no)
             pairing[(m.group(1), m.group(2))] = _rational(m.group(3), line_no)
         elif head == "c1":
-            c1_expr = (tail.lstrip("= ").strip(), line_no)
+            c1_expr = (value, line_no, col0)
         elif head == "c2":
-            c2_expr = (tail.lstrip("= ").strip(), line_no)
-        elif head == "euler":
-            euler = int(tail.lstrip("= ").strip())
-        elif head == "picard":
-            picard = int(tail.lstrip("= ").strip())
+            c2_expr = (value, line_no, col0)
+        elif head in ("euler", "picard"):
+            try:
+                number = int(value)
+            except ValueError:
+                raise TowerParseError(
+                    f"{head} must be an integer, got {value!r}", line_no, col0 + 1
+                ) from None
+            if head == "euler":
+                euler = number
+            else:
+                picard = number
         elif head == "flag":
             flags.append(tail)
         else:
@@ -410,18 +404,8 @@ def _parse_custom_block(lines, start):
         raise TowerParseError("custom base block never closed with 'end'", len(lines))
     if c1_expr is None or c2_expr is None or euler is None:
         raise TowerParseError("custom base needs c1, c2 and euler", i)
-
-    def resolve_in(names):
-        def resolve(nm):
-            if nm in names:
-                k = names.index(nm)
-                return [QQ(1) if t == k else ZERO for t in range(len(names))]
-            return None
-
-        return resolve
-
-    c1_vec = _parse_linear_expr(c1_expr[0], c1_expr[1], 0, resolve_in(divisors))
-    c2_vec = _parse_linear_expr(c2_expr[0], c2_expr[1], 0, resolve_in(curves))
+    c1_vec = _parse_linear_expr(*c1_expr, _resolve_in(divisors))
+    c2_vec = _parse_linear_expr(*c2_expr, _resolve_in(curves))
     try:
         model = make_custom_base(
             label=label,

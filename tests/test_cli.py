@@ -198,6 +198,43 @@ def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch
     assert charpolys == [3]
 
 
+def test_tower_commands_blow_each_step_up_once(capsys, tmp_path, monkeypatch):
+    import sys
+
+    import threefold.blowup_calculus as bc
+
+    # count the blowups wherever the package's modules look them up
+    blowups = []
+    for name in ("blow_up_point", "blow_up_curve"):
+        original = getattr(bc, name)
+
+        def counted(*args, _blow_up=original):
+            blowups.append(1)
+            return _blow_up(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("threefold") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    tower = tmp_path / "lines.tower"
+    tower.write_text(
+        "base p3\n" + "blowup point\n" * 4
+        + "".join(f"blowup curve class = l - L{i} - L{j} genus = 0\n" for i, j in ((1, 2), (1, 3), (3, 4)))
+    )
+    identity = tmp_path / "identity.mat"
+    identity.write_text("".join(" ".join("1" if i == j else "0" for j in range(8)) + "\n" for i in range(8)))
+    for argv in (
+        ("ring", "show", str(tower)),
+        ("check", "--condition", "A", str(tower)),
+        ("check", "--condition", "B", str(tower)),
+        ("picard1", str(tower)),
+        ("dynamics", "--matrix", str(identity), "--model", str(tower)),
+    ):
+        blowups.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(blowups) == 7, argv
+
+
 # `dynamics --format records` of raw-mode actions: every interval endpoint is
 # part of the records contract
 DYNAMICS_RECORDS = {

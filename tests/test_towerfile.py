@@ -46,6 +46,28 @@ def test_unknown_name_has_location():
     assert err.value.line == 2 and err.value.col is not None
 
 
+CUSTOM_BASE = "base custom\ndivisor a\ncurve x\nmul a a = x\npair a x = 1\nc1 = a\nc2 = x\neuler = 4\nend\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("base p3\nblowup curve class = l - q genus = 0\n", 2, 26),
+        # 'u' also occurs in 'blowup': the column is the expression's, not the first match
+        ("base p3\nblowup curve class = u genus = 0\n", 2, 22),
+        ("base p3\nblowup curve class = l genus = 0 surface=q;mu=1\n", 2, 42),
+        ("base p3\nalias b = a\n", 2, 11),
+        (CUSTOM_BASE.replace("c1 = a", "c1 = 4 q"), 6, 8),
+        (CUSTOM_BASE.replace("c2 = x", "c2 = y"), 7, 6),
+        (CUSTOM_BASE.replace("mul a a = x", "mul a a = q"), 4, 11),
+    ],
+)
+def test_unknown_name_column_is_relative_to_the_statement(text, line, col):
+    with pytest.raises(TowerParseError, match="unknown name") as err:
+        parse_tower(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_missing_genus():
     with pytest.raises(TowerParseError, match="genus"):
         parse_tower("base p3\nblowup curve class = l\n")
@@ -89,6 +111,9 @@ def test_surface_option_parse():
     # an inconsistent kappa is rejected at the blowup step
     with pytest.raises(TowerParseError, match="kappa"):
         parse_tower(text.replace("kappa=1", "kappa=3"))
+    with pytest.raises(TowerParseError, match="mu must be >= 1") as err:
+        parse_tower(text.replace("mu=2", "mu=0"))
+    assert err.value.line == 3
 
 
 def test_alias_definition_and_pullback():
@@ -158,6 +183,20 @@ end
         parse_tower(bad.replace("c1 = a\n", ""))
     with pytest.raises(TowerParseError, match="never closed"):
         parse_tower("base custom\nlabel x\n")
+    with pytest.raises(TowerParseError, match="euler must be an integer, got 'x'") as err:
+        parse_tower(bad.replace("euler = 4", "euler = x"))
+    assert (err.value.line, err.value.col) == (8, 9)
+    with pytest.raises(TowerParseError, match="picard must be an integer, got '1.5'") as err:
+        parse_tower(CUSTOM_BASE.replace("end", "picard = 1.5\nend"))
+    assert (err.value.line, err.value.col) == (9, 10)
+    for head, text in [
+        ("divisor", CUSTOM_BASE.replace("divisor a\n", "divisor\ndivisor a\n")),
+        ("curve", CUSTOM_BASE.replace("curve x\n", "curve\ncurve x\n")),
+        ("flag", CUSTOM_BASE.replace("end", "flag\nend")),
+    ]:
+        with pytest.raises(TowerParseError, match=f"'{head}' needs a name") as err:
+            parse_tower(text)
+        assert err.value.line == text.splitlines().index(head) + 1
 
 
 # P3, four points, the lines through p1 p2 and p3 p4, the conic through p1 p2 p3
@@ -259,6 +298,12 @@ def test_zero_denominator_is_a_parse_error():
             "blowup curve class = l - L1 genus = 0 surface = h; mu=1; kappa=1/0\n"
         )
     assert err.value.line == 3
+    with pytest.raises(TowerParseError, match="zero denominator") as err:
+        parse_tower("base p3\nblowup point\nblowup curve class = l - L1 genus = 0 surface = 1/0 h; mu=1\n")
+    assert (err.value.line, err.value.col) == (3, 49)
+    with pytest.raises(TowerParseError, match="zero denominator") as err:
+        parse_tower(CUSTOM_BASE.replace("c1 = a", "c1 = 1/0 a"))
+    assert (err.value.line, err.value.col) == (6, 6)
     custom = "base custom\ndivisor a\ncurve x\nmul a a = x\npair a x = 1/0\nc1 = a\nc2 = x\neuler = 4\nend\n"
     with pytest.raises(TowerParseError, match="zero denominator") as err:
         parse_tower(custom)
