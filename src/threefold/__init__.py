@@ -7,168 +7,77 @@ The package provides:
 - blowup_calculus: point and curve blowup transforms with Chern, Euler and
   Picard propagation, plus pullback/pushforward maps and blowup towers.
 - ruled_surface: intersection numbers on exceptional ruled surfaces.
-- nef_conditions: Condition A/B checkers for blowup towers, the points-and-
-  lines feasibility argument on P3, and an exact rational LP engine with
-  Farkas certificates.
+- linprog: an exact rational LP engine with Farkas certificates.
+- nef_conditions: Condition A/B checkers for blowup towers and the
+  points-and-lines feasibility argument on P3 (an LP solved by linprog).
+- polynomials: exact integer-polynomial tools (characteristic polynomials,
+  root isolation, disk counts, factoring) behind the certified radii.
 - lattice_dynamics: validation of lattice automorphism actions and certified
   dynamical degrees / entropy.
 - case_studies: quotient-threefold Euler/Picard bookkeeping, the complete-
   intersection c2 positivity computation, and the Euler budget for towers.
+- towerfile: the line-oriented tower file format, its parser and writer.
 - cli: the `threefold` command line tool.
+
+Every public name below is imported from its module on first access
+(`from threefold import X` or `threefold.X`), so `import threefold` loads
+no module of the package by itself.
 """
 
-from .intersection_ring import (
-    BasisElement,
-    CurveClass,
-    DivisorClass,
-    ThreefoldModel,
-    ValidationError,
-    make_base,
-    make_custom_base,
-    multiply_divisors,
-    pair,
-    pairing_determinant,
-    triple,
-    validate_model,
-)
-from .blowup_calculus import (
-    BlowupStep,
-    BlowupTower,
-    CurveCenterSpec,
-    SurfaceData,
-    blow_up_curve,
-    blow_up_point,
-    curve_step,
-    gamma,
-    line_strict_transform,
-    point_step,
-    pullback_curve,
-    pullback_divisor,
-    pushforward_curve,
-    pushforward_divisor,
-)
-from .ruled_surface import (
-    EffectiveCurveReport,
-    RuledSurfaceData,
-    SectionNumbers,
-    effective_curve_check,
-    section_and_ff,
-)
-from .linprog import (
-    ConstraintSystem,
-    FeasibleResult,
-    LinearForm,
-    rational_feasible,
-    render_certificate,
-    replay_certificate,
-)
-from .nef_conditions import (
-    ConditionVerdict,
-    GeneralizedConfig,
-    P3LinesReport,
-    Picard1Report,
-    TraceEntry,
-    check_c2_positive_tower,
-    check_generalized,
-    check_p3_points_lines,
-    check_picard1,
-    check_tower,
-    propagate_condition,
-)
-from .lattice_dynamics import (
-    AutomorphismAction,
-    DegreeReport,
-    EigenclassReport,
-    dynamical_degrees,
-    eigenclass_constraints,
-    rationality_obstruction,
-    validate_action,
-)
-from .case_studies import (
-    CiChernReport,
-    EulerBudget,
-    UenoReport,
-    ci_c2,
-    euler_budget,
-    g_quadratic,
-    torus_fixed_points,
-    ueno_report,
-)
-from .towerfile import (
-    TowerDocument,
-    TowerParseError,
-    models_equivalent,
-    parse_tower,
-    serialize_model,
-)
+import importlib
 
-__all__ = [
-    "AutomorphismAction",
-    "BasisElement",
-    "BlowupStep",
-    "BlowupTower",
-    "CiChernReport",
-    "ConditionVerdict",
-    "ConstraintSystem",
-    "CurveCenterSpec",
-    "CurveClass",
-    "DegreeReport",
-    "DivisorClass",
-    "EffectiveCurveReport",
-    "EigenclassReport",
-    "EulerBudget",
-    "FeasibleResult",
-    "GeneralizedConfig",
-    "LinearForm",
-    "P3LinesReport",
-    "Picard1Report",
-    "RuledSurfaceData",
-    "SectionNumbers",
-    "SurfaceData",
-    "ThreefoldModel",
-    "TowerDocument",
-    "TowerParseError",
-    "TraceEntry",
-    "UenoReport",
-    "ValidationError",
-    "blow_up_curve",
-    "blow_up_point",
-    "check_c2_positive_tower",
-    "check_generalized",
-    "check_p3_points_lines",
-    "check_picard1",
-    "check_tower",
-    "ci_c2",
-    "curve_step",
-    "dynamical_degrees",
-    "effective_curve_check",
-    "eigenclass_constraints",
-    "euler_budget",
-    "g_quadratic",
-    "gamma",
-    "line_strict_transform",
-    "make_base",
-    "make_custom_base",
-    "models_equivalent",
-    "multiply_divisors",
-    "pair",
-    "pairing_determinant",
-    "parse_tower",
-    "point_step",
-    "propagate_condition",
-    "pullback_curve",
-    "pullback_divisor",
-    "pushforward_curve",
-    "pushforward_divisor",
-    "rational_feasible",
-    "rationality_obstruction",
-    "render_certificate",
-    "replay_certificate",
-    "section_and_ff",
-    "serialize_model",
-    "torus_fixed_points",
-    "triple",
-    "ueno_report",
-    "validate_action",
-    "validate_model",
-]
+# defining module -> the public names it exports
+_EXPORTS = {
+    "intersection_ring": (
+        "BasisElement", "CurveClass", "DivisorClass", "ThreefoldModel", "ValidationError",
+        "make_base", "make_custom_base", "multiply_divisors", "pair", "pairing_determinant",
+        "triple", "validate_model",
+    ),
+    "blowup_calculus": (
+        "BlowupStep", "BlowupTower", "CurveCenterSpec", "SurfaceData", "blow_up_curve",
+        "blow_up_point", "curve_step", "gamma", "line_strict_transform", "point_step",
+        "pullback_curve", "pullback_divisor", "pushforward_curve", "pushforward_divisor",
+    ),
+    "ruled_surface": (
+        "EffectiveCurveReport", "RuledSurfaceData", "SectionNumbers", "effective_curve_check",
+        "section_and_ff",
+    ),
+    "linprog": (
+        "ConstraintSystem", "FeasibleResult", "LinearForm", "rational_feasible",
+        "render_certificate", "replay_certificate",
+    ),
+    "nef_conditions": (
+        "ConditionVerdict", "GeneralizedConfig", "P3LinesReport", "Picard1Report", "TraceEntry",
+        "check_c2_positive_tower", "check_generalized", "check_p3_points_lines", "check_picard1",
+        "check_tower", "propagate_condition",
+    ),
+    "lattice_dynamics": (
+        "AutomorphismAction", "DegreeReport", "EigenclassReport", "dynamical_degrees",
+        "eigenclass_constraints", "rationality_obstruction", "validate_action",
+    ),
+    "case_studies": (
+        "CiChernReport", "EulerBudget", "UenoReport", "ci_c2", "euler_budget", "g_quadratic",
+        "torus_fixed_points", "ueno_report",
+    ),
+    "towerfile": (
+        "TowerDocument", "TowerParseError", "models_equivalent", "parse_tower", "serialize_model",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import a public name's module on first access and keep the name here,
+    so later lookups never come back to this function."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -22,27 +22,8 @@ number of the human-readable report.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from fractions import Fraction
-
-from .blowup_calculus import BlowupTower
-from .case_studies import ci_c2, ci_c2_series_check, euler_budget, g_quadratic, ueno_report
-from .intersection_ring import ValidationError
-from .lattice_dynamics import (
-    InvalidActionError,
-    dynamical_degrees,
-    eigenclass_constraints,
-    rationality_obstruction,
-)
-from .linprog import LinProgError
-from .nef_conditions import (
-    check_p3_points_lines,
-    check_picard1,
-    check_tower,
-)
-from .towerfile import TowerParseError, parse_tower, render_class, serialize_model
-
-QQ = Fraction
 
 
 class Report:
@@ -79,20 +60,34 @@ def _read_text(path: str) -> str:
 
 
 def _read_matrix(path: str):
-    rows = []
-    for raw in _read_text(path).splitlines():
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        rows.append([int(tok) for tok in line.split()])
+    """Integer rows, one a line; each fault is located by line (and column)."""
+    rows = []  # (line number, entries)
+    for line_no, raw in enumerate(_read_text(path).splitlines(), 1):
+        row = []
+        for tok in re.finditer(r"\S+", raw.split("#")[0]):
+            try:
+                row.append(int(tok.group()))
+            except ValueError:
+                raise ValueError(
+                    f"line {line_no}, col {tok.start() + 1}: "
+                    f"expected an integer, got {tok.group()!r}"
+                ) from None
+        if row:
+            rows.append((line_no, row))
     if not rows:
-        raise ValidationError("matrix file is empty")
-    if any(len(r) != len(rows) for r in rows):
-        raise ValidationError("matrix file is not square")
-    return rows
+        raise ValueError("matrix file is empty")
+    n = len(rows[0][1])
+    for line_no, row in rows:
+        if len(row) != n:
+            raise ValueError(f"line {line_no}: row has {len(row)} entries, expected {n}")
+    if len(rows) != n:
+        raise ValueError("matrix file is not square")
+    return [row for _, row in rows]
 
 
-def _load_tower(path: str) -> BlowupTower:
+def _load_tower(path: str):
+    from .towerfile import parse_tower
+
     return parse_tower(_read_text(path)).tower
 
 
@@ -106,6 +101,8 @@ def _interval_str(alg) -> str:
 
 
 def cmd_ring(args) -> int:
+    from .towerfile import render_class, serialize_model
+
     tower = _load_tower(args.file)
     model = tower.top()
     if args.format == "records":
@@ -133,6 +130,8 @@ def cmd_ring(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .nef_conditions import check_tower
+
     tower = _load_tower(args.file)
     verdict = check_tower(tower, args.condition)
     rep = Report()
@@ -151,6 +150,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_p3lines(args) -> int:
+    from .nef_conditions import check_p3_points_lines
+
     report = check_p3_points_lines(args.n)
     rep = Report()
     if report.forced:
@@ -167,6 +168,8 @@ def cmd_p3lines(args) -> int:
 
 
 def cmd_picard1(args) -> int:
+    from .nef_conditions import check_picard1
+
     tower = _load_tower(args.file)
     report = check_picard1(tower)
     rep = Report()
@@ -185,6 +188,13 @@ def cmd_picard1(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
+    from .lattice_dynamics import (
+        InvalidActionError,
+        dynamical_degrees,
+        eigenclass_constraints,
+        rationality_obstruction,
+    )
+
     A = _read_matrix(args.matrix)
     rep = Report()
     model = None
@@ -232,6 +242,8 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_case(args) -> int:
+    from .case_studies import ci_c2, ci_c2_series_check, g_quadratic, ueno_report
+
     rep = Report()
     if args.which == "ueno":
         r = ueno_report()
@@ -258,10 +270,12 @@ def cmd_case(args) -> int:
 
 
 def cmd_budget(args) -> int:
+    from .case_studies import euler_budget
+
     def pair_of(text):
         parts = text.split(",")
         if len(parts) != 2:
-            raise ValidationError(f"expected 'chi,rho', got {text!r}")
+            raise ValueError(f"expected 'chi,rho', got {text!r}")
         return (int(parts[0]), int(parts[1]))
 
     r = euler_budget(pair_of(args.base), pair_of(args.target))
@@ -351,10 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TowerParseError, ValidationError, LinProgError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # parse, validation and LP errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .intersection_ring import ThreefoldModel, ValidationError, triple_products
 from .polynomials import (
+    CERTIFIED_WIDTH,
     AlgebraicNumber,
     _exact_quotient,
     bareiss_solve,
@@ -44,7 +45,6 @@ QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEGREE_INTERVAL_WIDTH = QQ(1, 10**10)
 DEFAULT_TOLERANCE = 1e-8
 EIGENVECTOR_PRECISION_BITS = 96  # >= 64 fractional bits
 
@@ -223,7 +223,7 @@ def algebraic_square(a: AlgebraicNumber) -> AlgebraicNumber:
     q = poly_compose_square(list(a.minpoly))
     lo, hi = a.lo * a.lo, a.hi * a.hi
     mp = minimal_polynomial_of_root(q, lo, hi)
-    lo, hi = refine_root_interval(mp, lo, hi, DEGREE_INTERVAL_WIDTH)
+    lo, hi = refine_root_interval(mp, lo, hi, CERTIFIED_WIDTH)
     return AlgebraicNumber(tuple(mp), lo, hi)
 
 
@@ -253,11 +253,7 @@ class DegreeReport:
     charpoly: tuple[int, ...]
 
 
-def dynamical_degrees(
-    model: ThreefoldModel | None,
-    A,
-    width: Fraction = DEGREE_INTERVAL_WIDTH,
-) -> DegreeReport:
+def dynamical_degrees(model: ThreefoldModel | None, A) -> DegreeReport:
     """Certified spectral radii of the divisor action and its curve dual.
 
     Both come from chi_A: lambda1 is certified from it and lambda2 from its
@@ -276,8 +272,8 @@ def dynamical_degrees(
     if model is None and det not in (1, -1):
         raise ValidationError(f"raw mode needs a unimodular matrix, det = {det}")
 
-    l1 = certified_radius_from_charpoly(cp, width)
-    l2 = certified_radius_from_charpoly(cp[::-1], width)
+    l1 = certified_radius_from_charpoly(cp)
+    l2 = certified_radius_from_charpoly(cp[::-1])
     primitive = algebraic_compare(l1, l2) != 0
     entropy = math.log(max(float(l1), float(l2)))
     if l1.is_one() and l2.is_one():

@@ -1026,13 +1026,14 @@ def _fraction_sqrt_bounds(x: Fraction, width: Fraction) -> tuple[Fraction, Fract
     return lo, hi
 
 
-DEFAULT_WIDTH = QQ(1, 10**10)
+# the most a certified radius interval (and its square's) may be wide
+CERTIFIED_WIDTH = QQ(1, 10**10)
 
 
-def certified_spectral_radius(matrix, width: Fraction = DEFAULT_WIDTH) -> AlgebraicNumber:
+def certified_spectral_radius(matrix) -> AlgebraicNumber:
     """Spectral radius of an integer matrix as a certified algebraic number
     (certified_radius_from_charpoly of its characteristic polynomial)."""
-    return certified_radius_from_charpoly(berkowitz_charpoly(matrix), width)
+    return certified_radius_from_charpoly(berkowitz_charpoly(matrix))
 
 
 def _abs_interval(lo, hi):
@@ -1099,7 +1100,7 @@ def _verified_radius_interval(sf, n, lo, hi, width):
     return r_in, r_out, inner
 
 
-def certified_radius_from_charpoly(p, width: Fraction = DEFAULT_WIDTH) -> AlgebraicNumber:
+def certified_radius_from_charpoly(p) -> AlgebraicNumber:
     """Largest root modulus of the characteristic polynomial p of an integer
     matrix invertible over Z (or of its reversal, the characteristic
     polynomial of the inverse up to sign), as a certified algebraic number.
@@ -1130,7 +1131,7 @@ def certified_radius_from_charpoly(p, width: Fraction = DEFAULT_WIDTH) -> Algebr
             # so every root has modulus exactly 1
             return AlgebraicNumber((-1, 1), ONE, ONE)
 
-    champion = _dominant_real_root(sf, width / 4)
+    champion = _dominant_real_root(sf, CERTIFIED_WIDTH / 4)
     if champion is not None:
         lo, hi = champion
         # certify: everything inside |x| < a_hi + delta, and the annulus
@@ -1173,9 +1174,7 @@ def certified_radius_from_charpoly(p, width: Fraction = DEFAULT_WIDTH) -> Algebr
     if not reals:
         raise ValueError("symmetric square has no real root; engine bug")
     lam_lo, lam_hi = max(reals, key=lambda iv: iv[1])
-    lam_lo, lam_hi = refine_root_interval(
-        cp_sf, lam_lo, lam_hi, min(width * width / 8, QQ(1, 10**12))
-    )
+    lam_lo, lam_hi = refine_root_interval(cp_sf, lam_lo, lam_hi, CERTIFIED_WIDTH**2 / 8)
     if lam_hi <= 0:
         raise ValueError("symmetric square has no positive real root; engine bug")
     m_lam = minimal_polynomial_of_root(cp_sf, lam_lo, lam_hi)
@@ -1184,15 +1183,15 @@ def certified_radius_from_charpoly(p, width: Fraction = DEFAULT_WIDTH) -> Algebr
     for i, c in enumerate(s.minpoly):
         m2[2 * i] = c
     for _round in range(80):
-        lo = _fraction_sqrt_bounds(s.lo, width / 2)[0]
-        hi = _fraction_sqrt_bounds(s.hi, width / 2)[1]
+        lo = _fraction_sqrt_bounds(s.lo, CERTIFIED_WIDTH / 2)[0]
+        hi = _fraction_sqrt_bounds(s.hi, CERTIFIED_WIDTH / 2)[1]
         # the sqrt interval must isolate a unique root of m(x^2) and pass
         # the disk certificate on the original polynomial
         if count_real_roots(m2, lo, hi) == 1 and (
             _verified_radius_interval(sf, n, lo, hi, hi - lo) is not None
         ):
             mp = minimal_polynomial_of_root(m2, lo, hi)
-            lo2, hi2 = refine_root_interval(mp, lo, hi, width)
+            lo2, hi2 = refine_root_interval(mp, lo, hi, CERTIFIED_WIDTH)
             return AlgebraicNumber(tuple(mp), lo2, hi2)
         s = s.refined(s.width / 2**8)
     raise ValueError("could not certify the spectral radius (tied moduli)")

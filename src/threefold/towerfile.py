@@ -94,16 +94,17 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
+            bad = len(text) - len(text[pos:].lstrip())
             raise TowerParseError(
-                f"unexpected character {text[pos:].lstrip()[:1]!r} in expression",
-                line,
-                col0 + pos + 1,
+                f"unexpected character {text[bad:bad + 1]!r} in expression", line, col0 + bad + 1
             )
         pos = m.end()
         if m.group("sign"):
             if pending_num is not None:
                 raise TowerParseError(
-                    "dangling coefficient without a generator name", line, col0 + pos
+                    "dangling coefficient without a generator name",
+                    line,
+                    col0 + m.start("sign") + 1,
                 )
             if not expecting_term and m.group("sign"):
                 sign = 1 if m.group("sign") == "+" else -1
@@ -113,17 +114,17 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve):
             continue
         if m.group("num"):
             if pending_num is not None:
-                raise TowerParseError("two coefficients in a row", line, col0 + pos)
+                raise TowerParseError("two coefficients in a row", line, col0 + m.start("num") + 1)
             pending_num = _rational(m.group("num"), line, col0 + m.start("num") + 1)
             continue
         if m.group("star"):
             if pending_num is None:
-                raise TowerParseError("'*' without a coefficient", line, col0 + pos)
+                raise TowerParseError("'*' without a coefficient", line, col0 + m.start("star") + 1)
             continue
         name = m.group("name")
         vec = resolve(name)
         if vec is None:
-            raise TowerParseError(f"unknown name {name!r}", line, col0 + pos)
+            raise TowerParseError(f"unknown name {name!r}", line, col0 + m.start("name") + 1)
         coeff = (pending_num if pending_num is not None else QQ(1)) * sign
         if acc is None:
             acc = [ZERO] * len(vec)
@@ -231,7 +232,9 @@ def parse_tower(text: str) -> TowerDocument:
         if idx >= n_lines:
             break
         line_no = idx + 1
-        stmt = _strip_comment(lines[idx]).strip()
+        raw = _strip_comment(lines[idx])
+        stmt = raw.strip()
+        lead = len(raw) - len(stmt)  # columns count from the start of the line
         idx += 1
         if stmt == "blowup point":
             tower = tower.with_step(BlowupStep("point"))
@@ -247,9 +250,11 @@ def parse_tower(text: str) -> TowerDocument:
                     "malformed curve blowup (expected 'blowup curve class = <expr> genus = <int> [options]')",
                     line_no,
                 )
-            vec = _parse_linear_expr(m.group("cls"), line_no, m.start("cls"), resolve_curve)
+            vec = _parse_linear_expr(m.group("cls"), line_no, lead + m.start("cls"), resolve_curve)
             try:
-                opts = _parse_curve_options(m.group("rest"), line_no, m.start("rest"), resolve_divisor)
+                opts = _parse_curve_options(
+                    m.group("rest"), line_no, lead + m.start("rest"), resolve_divisor
+                )
                 center = CurveCenterSpec(
                     curve_class=tower.top().curve(vec),
                     genus=int(m.group("genus")),
@@ -270,7 +275,7 @@ def parse_tower(text: str) -> TowerDocument:
             name = m.group(1)
             if resolve_curve(name) is not None:
                 raise TowerParseError(f"alias {name!r} shadows an existing name", line_no)
-            vec = _parse_linear_expr(m.group(2), line_no, m.start(2), resolve_curve)
+            vec = _parse_linear_expr(m.group(2), line_no, lead + m.start(2), resolve_curve)
             aliases[name] = (len(vec), CurveClass(tuple(vec)))
             continue
         if stmt.startswith("base"):
@@ -286,7 +291,7 @@ def parse_tower(text: str) -> TowerDocument:
 
 
 def _parse_curve_options(rest: str, line_no: int, col0: int, resolve_divisor):
-    """Options after 'genus = <int>'; rest starts at statement offset col0."""
+    """Options after 'genus = <int>'; rest starts at line offset col0."""
     opts = {}
     pos = 0
     while pos < len(rest):
@@ -312,10 +317,10 @@ def _parse_curve_options(rest: str, line_no: int, col0: int, resolve_divisor):
                     m.group("surf").rstrip(), line_no, col0 + pos + m.start("surf"), resolve_divisor
                 )
                 kappa = m.group("kappa")
+                if kappa is not None:
+                    kappa = _rational(kappa, line_no, col0 + pos + m.start("kappa") + 1)
                 opts["surface"] = SurfaceData(
-                    surface=DivisorClass(tuple(vec)),
-                    mu=int(m.group("mu")),
-                    kappa=_rational(kappa, line_no) if kappa is not None else None,
+                    surface=DivisorClass(tuple(vec)), mu=int(m.group("mu")), kappa=kappa
                 )
             pos += m.end()
             break
@@ -346,7 +351,8 @@ def _parse_custom_block(lines, start):
     closed = False
     while i < len(lines):
         line_no = i + 1
-        stmt = _strip_comment(lines[i]).strip()
+        raw = _strip_comment(lines[i])
+        stmt = raw.strip()
         i += 1
         if not stmt:
             continue
@@ -356,7 +362,8 @@ def _parse_custom_block(lines, start):
         head, _, tail = stmt.partition(" ")
         tail = tail.strip()
         value = tail.lstrip("= ").strip()
-        col0 = len(stmt) - len(value)  # the value runs to the end of the statement
+        # offsets on the line: the statement, like its tail and value, ends it
+        col0 = len(raw) - len(value)
         if head in ("divisor", "curve", "flag") and not tail:
             raise TowerParseError(f"'{head}' needs a name", line_no)
         if head == "label":
@@ -373,14 +380,18 @@ def _parse_custom_block(lines, start):
             if expr.strip() == "0":
                 vec = {name: ZERO for name in curves}
             else:
-                coeffs = _parse_linear_expr(expr, line_no, len(stmt) - len(expr), _resolve_in(curves))
+                coeffs = _parse_linear_expr(
+                    expr, line_no, len(raw) - len(expr), _resolve_in(curves)
+                )
                 vec = {name: coeffs[t] for t, name in enumerate(curves)}
             mul[(a, b)] = vec
         elif head == "pair":
             m = re.match(r"^(\S+)\s+(\S+)\s*=\s*(-?\d+(?:/\d+)?)$", tail)
             if not m:
                 raise TowerParseError("malformed pair entry (want 'pair d c = p/q')", line_no)
-            pairing[(m.group(1), m.group(2))] = _rational(m.group(3), line_no)
+            pairing[(m.group(1), m.group(2))] = _rational(
+                m.group(3), line_no, len(raw) - len(tail) + m.start(3) + 1
+            )
         elif head == "c1":
             c1_expr = (value, line_no, col0)
         elif head == "c2":

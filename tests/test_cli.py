@@ -329,6 +329,58 @@ print(codes, 'sympy' in sys.modules)
     assert proc.stdout.splitlines() == ["[]", f"{[0] * len(runs)} False"]
 
 
+def _modules_loaded_by(argv, tmp_path):
+    """The threefold.* modules a fresh interpreter holds after importing the
+    CLI and, unless argv is None, running it on argv."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"""
+import contextlib, io, sys
+import threefold.cli
+if {argv!r} is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert threefold.cli.main({argv!r}) == 0
+print(" ".join(sorted(m for m in sys.modules if m.startswith("threefold."))))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("threefold.") for m in proc.stdout.split()}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "p3.tower").write_text("base p3\nblowup point\n")
+    (tmp_path / "raw.mat").write_text("3 0 -1\n-2 -1 1\n3 -1 -1\n")
+    assert _modules_loaded_by(None, tmp_path) == {"cli"}
+    ring = _modules_loaded_by(["ring", "show", "p3.tower"], tmp_path)
+    assert "towerfile" in ring
+    assert not ring & {"lattice_dynamics", "linprog", "nef_conditions", "case_studies"}
+    raw = _modules_loaded_by(["dynamics", "--matrix", "raw.mat"], tmp_path)
+    assert "lattice_dynamics" in raw
+    assert not raw & {"towerfile", "blowup_calculus", "linprog", "nef_conditions", "case_studies"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 x\n0 1\n", "line 1, col 3: expected an integer, got 'x'"),
+        ("# header\n1 0  # first row\n\n0  1.5\n", "line 4, col 4: expected an integer, got '1.5'"),
+        ("1 0\n0 1 2\n", "line 2: row has 3 entries, expected 2"),
+        ("1 0 0\n\n0 1\n0 0 1\n", "line 3: row has 2 entries, expected 3"),
+        ("1 0\n0 1\n1 1\n", "matrix file is not square"),
+        ("# nothing\n", "matrix file is empty"),
+    ],
+)
+def test_matrix_file_errors_are_located(capsys, tmp_path, text, message):
+    f = tmp_path / "bad.mat"
+    f.write_text(text)
+    code, out, err = run(capsys, "dynamics", "--matrix", str(f))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_dynamics_invalid_action_reports(capsys, tmp_path):
     mat = tmp_path / "bad.mat"
     mat.write_text("2 0\n0 1\n")

@@ -60,12 +60,36 @@ CUSTOM_BASE = "base custom\ndivisor a\ncurve x\nmul a a = x\npair a x = 1\nc1 = 
         (CUSTOM_BASE.replace("c1 = a", "c1 = 4 q"), 6, 8),
         (CUSTOM_BASE.replace("c2 = x", "c2 = y"), 7, 6),
         (CUSTOM_BASE.replace("mul a a = x", "mul a a = q"), 4, 11),
+        # a longer name is located at its first character, not its last
+        ("base p3\nblowup curve class = nosuch genus = 0\n", 2, 22),
+        ("base p3\nblowup point\nblowup curve class = l - L1 - nosuch genus = 0\n", 3, 31),
+        ("base p3\nblowup curve class = l genus = 0 surface = hh; mu=1\n", 2, 44),
+        # leading blanks count: columns are the line's, not the statement's
+        ("base p3\n  blowup curve class = l - q genus = 0\n", 2, 28),
+        ("base p3\n\talias b = a\n", 2, 12),
+        (CUSTOM_BASE.replace("c1 = a", "   c1 = 4 q"), 6, 11),
+        (CUSTOM_BASE.replace("mul a a = x", " mul a a = q"), 4, 12),
     ],
 )
 def test_unknown_name_column_is_relative_to_the_statement(text, line, col):
     with pytest.raises(TowerParseError, match="unknown name") as err:
         parse_tower(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "expr, message, col",
+    [
+        ("2 33 l", "two coefficients in a row", 24),
+        ("2 l - 3/4 5/6 L1", "two coefficients in a row", 32),
+        ("l $ L1", "unexpected character '\\$'", 24),
+        ("l -  * L1", "'\\*' without a coefficient", 27),
+    ],
+)
+def test_expression_errors_point_at_the_first_column_of_the_token(expr, message, col):
+    with pytest.raises(TowerParseError, match=message) as err:
+        parse_tower(f"base p3\nblowup point\nblowup curve class = {expr} genus = 0\n")
+    assert (err.value.line, err.value.col) == (3, col)
 
 
 def test_missing_genus():
@@ -297,7 +321,13 @@ def test_zero_denominator_is_a_parse_error():
             "base p3\nblowup point\n"
             "blowup curve class = l - L1 genus = 0 surface = h; mu=1; kappa=1/0\n"
         )
-    assert err.value.line == 3
+    assert (err.value.line, err.value.col) == (3, 64)
+    with pytest.raises(TowerParseError, match="zero denominator") as err:
+        parse_tower(
+            "base p3\nblowup point\n"
+            "  blowup curve class = l - L1 genus = 0 surface = h; mu=1; kappa=-1/0\n"
+        )
+    assert (err.value.line, err.value.col) == (3, 66)
     with pytest.raises(TowerParseError, match="zero denominator") as err:
         parse_tower("base p3\nblowup point\nblowup curve class = l - L1 genus = 0 surface = 1/0 h; mu=1\n")
     assert (err.value.line, err.value.col) == (3, 49)
@@ -307,4 +337,7 @@ def test_zero_denominator_is_a_parse_error():
     custom = "base custom\ndivisor a\ncurve x\nmul a a = x\npair a x = 1/0\nc1 = a\nc2 = x\neuler = 4\nend\n"
     with pytest.raises(TowerParseError, match="zero denominator") as err:
         parse_tower(custom)
-    assert err.value.line == 5
+    assert (err.value.line, err.value.col) == (5, 12)
+    with pytest.raises(TowerParseError, match="zero denominator") as err:
+        parse_tower(custom.replace("pair a x", "  pair  a x"))
+    assert (err.value.line, err.value.col) == (5, 15)
