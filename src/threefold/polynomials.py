@@ -31,8 +31,12 @@ integer polynomials.  The pieces:
 - certified_radius_from_charpoly: the largest root modulus of an integer
   characteristic polynomial as an exact algebraic number (minimal
   polynomial + isolating interval); certified_spectral_radius is its
-  matrix front.  When the dominant modulus is not carried by real roots
-  alone, the squared radius is recovered as the largest real root of the
+  matrix front.  Each distinct primitive polynomial is certified once per
+  process (one cache, keyed like the squarefree parts), so a reciprocal
+  characteristic polynomial and its reversal share one certificate.  Only
+  the real roots whose modulus can still lead are refined to the certified
+  width.  When the dominant modulus is not carried by real roots alone,
+  the squared radius is recovered as the largest real root of the
   symmetric square of the squarefree part (the polynomial of its pairwise
   root products, built from power sums by Newton's identities), which
   always carries it.
@@ -1044,6 +1048,21 @@ def _abs_interval(lo, hi):
     return ZERO, max(-lo, hi)
 
 
+def _contenders(intervals):
+    """The isolating intervals, in their order, whose root can still be the
+    real root of largest modulus or tie with it at any finer width.
+
+    Refinement only shrinks an interval, so the modulus interval of the
+    eventual champion keeps an upper end at least the largest lower end L
+    of them all.  A root whose modulus interval ends below the lowest lower
+    end among those reaching L therefore lies strictly below the champion's
+    modulus interval at every finer width: it can neither win nor overlap."""
+    abs_iv = [_abs_interval(lo, hi) for lo, hi in intervals]
+    floor = max(lo for lo, _ in abs_iv)
+    bar = min(lo for lo, hi in abs_iv if hi >= floor)
+    return [iv for iv, (_, hi) in zip(intervals, abs_iv) if hi >= bar]
+
+
 def _dominant_real_root(sf, width):
     """The real root of largest modulus, or None if there is no real root.
 
@@ -1051,14 +1070,25 @@ def _dominant_real_root(sf, width):
     with overlapping modulus intervals are refined until a unique champion
     emerges; the only tie that survives refinement is an exact +-r pair
     (detected through gcd(p(x), p(-x))), where either sign serves.
+
+    Only _contenders are refined to a round's width w: the roots are first
+    separated at the coarse width 1/16, and each round drops the roots
+    that can no longer win.  An interval refined to w lands on the
+    dyadic node of the isolation tree at the depth w fixes, also after
+    refinement to a coarser width, so the survivors' intervals, the
+    champion and its overlaps are those of refining every root straight
+    to w.
     """
     intervals = isolate_real_roots(sf)
     if not intervals:
         return None
+    if len(intervals) > 1:
+        intervals = _contenders([refine_root_interval(sf, lo, hi, QQ(1, 16)) for lo, hi in intervals])
     w = min(QQ(1, 10**6), width)
+    even_part = None
     for _round in range(600):
-        refined = [refine_root_interval(sf, lo, hi, w) for (lo, hi) in intervals]
-        abs_iv = [_abs_interval(lo, hi) for (lo, hi) in refined]
+        intervals = _contenders([refine_root_interval(sf, lo, hi, w) for lo, hi in intervals])
+        abs_iv = [_abs_interval(lo, hi) for (lo, hi) in intervals]
         champion = max(range(len(abs_iv)), key=lambda k: abs_iv[k][1])
         overlapping = [
             k
@@ -1066,19 +1096,19 @@ def _dominant_real_root(sf, width):
             if k != champion and abs_iv[k][1] >= abs_iv[champion][0]
         ]
         if not overlapping:
-            return refined[champion]
+            return intervals[champion]
         if len(overlapping) == 1:
             # an exact opposite-sign twin has the same modulus; either works.
             # The champion has one exactly when gcd(sf(x), sf(-x)) has a root
             # in the champion's own (lo, hi]
             k = overlapping[0]
-            same_sign = (refined[k][1] <= 0) == (refined[champion][1] <= 0)
+            same_sign = (intervals[k][1] <= 0) == (intervals[champion][1] <= 0)
             if not same_sign:
-                even_part = poly_gcd(sf, poly_negate_variable(sf))
-                lo, hi = refined[champion]
+                if even_part is None:
+                    even_part = poly_gcd(sf, poly_negate_variable(sf))
+                lo, hi = intervals[champion]
                 if poly_degree(even_part) > 0 and count_real_roots(even_part, lo, hi) > 0:
-                    return refined[champion]
-        intervals = refined
+                    return intervals[champion]
         w = w / 2**16
     raise RuntimeError("real roots with pathologically close moduli")
 
@@ -1106,16 +1136,27 @@ def certified_radius_from_charpoly(p) -> AlgebraicNumber:
     polynomial of the inverse up to sign), as a certified algebraic number.
 
     Strategy: if every root lies in the closed unit disk, the radius is
-    exactly 1 (all roots are then roots of unity).  Otherwise isolate the largest-modulus real root r and certify with two
-    disk counts that the annulus just around |r| contains only real roots
-    and nothing lies outside; when a complex pair dominates (or ties with a
-    real root), the squared radius is recovered as the largest real root
-    of _symmetric_square(sf), the polynomial of the products of pairs of
+    exactly 1 (all roots are then roots of unity).  Otherwise isolate the
+    largest-modulus real root r and certify with two disk counts that the
+    annulus just around |r| contains only real roots and nothing lies
+    outside; when a complex pair dominates (or ties with a real root), the
+    squared radius is recovered as the largest real root of
+    _symmetric_square(sf), the polynomial of the products of pairs of
     roots of the squarefree part sf, and verified by the same disk counts.
-    Its squarefree part, and every interval derived from it, depends on the
-    distinct roots of p alone.
+
+    The certificate depends on the primitive integer polynomial of p alone
+    (its squarefree part, constant and leading coefficient), so it is
+    computed once per distinct primitive polynomial per process and shared:
+    a reciprocal p and its reversal p[::-1] have one entry.  A refusal
+    (ValueError) is not cached.
     """
-    key = _int_key(p)
+    return _certified_radius_int(_int_key(p))
+
+
+@lru_cache(maxsize=4096)
+def _certified_radius_int(key: tuple) -> AlgebraicNumber:
+    """certified_radius_from_charpoly of a primitive integer polynomial with
+    positive leading coefficient."""
     sf = poly_squarefree(key)
     n = len(sf) - 1
     if n <= 0:

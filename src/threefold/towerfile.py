@@ -115,7 +115,8 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve):
         if m.group("num"):
             if pending_num is not None:
                 raise TowerParseError("two coefficients in a row", line, col0 + m.start("num") + 1)
-            pending_num = _rational(m.group("num"), line, col0 + m.start("num") + 1)
+            pending_col = col0 + m.start("num") + 1
+            pending_num = _rational(m.group("num"), line, pending_col)
             continue
         if m.group("star"):
             if pending_num is None:
@@ -138,7 +139,7 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve):
         expecting_term = False
         saw_term = True
     if pending_num is not None:
-        raise TowerParseError("trailing coefficient without a generator", line)
+        raise TowerParseError("trailing coefficient without a generator", line, pending_col)
     if not saw_term:
         raise TowerParseError("empty class expression", line, col0 + 1)
     return acc

@@ -8,15 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_intersection_ring import _leibniz_det
+from threefold.lattice_dynamics import dynamical_degrees
 from threefold.polynomials import (
+    CERTIFIED_WIDTH,
     AlgebraicNumber,
     BoundaryRoot,
+    _abs_interval,
+    _certified_radius_int,
     _chain_for,
+    _dominant_real_root,
     _irreducible_factors_int,
     _symmetric_square,
     bareiss_solve,
     berkowitz_charpoly,
     cauchy_root_bound,
+    certified_radius_from_charpoly,
     certified_spectral_radius,
     count_real_roots,
     disk_root_count,
@@ -31,6 +37,7 @@ from threefold.polynomials import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_negate_variable,
     poly_primitive_int,
     poly_squarefree,
     poly_to_str,
@@ -350,7 +357,8 @@ def test_algebraic_number_refined():
 # replaced, kept here as references (division with remainder and Euclid's
 # gcd over Q, the Sturm chain of Fraction remainders, Sturm-count bisection,
 # the Moebius map and Routh table on Fractions, the charpoly of the
-# Kronecker square of a companion matrix)
+# Kronecker square of a companion matrix, the dominant real root found by
+# refining every real root)
 # ---------------------------------------------------------------------------
 
 
@@ -520,6 +528,37 @@ def _ref_pairwise_products(sf):
     """Squarefree polynomial of the products of pairs of roots of sf: the
     charpoly of the Kronecker square of its companion matrix."""
     return poly_squarefree(berkowitz_charpoly(kronecker_square(companion_matrix(sf))))
+
+
+def _ref_dominant_real_root(sf, width):
+    """The real root of largest modulus by refining every real root of sf
+    to each round's width."""
+    intervals = isolate_real_roots(sf)
+    if not intervals:
+        return None
+    w = min(Q(1, 10**6), width)
+    for _round in range(600):
+        refined = [refine_root_interval(sf, lo, hi, w) for (lo, hi) in intervals]
+        abs_iv = [_abs_interval(lo, hi) for (lo, hi) in refined]
+        champion = max(range(len(abs_iv)), key=lambda k: abs_iv[k][1])
+        overlapping = [
+            k
+            for k in range(len(abs_iv))
+            if k != champion and abs_iv[k][1] >= abs_iv[champion][0]
+        ]
+        if not overlapping:
+            return refined[champion]
+        if len(overlapping) == 1:
+            k = overlapping[0]
+            same_sign = (refined[k][1] <= 0) == (refined[champion][1] <= 0)
+            if not same_sign:
+                even_part = poly_gcd(sf, poly_negate_variable(sf))
+                lo, hi = refined[champion]
+                if poly_degree(even_part) > 0 and count_real_roots(even_part, lo, hi) > 0:
+                    return refined[champion]
+        intervals = refined
+        w = w / 2**16
+    raise RuntimeError("real roots with pathologically close moduli")
 
 
 def _outcome(f, *args):
@@ -738,3 +777,97 @@ def test_factorisation_edge_cases():
     assert len(_check_factors(poly_mul([1, 3, 2, 5], [1, -3, 2, -5]))) == 2
     # a factor x, and repeated factors
     assert _check_factors(poly_mul([0, 1], poly_mul([-2, 0, 1], [-2, 0, 1]))) == [(-2, 0, 1), (0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# one certificate per distinct polynomial, and contenders-only refinement
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(unimodular_matrices(max_n=6).filter(lambda m: len(m) > 1))
+def test_cached_radius_matches_the_uncached_body(m):
+    cp = berkowitz_charpoly(m)
+    for p in (cp, cp[::-1]):
+        _certified_radius_int.cache_clear()
+        got = certified_radius_from_charpoly(p)
+        assert got == _certified_radius_int.__wrapped__(tuple(poly_primitive_int(p)))
+        assert certified_radius_from_charpoly(p) is got
+
+
+def test_reciprocal_charpoly_is_certified_once_for_both_degrees():
+    lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    _certified_radius_int.cache_clear()
+    report = dynamical_degrees(None, companion_matrix(lehmer))
+    info = _certified_radius_int.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert report.lambda1 is report.lambda2
+    assert report.lambda1.minpoly == tuple(lehmer)
+
+
+def test_refused_radius_is_not_cached():
+    p = [1, -3, -3, 0, 0, 0, 0, 0, 0, 1]  # x^9 - 3x^2 - 3x + 1
+    _certified_radius_int.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too large for the tensor-square fallback"):
+            certified_radius_from_charpoly(p)
+    info = _certified_radius_int.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+_WIDTHS = st.fractions(Q(1, 10**15), 4, max_denominator=10**15).filter(lambda w: w > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_factor_polys(), _WIDTHS, _WIDTHS)
+def test_refining_a_refined_interval_lands_on_the_same_node(p, w1, w2):
+    w1, w2 = max(w1, w2), min(w1, w2)
+    for lo, hi in isolate_real_roots(p):
+        coarse = refine_root_interval(p, lo, hi, w1)
+        assert refine_root_interval(p, *coarse, w2) == refine_root_interval(p, lo, hi, w2)
+
+
+@st.composite
+def polys_with_twins(draw):
+    """Squarefree parts of products of small factors, half of them times
+    f(x) f(-x), so that +-r pairs of real roots are common."""
+    p = draw(repeated_factor_polys(8))
+    if draw(st.booleans()):
+        f = draw(_FACTOR)
+        p = poly_mul(p, poly_mul(f, poly_negate_variable(f)))
+    return poly_squarefree(p)
+
+
+def _from_roots(*roots):
+    p = [1]
+    for r in roots:
+        p = poly_mul(p, [-r.numerator, r.denominator])
+    return p
+
+
+_NEAR = Q(3, 2) + Q(1, 10**12)  # closer to 3/2 than a first round's width
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_twins())
+@example([2, -2, -1, 1])  # (x^2 - 2)(x - 1): +-sqrt 2 lead, 1 trails
+# moduli that only a second round tells apart
+@example(_from_roots(Q(3, 2), -_NEAR))
+@example(_from_roots(Q(3, 2), _NEAR))
+@example(_from_roots(Q(3, 2), -_NEAR, _NEAR + Q(1, 10**12)))
+@example(_from_roots(Q(3, 2), Q(-3, 2), _NEAR))
+def test_contenders_only_refinement_matches_refining_every_root(sf):
+    width = CERTIFIED_WIDTH / 4
+    assert _dominant_real_root(sf, width) == _ref_dominant_real_root(sf, width)
+
+
+def test_contenders_only_refinement_on_a_matrix_and_its_inverse():
+    # x^5 + x^4 - x^3 - 1 = (x^2 - 1)(x^3 + x^2 + 1): the real root near
+    # -1.47 leads +-1; for the inverse the twins +-1 lead the real roots
+    c = companion_matrix([-1, 0, 0, -1, 1, 1])
+    width = CERTIFIED_WIDTH / 4
+    for m in (c, matrix_adjugate_unimodular(c)):
+        sf = poly_squarefree(berkowitz_charpoly(m))
+        got = _dominant_real_root(sf, width)
+        assert got == _ref_dominant_real_root(sf, width)
+        assert got[1] - got[0] <= width

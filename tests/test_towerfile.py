@@ -84,6 +84,8 @@ def test_unknown_name_column_is_relative_to_the_statement(text, line, col):
         ("2 l - 3/4 5/6 L1", "two coefficients in a row", 32),
         ("l $ L1", "unexpected character '\\$'", 24),
         ("l -  * L1", "'\\*' without a coefficient", 27),
+        ("l 2", "trailing coefficient without a generator", 24),
+        ("2 l - 3/4", "trailing coefficient without a generator", 28),
     ],
 )
 def test_expression_errors_point_at_the_first_column_of_the_token(expr, message, col):
