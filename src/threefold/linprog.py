@@ -3,10 +3,15 @@
 Systems are lists of affine forms over named variables, split into
 equalities (form = 0) and inequalities (form >= 0), with all coefficients
 exact rationals.  rational_feasible maximizes one chosen variable by a
-two-phase dense simplex with Bland's rule, so runs are deterministic and
-never cycle.  When the maximum is attained, the dual solution is returned
-as a certificate: multipliers y_i >= 0 for the inequalities and free z_j
-for the equalities with
+two-phase simplex: Dantzig's rule (most negative reduced cost, lowest
+column on ties), and Bland's rule once 200 degenerate pivots follow each
+other, so runs are deterministic and never cycle.  The tableau is fraction
+free: each row is a sparse dict {column: int} over one positive int
+denominator, a pivot cross-multiplies the rows it touches and divides
+them by their gcd, and Fractions are made only for the answer.  When the
+maximum is attained, the dual solution is returned as a certificate:
+multipliers y_i >= 0 for the inequalities and free z_j for the equalities
+with
 
     sum_i y_i * f_i + sum_j z_j * g_j  ==  (max) - objective
 
@@ -15,8 +20,9 @@ as affine forms, which proves objective <= max over the feasible set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 QQ = Fraction
 ZERO = Fraction(0)
@@ -104,69 +110,105 @@ class FeasibleResult:
     certificate: tuple[CertificateEntry, ...] = ()
 
 
-def _simplex(tableau, basis, m, width, cols):
+def _reduce(rows, dens, i):
+    """Divide row i's numerators and its denominator by their gcd."""
+    den = dens[i]
+    if den == 1:
+        return
+    row = rows[i]
+    g = gcd(den, *row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+        dens[i] = den // g
+
+
+def _eliminate(rows, dens, i, source, source_den, col):
+    """Row i minus (its entry in col) times source/source_den, in place."""
+    row = rows[i]
+    f = row.get(col)
+    if not f:
+        return
+    if source_den != 1:
+        for j in row:
+            row[j] *= source_den
+        dens[i] *= source_den
+    for j, w in source.items():
+        v = row.get(j, 0) - f * w
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    _reduce(rows, dens, i)
+
+
+def _simplex(rows, dens, basis, m, width, ncols):
     """Run simplex to optimality on a maximization tableau.
 
-    tableau has m constraint rows plus an objective row (reduced costs kept
-    as negated coefficients so that a negative entry means 'can improve').
-    Entering column by most-negative reduced cost with lowest-index ties;
-    after a long degenerate streak we switch to Bland's rule, which cannot
-    cycle, so the run is deterministic and finite.  Returns False if
+    rows has m constraint rows plus an objective row (reduced costs kept as
+    negated coefficients so that a negative entry means 'can improve'), each
+    a sparse dict {column: int} over one positive int denominator; column
+    width holds the right-hand side.  Entering column by Dantzig's rule (most
+    negative reduced cost, lowest index on ties) among the first ncols
+    columns; after a long degenerate streak we switch to Bland's rule, which
+    cannot cycle, so the run is deterministic and finite.  Returns False if
     unbounded.
     """
     degenerate_streak = 0
     bland = False
     while True:
-        obj = tableau[m]
+        # one denominator per row: the numerators order the reduced costs
         pivot_col = -1
         if bland:
-            for j in cols:
-                if obj[j] < 0:
+            for j, v in rows[m].items():
+                if v < 0 and j < ncols and (pivot_col < 0 or j < pivot_col):
                     pivot_col = j
-                    break
         else:
-            best_cost = ZERO
-            for j in cols:
-                v = obj[j]
-                if v < best_cost:
+            best_cost = 0
+            for j, v in rows[m].items():
+                if j < ncols and (v < best_cost or (v == best_cost < 0 and j < pivot_col)):
                     best_cost = v
                     pivot_col = j
         if pivot_col < 0:
             return True
+        # ratio test b_i/a_i by cross-multiplication (the denominators cancel)
         pivot_row = -1
-        best = None
+        best_b = best_a = 0
         for i in range(m):
-            a = tableau[i][pivot_col]
+            a = rows[i].get(pivot_col, 0)
             if a > 0:
-                ratio = tableau[i][width] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[pivot_row]
+                b = rows[i].get(width, 0)
+                if pivot_row < 0 or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[i] < basis[pivot_row]
                 ):
-                    best = ratio
+                    best_b, best_a = b, a
                     pivot_row = i
         if pivot_row < 0:
             return False
-        if best == 0:
+        if best_b == 0:
             degenerate_streak += 1
             if degenerate_streak > 200:
                 bland = True
         else:
             degenerate_streak = 0
-        _pivot(tableau, basis, pivot_row, pivot_col, m, width)
+        _pivot(rows, dens, basis, pivot_row, pivot_col, m)
 
 
-def _pivot(tableau, basis, pivot_row, pivot_col, m, width):
-    row = tableau[pivot_row]
-    inv = ONE / row[pivot_col]
-    if inv != 1:
-        tableau[pivot_row] = row = [v * inv for v in row]
+def _pivot(rows, dens, basis, pivot_row, pivot_col, m):
+    """Make pivot_col basic in pivot_row: the pivot row becomes itself over
+    its pivot entry, every other row loses its entry in pivot_col."""
+    row = rows[pivot_row]
+    p = row[pivot_col]
+    if p < 0:
+        for j in row:
+            row[j] = -row[j]
+        p = -p
+    dens[pivot_row] = p
+    _reduce(rows, dens, pivot_row)
+    p = dens[pivot_row]
     for i in range(m + 1):
-        if i == pivot_row:
-            continue
-        f = tableau[i][pivot_col]
-        if f == 0:
-            continue
-        tableau[i] = [v if not w else v - f * w for v, w in zip(tableau[i], row)]
+        if i != pivot_row:
+            _eliminate(rows, dens, i, row, p, pivot_col)
     basis[pivot_row] = pivot_col
 
 
@@ -201,7 +243,8 @@ def rational_feasible(system: ConstraintSystem, objective: str) -> FeasibleResul
     bound_rows = set(bound_row_of_var.values())
     row_ineqs = [i for i in range(len(ineqs)) if i not in bound_rows]
 
-    # column layout: one column per bounded variable, two per free variable
+    # column layout: one column per bounded variable, two per free variable,
+    # then one slack per inequality row, then the artificials
     pos_col: list[int] = [0] * n
     neg_col: list[int | None] = [None] * n
     col = 0
@@ -212,114 +255,98 @@ def rational_feasible(system: ConstraintSystem, objective: str) -> FeasibleResul
             neg_col[j] = col
             col += 1
     nvar = col
+    n_slack = len(row_ineqs)
+    n_real = nvar + n_slack
 
     # rows: inequalities f >= 0 as (-f).x + s = f.constant, then equalities
-    # g = 0 as g.x = -g.constant
-    m = len(row_ineqs) + len(eqs)
-    n_slack = len(row_ineqs)
-    slack_of_row = {}
-    for pos, _i in enumerate(row_ineqs):
-        slack_of_row[pos] = nvar + pos
-
-    tab_rows = []
-    for pos, i in enumerate(row_ineqs):
-        f = ineqs[i]
-        r = [ZERO] * (nvar + n_slack)
-        for j, c in enumerate(f.coeffs):
-            if c == 0:
-                continue
-            r[pos_col[j]] = -c
+    # g = 0 as g.x = -g.constant, each negated when its right-hand side is
+    # negative.  A row whose slack is not +1 gets an artificial column.
+    # Every row is built from the form's non-zero coefficients, scaled to
+    # integers by the lcm of their denominators.
+    forms = [(ineqs[i], -1, nvar + pos) for pos, i in enumerate(row_ineqs)]
+    forms += [(g, 1, None) for g in eqs]
+    m = len(forms)
+    width = n_real + sum(1 for f, sign, s in forms if s is None or f.constant < 0)
+    rows: list[dict[int, int]] = []
+    dens: list[int] = []
+    basis: list[int] = []
+    flipped: list[bool] = []
+    art_of_row: dict[int, int] = {}
+    for i, (f, sign, slack) in enumerate(forms):
+        b = -sign * f.constant
+        flip = b < 0
+        if flip:
+            sign, b = -sign, -b
+        terms = [(j, c) for j, c in enumerate(f.coeffs) if c]
+        den = lcm(b.denominator, *(c.denominator for _, c in terms))
+        row = {}
+        for j, c in terms:
+            v = sign * c.numerator * (den // c.denominator)
+            row[pos_col[j]] = v
             if neg_col[j] is not None:
-                r[neg_col[j]] = c
-        r[slack_of_row[pos]] = ONE
-        b = f.constant
-        flipped = b < 0
-        if flipped:
-            r = [-v for v in r]
-            b = -b
-        tab_rows.append((r, b, flipped))
-    for g in eqs:
-        r = [ZERO] * (nvar + n_slack)
-        for j, c in enumerate(g.coeffs):
-            if c == 0:
-                continue
-            r[pos_col[j]] = c
-            if neg_col[j] is not None:
-                r[neg_col[j]] = -c
-        b = -g.constant
-        flipped = b < 0
-        if flipped:
-            r = [-v for v in r]
-            b = -b
-        tab_rows.append((r, b, flipped))
-
-    # artificial columns for rows lacking a ready basic column
-    art_of_row = {}
-    basis: list[int] = [0] * m
-    need_art = []
-    for i, (r, b, _flipped) in enumerate(tab_rows):
-        s = slack_of_row.get(i)
-        if s is not None and r[s] == 1:
-            basis[i] = s
+                row[neg_col[j]] = -v
+        if b:
+            row[width] = b.numerator * (den // b.denominator)
+        flipped.append(flip)
+        if slack is not None:
+            row[slack] = -den if flip else den
+        if slack is not None and not flip:
+            basis.append(slack)
         else:
-            need_art.append(i)
-    n_art = len(need_art)
-    width = nvar + n_slack + n_art
-    for k, i in enumerate(need_art):
-        art_of_row[i] = nvar + n_slack + k
-        basis[i] = nvar + n_slack + k
-
-    tableau = []
-    for i, (r, b, _flipped) in enumerate(tab_rows):
-        row = r + [ZERO] * n_art + [b]
-        if i in art_of_row:
-            row[art_of_row[i]] = ONE
-        tableau.append(row)
-
-    all_cols = list(range(width))
+            art_of_row[i] = n_real + len(art_of_row)
+            row[art_of_row[i]] = den
+            basis.append(art_of_row[i])
+        rows.append(row)
+        dens.append(den)
+        _reduce(rows, dens, i)
 
     # phase 1: drive artificials to zero
-    if n_art:
-        obj = [ZERO] * (width + 1)
+    if art_of_row:
+        den = lcm(*(dens[i] for i in art_of_row))
+        obj: dict[int, int] = {}
         for i in art_of_row:
-            obj = [o - v for o, v in zip(obj, tableau[i])]
-        for i, c in art_of_row.items():
-            obj[c] = ZERO
-        tableau.append(obj)
-        _simplex(tableau, basis, m, width, all_cols)
-        if tableau[m][width] != 0:
+            scale = den // dens[i]
+            for j, v in rows[i].items():
+                obj[j] = obj.get(j, 0) - scale * v
+        for c in art_of_row.values():
+            obj[c] = 0
+        rows.append({j: v for j, v in obj.items() if v})
+        dens.append(den)
+        _reduce(rows, dens, m)
+        _simplex(rows, dens, basis, m, width, width)
+        if rows[m].get(width, 0) != 0:
             return FeasibleResult(status="infeasible")
         # pivot any artificial still basic out of the basis; rows that stay
         # artificial-basic are redundant (all-zero on real columns) and inert
         for i in range(m):
-            if basis[i] >= nvar + n_slack:
-                for j in range(nvar + n_slack):
-                    if tableau[i][j] != 0:
-                        _pivot(tableau, basis, i, j, m, width)
-                        break
-        tableau.pop()
+            if basis[i] >= n_real:
+                real = [j for j in rows[i] if j < n_real]
+                if real:
+                    _pivot(rows, dens, basis, i, min(real), m)
+        rows.pop()
+        dens.pop()
 
     # phase 2: maximize the chosen variable
-    cost = [ZERO] * (width + 1)
-    cost[pos_col[obj_idx]] = -ONE
+    cost = {pos_col[obj_idx]: -1}
     if neg_col[obj_idx] is not None:
-        cost[neg_col[obj_idx]] = ONE
-    tableau.append(cost)
+        cost[neg_col[obj_idx]] = 1
+    rows.append(cost)
+    dens.append(1)
     for i in range(m):
-        bj = basis[i]
-        f = tableau[m][bj]
-        if f != 0:
-            tableau[m] = [v if not w else v - f * w for v, w in zip(tableau[m], tableau[i])]
-    structural_cols = list(range(nvar + n_slack))
-    ok = _simplex(tableau, basis, m, width, structural_cols)
-    if not ok:
+        _eliminate(rows, dens, m, rows[i], dens[i], basis[i])
+    if not _simplex(rows, dens, basis, m, width, n_real):
         return FeasibleResult(status="unbounded")
 
-    maximum = tableau[m][width]
+    obj_row, obj_den = rows[m], dens[m]
+
+    def reduced(j):
+        return Fraction(obj_row.get(j, 0), obj_den)
+
+    maximum = reduced(width)
     point = [ZERO] * n
     vals = [ZERO] * width
     for i in range(m):
-        vals[basis[i]] = tableau[i][width]
+        vals[basis[i]] = Fraction(rows[i].get(width, 0), dens[i])
     for j in range(n):
         point[j] = vals[pos_col[j]]
         if neg_col[j] is not None:
@@ -333,20 +360,19 @@ def rational_feasible(system: ConstraintSystem, objective: str) -> FeasibleResul
     # For an equality row the entry over its artificial column is the raw
     # multiplier y_i; the form multiplier is -y_i unflipped, +y_i flipped.
     # Together: sum_i Y_i f_i + sum_j Z_j g_j == maximum - objective.
-    obj_row = tableau[m]
     cert_of_ineq: dict[int, Fraction] = {}
     for pos, i in enumerate(row_ineqs):
-        cert_of_ineq[i] = obj_row[slack_of_row[pos]]
+        cert_of_ineq[i] = reduced(nvar + pos)
     for j, i in bound_row_of_var.items():
-        cert_of_ineq[i] = obj_row[pos_col[j]] / bound_coeff[j]
+        cert_of_ineq[i] = reduced(pos_col[j]) / bound_coeff[j]
     cert = [
         CertificateEntry("ineq", i, ineqs[i].label, cert_of_ineq[i])
         for i in range(len(ineqs))
     ]
     for k, g in enumerate(eqs):
-        i = len(row_ineqs) + k
-        z = obj_row[art_of_row[i]]
-        if not tab_rows[i][2]:
+        i = n_slack + k
+        z = reduced(art_of_row[i])
+        if not flipped[i]:
             z = -z
         cert.append(CertificateEntry("eq", k, g.label, z))
 
@@ -363,17 +389,20 @@ def replay_certificate(
 ) -> bool:
     """Check a certificate exactly: non-negative inequality multipliers whose
     combination with the equality multipliers equals (max - objective) as an
-    affine form."""
+    affine form.  A certificate that names a constraint the system does not
+    have does not replay."""
     if result.status != "optimal":
         return False
     n = len(system.variables)
     obj_idx = system.var_index(objective)
     acc = [ZERO] * n
     const = ZERO
+    kinds = {"ineq": system.inequalities, "eq": system.equalities}
     for e in result.certificate:
-        form = (
-            system.inequalities[e.index] if e.kind == "ineq" else system.equalities[e.index]
-        )
+        forms = kinds.get(e.kind)
+        if forms is None or not 0 <= e.index < len(forms):
+            return False
+        form = forms[e.index]
         if e.kind == "ineq" and e.multiplier < 0:
             return False
         for j in range(n):

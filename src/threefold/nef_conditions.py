@@ -468,9 +468,18 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
         sign_row(l, f"beta{l} >= 0")
     sign_row(nv - 1, "S >= 0")
 
+    # xi . D for xi = deg_u * h - sum beta_l E_l and D a curve class on X1,
+    # linear in D: the pairing grouped by curve generator once, and each row
+    # a sum over D's non-zero coefficients
+    pairing_of_curve: dict[int, dict[int, Fraction]] = {}
+    for (k, a), v in x1.pairing.items():
+        pairing_of_curve.setdefault(a, {})[k] = v
+
     def nef_row_from_curve(curve_coeffs: dict, label: str):
-        # xi . D for xi = deg_u * h - sum beta_l E_l, D a curve class on X1
-        by_basis = _pair_by_basis(x1, x1.curve(curve_coeffs))
+        by_basis = [ZERO] * (n + 1)
+        for name, c in curve_coeffs.items():
+            for k, v in pairing_of_curve.get(x1.curve_index(name), {}).items():
+                by_basis[k] += c * v
         coeffs = [by_basis[0]] + [-by_basis[l] for l in range(1, n + 1)] + [ZERO]
         ineqs.append(LinearForm(tuple(coeffs), label=label))
 
