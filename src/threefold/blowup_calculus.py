@@ -27,13 +27,21 @@ The tables are sparse (see ThreefoldModel), so the zero padding is implicit:
 a blowup copies its parent's dicts shallowly and adds only its non-zero new
 entries, E.E and pair(E, L) for a point, pi*(e_i).F for each e_i meeting C,
 F.F and pair(F, M) for a curve.
+
+A curve step costs one walk of the pairing plus work on the center's
+non-zero coordinates: the walk gives e_i.C for every divisor generator, and
+c1.C (hence gamma) and S.C for surface_data are sums over those e_i.C;
+F.F and the c2 update touch only the support of C.  The O(rho) rest is
+C-level copying: the two table dicts and the inherited Chern coefficients,
+which are already Fractions and are not converted again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 
 from .intersection_ring import (
     CURVE,
@@ -51,6 +59,12 @@ from .intersection_ring import (
 QQ = Fraction
 
 
+def _require_int(value, what: str) -> None:
+    # a float or Fraction here would leak into the exact tables; bool is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """A hypersurface through a curve center: its class, the multiplicity of
@@ -61,6 +75,7 @@ class SurfaceData:
     kappa: Fraction | None = None
 
     def __post_init__(self):
+        _require_int(self.mu, "surface multiplicity mu")
         if self.mu < 1:
             raise ValidationError("surface multiplicity mu must be >= 1")
 
@@ -80,6 +95,7 @@ class CurveCenterSpec:
     label: str = ""
 
     def __post_init__(self):
+        _require_int(self.genus, "genus")
         if self.genus < 0:
             raise ValidationError("genus must be non-negative")
         if self.curve_class.is_zero():
@@ -208,49 +224,56 @@ def gamma(model: ThreefoldModel, center: CurveCenterSpec) -> Fraction:
 def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldModel:
     """Blow up a smooth curve: basis gains F (ruled divisor) and M (fiber)."""
     n = len(model.divisor_basis)
-    if len(center.curve_class) != len(model.curve_basis):
+    cvec = center.curve_class.coeffs
+    if len(cvec) != len(model.curve_basis):
         raise ValidationError("center class not dimensioned for this model")
-    if center.surface_data is not None:
-        sd = center.surface_data
-        if len(sd.surface) != n:
-            raise ValidationError("surface class not dimensioned for this model")
-        kappa = pair(model, sd.surface, center.curve_class)
+    sd = center.surface_data
+    if sd is not None and len(sd.surface) != n:
+        raise ValidationError("surface class not dimensioned for this model")
+    step_index = _next_step_index(model)
+
+    # the center's non-zero coordinates, ascending
+    on_c = {a: cvec[a] for a in compress(range(len(cvec)), cvec)}
+    # e_i . C for each divisor generator e_i, in the one walk over the pairing;
+    # then D . C = sum_i D_i (e_i . C) for c1, and for the surface of surface_data
+    meets: dict[int, Fraction] = {}
+    for (i, a), v in model.pairing.items():
+        if a in on_c:
+            meets[i] = meets.get(i, ZERO) + v * on_c[a]
+    if sd is not None:
+        s = sd.surface.coeffs
+        kappa = sum((s[i] * m for i, m in meets.items()), ZERO)
         if sd.kappa is not None and sd.kappa != kappa:
             raise ValidationError(
                 f"surface_data kappa={sd.kappa} but S.C={kappa}"
             )
-    step_index = _next_step_index(model)
-    g = gamma(model, center)
-    c1_dot_c = pair(model, model.c1, center.curve_class)
+    c1v = model.c1.coeffs
+    c1_dot_c = sum((c1v[i] * m for i, m in meets.items()), ZERO)
+    g = c1_dot_c + 2 * center.genus - 2  # gamma(model, center)
 
     taken_d = set(model.divisor_names())
     taken_c = set(model.curve_names())
     f_name = _fresh_name(taken_d, "F")
     m_name = _fresh_name(taken_c, "M")
 
-    # pi*(e_i) . F = (e_i . C) M, with e_i . C summed over the pairing entries
-    cvec = center.curve_class.coeffs
-    meets: dict[int, Fraction] = {}
-    for (i, a), v in model.pairing.items():
-        if cvec[a]:
-            meets[i] = meets.get(i, ZERO) + v * cvec[a]
+    # pi*(e_i) . F = (e_i . C) M
     mul2 = dict(model.mul2)
     for i, coeff in meets.items():
         if coeff:
             mul2[(i, n)] = {n: coeff}
     # F.F = -pi^!(C) + gamma M
-    ff = {a: -c for a, c in enumerate(cvec) if c}
+    ff = {a: -c for a, c in on_c.items()}
     if g:
         ff[n] = g
     mul2[(n, n)] = ff
     pairing = dict(model.pairing)
     pairing[(n, n)] = -ONE
 
-    c1 = DivisorClass(model.c1.coeffs + (QQ(-1),))
-    c2 = CurveClass(
-        tuple(a + b for a, b in zip(model.c2.coeffs, center.curve_class.coeffs))
-        + (-c1_dot_c,)
-    )
+    # c1 -> pi*(c1) - F, c2 -> pi^!(c2 + C) - (c1.C) M; C touches only its support
+    c2 = list(model.c2.coeffs)
+    for a, c in on_c.items():
+        c2[a] += c
+    c2.append(-c1_dot_c)
     label = center.label or f"C{step_index}"
     return ThreefoldModel(
         label=f"{model.label}+{label}",
@@ -260,8 +283,8 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
         + (BasisElement(m_name, CURVE, "exceptional", step_index),),
         mul2=mul2,
         pairing=pairing,
-        c1=c1,
-        c2=c2,
+        c1=DivisorClass(c1v + (-ONE,)),
+        c2=CurveClass(tuple(c2)),
         euler=model.euler + 2 - 2 * center.genus,
         picard=model.picard + 1,
         base_flags=frozenset(),
@@ -347,6 +370,7 @@ def line_strict_transform(
     idx = list(point_indices)
     if len(set(idx)) != len(idx):
         raise ValidationError("repeated point indices")
+    _require_int(degree, "degree")
     if degree < 1:
         raise ValidationError("degree must be positive")
     coeffs = {"l": Fraction(degree)}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .polynomials import bareiss_solve
@@ -46,8 +47,20 @@ def _to_q(x) -> Fraction:
     raise ValidationError(f"not an exact rational: {x!r}")
 
 
+_FRACTION_ONLY = frozenset({Fraction})
+
+
 def _tuple_q(coeffs: Iterable) -> tuple[Fraction, ...]:
+    # a tuple of exact Fractions is returned as it is (the type check runs in C)
+    if type(coeffs) is tuple and _FRACTION_ONLY.issuperset(map(type, coeffs)):
+        return coeffs
     return tuple(_to_q(c) for c in coeffs)
+
+
+def _scaled_to_integers(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(s, [s*c for c in coeffs]) with s the lcm of the denominators."""
+    s = lcm(*(c.denominator for c in coeffs))
+    return s, [c.numerator * (s // c.denominator) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,7 @@ class DivisorClass:
     __rmul__ = scale
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -131,7 +144,7 @@ class CurveClass:
     __rmul__ = scale
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -255,19 +268,30 @@ def multiply_divisors(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass)
     """Bilinear extension of the divisor product table; returns a curve class.
 
     One walk over the stored products: the entry (i, j) with i < j counts
-    for both orders, d1_i d2_j + d1_j d2_i.
+    for both orders, d1_i d2_j + d1_j d2_i.  Fraction-free: both classes
+    and the entries they meet are scaled to integers by the lcm of their
+    denominators, the sums run in int, and each output coefficient is one
+    Fraction.
     """
     n = len(model.divisor_basis)
     if len(d1) != n or len(d2) != n:
         raise ValidationError("divisor class not dimensioned for this model")
-    x, y = d1.coeffs, d2.coeffs
-    acc: dict[int, Fraction] = {}
+    sx, x = _scaled_to_integers(d1.coeffs)
+    sy, y = _scaled_to_integers(d2.coeffs)
+    met: list[tuple[int, dict[int, Fraction]]] = []
     for (i, j), entry in model.mul2.items():
         f = x[i] * y[j] if i == j else x[i] * y[j] + x[j] * y[i]
         if f:
-            for k, v in entry.items():
-                acc[k] = acc.get(k, ZERO) + f * v
-    return CurveClass(tuple(acc.get(k, ZERO) for k in range(len(model.curve_basis))))
+            met.append((f, entry))
+    st = lcm(*(v.denominator for _, entry in met for v in entry.values()))
+    acc: dict[int, int] = {}
+    for f, entry in met:
+        for k, v in entry.items():
+            acc[k] = acc.get(k, 0) + f * v.numerator * (st // v.denominator)
+    den = sx * sy * st
+    return CurveClass(
+        tuple(QQ(acc[k], den) if k in acc else ZERO for k in range(len(model.curve_basis)))
+    )
 
 
 def pair(model: ThreefoldModel, d: DivisorClass, c: CurveClass) -> Fraction:

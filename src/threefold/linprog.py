@@ -27,6 +27,7 @@ from math import gcd, lcm
 QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_FRACTION_ONLY = frozenset({Fraction})
 
 
 class LinProgError(ValueError):
@@ -42,8 +43,12 @@ class LinearForm:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(QQ(c) for c in self.coeffs))
-        object.__setattr__(self, "constant", QQ(self.constant))
+        # exact conversion (floats included), skipped for what is already Fractions
+        coeffs = self.coeffs
+        if type(coeffs) is not tuple or not _FRACTION_ONLY.issuperset(map(type, coeffs)):
+            object.__setattr__(self, "coeffs", tuple(QQ(c) for c in coeffs))
+        if type(self.constant) is not Fraction:
+            object.__setattr__(self, "constant", QQ(self.constant))
 
     def evaluate(self, point: tuple[Fraction, ...]) -> Fraction:
         if len(point) != len(self.coeffs):

@@ -1,11 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import blowup_towers, classes
 
 from threefold import (
     BlowupTower,
     CurveCenterSpec,
+    CurveClass,
     DivisorClass,
     SurfaceData,
     ValidationError,
@@ -27,6 +32,8 @@ from threefold import (
     triple,
     validate_model,
 )
+from threefold.blowup_calculus import _fresh_name, _next_step_index
+from threefold.intersection_ring import CURVE, DIVISOR, ONE, ZERO, BasisElement, ThreefoldModel
 
 
 def test_point_blowup_of_p3():
@@ -304,3 +311,144 @@ def test_curve_blowup_skips_divisors_whose_pairing_cancels():
     assert (0, 2) not in after.mul2
     assert after.mul2[(1, 2)] == {2: Q(-1)}
     validate_model(after)
+
+
+def test_genus_multiplicity_and_degree_must_be_integers():
+    # a float or Fraction here used to reach the exact tables (F.F = 3.0 M
+    # and euler 5.0 for genus 0.5); bool is rejected as well
+    p3 = make_base("p3")
+    line = p3.curve({"l": 1})
+    for genus in (0.5, 1.0, Q(1), True):
+        with pytest.raises(ValidationError, match="genus must be an integer"):
+            CurveCenterSpec(line, genus=genus)
+    for mu in (1.0, Q(2), True):
+        with pytest.raises(ValidationError, match="mu must be an integer"):
+            SurfaceData(surface=p3.divisor({"h": 1}), mu=mu)
+    x1 = blow_up_point(p3)
+    for degree in (1.5, 2.0, True):
+        with pytest.raises(ValidationError, match="degree must be an integer"):
+            line_strict_transform(x1, (1,), degree=degree)
+    with pytest.raises(ValidationError, match="genus must be an integer"):
+        line_strict_transform(x1, (1,), genus=0.0)
+
+
+# -- the blowup and the product against their first, all-Fraction versions ----
+
+
+def _reference_blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldModel:
+    """blow_up_curve as first written: c1.C and gamma by two walks of the
+    pairing, kappa by a third, c2 updated on every coordinate."""
+    n = len(model.divisor_basis)
+    if len(center.curve_class) != len(model.curve_basis):
+        raise ValidationError("center class not dimensioned for this model")
+    if center.surface_data is not None:
+        sd = center.surface_data
+        if len(sd.surface) != n:
+            raise ValidationError("surface class not dimensioned for this model")
+        kappa = pair(model, sd.surface, center.curve_class)
+        if sd.kappa is not None and sd.kappa != kappa:
+            raise ValidationError(f"surface_data kappa={sd.kappa} but S.C={kappa}")
+    step_index = _next_step_index(model)
+    g = gamma(model, center)
+    c1_dot_c = pair(model, model.c1, center.curve_class)
+    f_name = _fresh_name(set(model.divisor_names()), "F")
+    m_name = _fresh_name(set(model.curve_names()), "M")
+    cvec = center.curve_class.coeffs
+    meets = {}
+    for (i, a), v in model.pairing.items():
+        if cvec[a]:
+            meets[i] = meets.get(i, ZERO) + v * cvec[a]
+    mul2 = dict(model.mul2)
+    for i, coeff in meets.items():
+        if coeff:
+            mul2[(i, n)] = {n: coeff}
+    ff = {a: -c for a, c in enumerate(cvec) if c}
+    if g:
+        ff[n] = g
+    mul2[(n, n)] = ff
+    pairing = dict(model.pairing)
+    pairing[(n, n)] = -ONE
+    c1 = DivisorClass(model.c1.coeffs + (Q(-1),))
+    c2 = CurveClass(tuple(a + b for a, b in zip(model.c2.coeffs, cvec)) + (-c1_dot_c,))
+    label = center.label or f"C{step_index}"
+    return ThreefoldModel(
+        label=f"{model.label}+{label}",
+        divisor_basis=model.divisor_basis + (BasisElement(f_name, DIVISOR, "exceptional", step_index),),
+        curve_basis=model.curve_basis + (BasisElement(m_name, CURVE, "exceptional", step_index),),
+        mul2=mul2,
+        pairing=pairing,
+        c1=c1,
+        c2=c2,
+        euler=model.euler + 2 - 2 * center.genus,
+        picard=model.picard + 1,
+        base_flags=frozenset(),
+        parent=model,
+    )
+
+
+def _reference_multiply_divisors(model, d1, d2):
+    """multiply_divisors as first written, summing Fractions."""
+    x, y = d1.coeffs, d2.coeffs
+    acc = {}
+    for (i, j), entry in model.mul2.items():
+        f = x[i] * y[j] if i == j else x[i] * y[j] + x[j] * y[i]
+        if f:
+            for k, v in entry.items():
+                acc[k] = acc.get(k, ZERO) + f * v
+    return CurveClass(tuple(acc.get(k, ZERO) for k in range(len(model.curve_basis))))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as e:
+        return str(e)
+
+
+def _assert_same_model(got, want):
+    assert got == want
+    assert (got.c1, got.c2, got.euler) == (want.c1, want.c2, want.euler)
+    assert all(type(c) is Q for c in got.c1.coeffs + got.c2.coeffs)
+    assert type(got.euler) is int
+    assert (got.divisor_names(), got.curve_names()) == (want.divisor_names(), want.curve_names())
+
+
+@settings(max_examples=150, deadline=None)
+@given(blowup_towers())
+def test_blow_up_curve_matches_reference(tower):
+    want = [tower.base]
+    for step in tower.steps:
+        model = want[-1]
+        if step.kind == "point":
+            want.append(blow_up_point(model))
+            continue
+        center = step.center
+        want.append(_reference_blow_up_curve(model, center))
+        sd = center.surface_data
+        if sd is not None:
+            # a stated kappa is checked the same way, right or wrong
+            kappa = pair(model, sd.surface, center.curve_class)
+            for k in (kappa, kappa + Q(1, 2)):
+                stated = replace(center, surface_data=replace(sd, kappa=k))
+                got, ref = (_outcome(f, model, stated) for f in (blow_up_curve, _reference_blow_up_curve))
+                if isinstance(ref, str):
+                    assert got == ref
+                else:
+                    _assert_same_model(got, ref)
+    got = tower.evaluate()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        _assert_same_model(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blowup_towers(), st.data())
+def test_multiply_divisors_matches_reference(tower, data):
+    model = tower.top()
+    rho = model.picard
+    d1 = DivisorClass(data.draw(classes(rho, max_den=7)))
+    d2 = DivisorClass(data.draw(classes(rho, max_den=7)))
+    got = multiply_divisors(model, d1, d2)
+    assert got == _reference_multiply_divisors(model, d1, d2)
+    assert all(type(c) is Q for c in got.coeffs)
+    assert got == multiply_divisors(model, d2, d1)

@@ -403,3 +403,14 @@ def test_pairing_determinant_matches_leibniz_on_sparse_pairings():
             pairing = {(i, a): v for i, row in enumerate(rows) for a, v in enumerate(row) if v}
             sparse = dataclasses.replace(model, pairing=pairing)
             assert pairing_determinant(sparse) == _leibniz_det(rows)
+
+
+def test_class_coefficients_are_exact_and_fraction_tuples_are_kept():
+    coeffs = (Q(1, 2), Q(-3))
+    assert DivisorClass(coeffs).coeffs is coeffs
+    # anything else is converted one entry at a time, and a float still refused
+    assert DivisorClass([Q(1, 2), 3, "2/3"]).coeffs == (Q(1, 2), Q(3), Q(2, 3))
+    assert all(type(c) is Q for c in CurveClass((1, Q(1))).coeffs)
+    for bad in ((Q(1), 0.5), [0.5], (Q(1), None)):
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            CurveClass(bad)

@@ -581,3 +581,14 @@ def test_replay_rejects_an_unknown_entry_kind():
         + result.certificate[1:],
     )
     assert not replay_certificate(_p3_system(9), "deg_u", bad)
+
+
+def test_linear_form_converts_floats_exactly_and_keeps_fractions():
+    form = LinearForm((0.1, 2, Q(1, 3)), constant=0.25)
+    assert form.coeffs == (Q(0.1), Q(2), Q(1, 3))
+    assert Q(0.1) != Q(1, 10)  # the binary value, not a rounded decimal
+    assert form.constant == Q(1, 4)
+    assert all(type(c) is Q for c in form.coeffs + (form.constant,))
+    coeffs = (Q(1), Q(-2, 5))
+    assert LinearForm(coeffs).coeffs is coeffs
+    assert LinearForm([Q(1)]).coeffs == (Q(1),)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction as Q
 
@@ -22,6 +23,7 @@ from threefold.nef_conditions import (
     UNKNOWN,
     UNVERIFIED,
     GeneralizedConfig,
+    _p3_points_lines_models,
     check_c2_positive_tower,
     check_generalized,
     check_p3_points_lines,
@@ -365,6 +367,25 @@ def test_p3_points_lines_n30_under_2gib_address_space():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "deg(u)=0 forced"
+
+
+# sha256 of every report and X2 model below, pinned when the curve blowups
+# and divisor products still summed Fractions coefficient by coefficient
+P3_POINTS_LINES_DIGEST = "7bd5dda0e017d7a374e41f105e375b9e390334402bbcb6fa440345dd246bd05c"
+
+
+def test_p3_points_lines_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for n in [*range(1, 21), 24]:
+        r = check_p3_points_lines(n)
+        digest.update(repr((r.verdict, r.maximum, r.system, r.result, r.certificate_lines)).encode())
+        x2 = _p3_points_lines_models(n)[1]
+        digest.update(repr((
+            x2.divisor_basis, x2.curve_basis, x2.c1, x2.c2, x2.euler, x2.picard,
+            sorted((k, sorted(e.items())) for k, e in x2.mul2.items()),
+            sorted(x2.pairing.items()),
+        )).encode())
+    assert digest.hexdigest() == P3_POINTS_LINES_DIGEST
 
 
 def test_p3_points_lines_case_structure():

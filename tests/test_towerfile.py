@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from strategies import blowup_towers
 
 from threefold import (
     blow_up_curve,
@@ -184,6 +186,16 @@ def test_blownup_model_roundtrip():
     doc = parse_tower(text)
     assert models_equivalent(doc.top(), model)
     # and the re-parsed model serializes to the same text (fixed point)
+    assert serialize_model(doc.top()) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(blowup_towers())
+def test_random_tower_roundtrip(tower):
+    model = tower.top()
+    text = serialize_model(model)
+    doc = parse_tower(text)
+    assert models_equivalent(doc.top(), model)
     assert serialize_model(doc.top()) == text
 
 
