@@ -24,16 +24,21 @@ caller's assertion; a center meeting an earlier exceptional divisor is
 handled purely through its class (the E.C coefficient lands on M).
 
 The tables are sparse (see ThreefoldModel), so the zero padding is implicit:
-a blowup copies its parent's dicts shallowly and adds only its non-zero new
-entries, E.E and pair(E, L) for a point, pi*(e_i).F for each e_i meeting C,
-F.F and pair(F, M) for a curve.
+both blowups go through one constructor, which copies the tables of the
+model below shallowly, adds the step's new products and pair(E, L) =
+pair(F, M) = -1, appends the exceptional generators (named afresh, tagged
+with their step) and moves the Chern classes, Euler and Picard numbers.
 
 A curve step costs one walk of the pairing plus work on the center's
-non-zero coordinates: the walk gives e_i.C for every divisor generator, and
-c1.C (hence gamma) and S.C for surface_data are sums over those e_i.C;
-F.F and the c2 update touch only the support of C.  The O(rho) rest is
-C-level copying: the two table dicts and the inherited Chern coefficients,
-which are already Fractions and are not converted again.
+non-zero coordinates: intersection_ring.meets gives e_i.C for every divisor
+generator, and c1.C (hence gamma) and S.C for surface_data are sums over
+those e_i.C; F.F and the c2 update touch only the support of C.  The O(rho)
+rest is C-level copying: the two table dicts and the inherited Chern
+coefficients, which are already Fractions and are not converted again.
+
+No history is stored: a model is a blowup exactly when its last divisor
+generator is exceptional, the step of that generator numbers the next one,
+and the model below has rho - 1 generators of each kind.
 """
 
 from __future__ import annotations
@@ -51,18 +56,15 @@ from .intersection_ring import (
     BasisElement,
     CurveClass,
     DivisorClass,
+    MulTable,
     ThreefoldModel,
     ValidationError,
+    _require_int,
+    meets,
     pair,
 )
 
 QQ = Fraction
-
-
-def _require_int(value, what: str) -> None:
-    # a float or Fraction here would leak into the exact tables; bool is not a count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,6 @@ class CurveCenterSpec:
 
     curve_class: CurveClass
     genus: int
-    disjoint_from: tuple[str, ...] = ()
     normal_bundle_decomposable: bool | None = None
     tau0: int | None = None
     surface_data: SurfaceData | None = None
@@ -180,37 +181,56 @@ def _fresh_name(taken: set[str], stem: str) -> str:
     return f"{stem}{k}"
 
 
+def _next_step_index(model: ThreefoldModel) -> int:
+    basis = model.divisor_basis
+    return basis[-1].step + 1 if basis and basis[-1].origin == "exceptional" else 1
+
+
+def _exceptional_model(
+    model: ThreefoldModel,
+    stems: tuple[str, str],
+    label: str,
+    products: MulTable,
+    c1_exceptional: Fraction,
+    c2: tuple[Fraction, ...],
+    euler_change: int,
+) -> ThreefoldModel:
+    """The blowup of model whose exceptional divisor and curve take the
+    first fresh names on the two stems and pair to -1.
+
+    products holds the new mul2 entries, those with the exceptional index
+    n = rho; c1 gains c1_exceptional on the new divisor, c2 is the whole
+    new second Chern class, and label ("C<step>" when empty) is appended
+    to the model's.
+    """
+    n = len(model.divisor_basis)
+    step = _next_step_index(model)
+    mul2 = dict(model.mul2)
+    mul2.update(products)
+    pairing = dict(model.pairing)
+    pairing[(n, n)] = -ONE
+    d_name = _fresh_name(set(model.divisor_names()), stems[0])
+    c_name = _fresh_name(set(model.curve_names()), stems[1])
+    return ThreefoldModel(
+        label=f"{model.label}+{label or f'C{step}'}",
+        divisor_basis=model.divisor_basis + (BasisElement(d_name, DIVISOR, "exceptional", step),),
+        curve_basis=model.curve_basis + (BasisElement(c_name, CURVE, "exceptional", step),),
+        mul2=mul2,
+        pairing=pairing,
+        c1=DivisorClass(model.c1.coeffs + (c1_exceptional,)),
+        c2=CurveClass(c2),
+        euler=model.euler + euler_change,
+        picard=model.picard + 1,
+        base_flags=frozenset(),
+    )
+
+
 def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
     """Blow up a point: basis gains E (divisor) and L (line in E)."""
     n = len(model.divisor_basis)
-    step_index = _next_step_index(model)
-    taken_d = set(model.divisor_names())
-    taken_c = set(model.curve_names())
-    e_name = _fresh_name(taken_d, "E")
-    l_name = _fresh_name(taken_c, "L")
-
-    # pi*(a).E = 0 and pair(E, pi^! c) = 0 need no entry: E.E = -L, pair(E, L) = -1
-    mul2 = dict(model.mul2)
-    mul2[(n, n)] = {n: -ONE}
-    pairing = dict(model.pairing)
-    pairing[(n, n)] = -ONE
-
-    c1 = DivisorClass(model.c1.coeffs + (QQ(-2),))
-    c2 = CurveClass(model.c2.coeffs + (ZERO,))
-    return ThreefoldModel(
-        label=f"{model.label}+pt",
-        divisor_basis=model.divisor_basis
-        + (BasisElement(e_name, DIVISOR, "exceptional", step_index),),
-        curve_basis=model.curve_basis
-        + (BasisElement(l_name, CURVE, "exceptional", step_index),),
-        mul2=mul2,
-        pairing=pairing,
-        c1=c1,
-        c2=c2,
-        euler=model.euler + 2,
-        picard=model.picard + 1,
-        base_flags=frozenset(),
-        parent=model,
+    # pi*(a).E = 0 and pair(E, pi^! c) = 0 need no entry: E.E = -L
+    return _exceptional_model(
+        model, ("E", "L"), "pt", {(n, n): {n: -ONE}}, QQ(-2), model.c2.coeffs + (ZERO,), 2
     )
 
 
@@ -230,75 +250,39 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
     sd = center.surface_data
     if sd is not None and len(sd.surface) != n:
         raise ValidationError("surface class not dimensioned for this model")
-    step_index = _next_step_index(model)
 
     # the center's non-zero coordinates, ascending
     on_c = {a: cvec[a] for a in compress(range(len(cvec)), cvec)}
-    # e_i . C for each divisor generator e_i, in the one walk over the pairing;
-    # then D . C = sum_i D_i (e_i . C) for c1, and for the surface of surface_data
-    meets: dict[int, Fraction] = {}
-    for (i, a), v in model.pairing.items():
-        if a in on_c:
-            meets[i] = meets.get(i, ZERO) + v * on_c[a]
+    # e_i . C for each divisor generator e_i; then D . C = sum_i D_i (e_i . C)
+    # for c1, and for the surface of surface_data
+    met = meets(model, center.curve_class)
     if sd is not None:
         s = sd.surface.coeffs
-        kappa = sum((s[i] * m for i, m in meets.items()), ZERO)
+        kappa = sum((s[i] * m for i, m in met.items()), ZERO)
         if sd.kappa is not None and sd.kappa != kappa:
             raise ValidationError(
                 f"surface_data kappa={sd.kappa} but S.C={kappa}"
             )
     c1v = model.c1.coeffs
-    c1_dot_c = sum((c1v[i] * m for i, m in meets.items()), ZERO)
+    c1_dot_c = sum((c1v[i] * m for i, m in met.items()), ZERO)
     g = c1_dot_c + 2 * center.genus - 2  # gamma(model, center)
 
-    taken_d = set(model.divisor_names())
-    taken_c = set(model.curve_names())
-    f_name = _fresh_name(taken_d, "F")
-    m_name = _fresh_name(taken_c, "M")
-
     # pi*(e_i) . F = (e_i . C) M
-    mul2 = dict(model.mul2)
-    for i, coeff in meets.items():
-        if coeff:
-            mul2[(i, n)] = {n: coeff}
+    products: MulTable = {(i, n): {n: coeff} for i, coeff in met.items() if coeff}
     # F.F = -pi^!(C) + gamma M
     ff = {a: -c for a, c in on_c.items()}
     if g:
         ff[n] = g
-    mul2[(n, n)] = ff
-    pairing = dict(model.pairing)
-    pairing[(n, n)] = -ONE
+    products[(n, n)] = ff
 
     # c1 -> pi*(c1) - F, c2 -> pi^!(c2 + C) - (c1.C) M; C touches only its support
     c2 = list(model.c2.coeffs)
     for a, c in on_c.items():
         c2[a] += c
     c2.append(-c1_dot_c)
-    label = center.label or f"C{step_index}"
-    return ThreefoldModel(
-        label=f"{model.label}+{label}",
-        divisor_basis=model.divisor_basis
-        + (BasisElement(f_name, DIVISOR, "exceptional", step_index),),
-        curve_basis=model.curve_basis
-        + (BasisElement(m_name, CURVE, "exceptional", step_index),),
-        mul2=mul2,
-        pairing=pairing,
-        c1=DivisorClass(c1v + (-ONE,)),
-        c2=CurveClass(tuple(c2)),
-        euler=model.euler + 2 - 2 * center.genus,
-        picard=model.picard + 1,
-        base_flags=frozenset(),
-        parent=model,
+    return _exceptional_model(
+        model, ("F", "M"), center.label, products, -ONE, tuple(c2), 2 - 2 * center.genus
     )
-
-
-def _next_step_index(model: ThreefoldModel) -> int:
-    depth = 0
-    cur = model
-    while cur.parent is not None:
-        depth += 1
-        cur = cur.parent
-    return depth + 1
 
 
 # ---------------------------------------------------------------------------
@@ -306,34 +290,34 @@ def _next_step_index(model: ThreefoldModel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_step_pair(model_after: ThreefoldModel):
-    if model_after.parent is None:
+def _check_step_pair(model_after: ThreefoldModel) -> None:
+    basis = model_after.divisor_basis
+    if not basis or basis[-1].origin != "exceptional":
         raise ValidationError(
             f"model {model_after.label!r} is not a recorded blowup of anything"
         )
-    return model_after.parent
 
 
 def pullback_divisor(model_after: ThreefoldModel, d: DivisorClass) -> DivisorClass:
-    """pi* of a divisor class from the parent model (inject, zero on E/F)."""
-    parent = _check_step_pair(model_after)
-    if len(d) != len(parent.divisor_basis):
+    """pi* of a divisor class from the model below (inject, zero on E/F)."""
+    _check_step_pair(model_after)
+    if len(d) != len(model_after.divisor_basis) - 1:
         raise ValidationError("class not dimensioned for the parent model")
     return DivisorClass(d.coeffs + (ZERO,))
 
 
 def pushforward_divisor(model_after: ThreefoldModel, d: DivisorClass) -> DivisorClass:
     """pi_* of a divisor class: drop the exceptional coordinate."""
-    parent = _check_step_pair(model_after)
+    _check_step_pair(model_after)
     if len(d) != len(model_after.divisor_basis):
         raise ValidationError("class not dimensioned for this model")
     return DivisorClass(d.coeffs[:-1])
 
 
 def pullback_curve(model_after: ThreefoldModel, c: CurveClass) -> CurveClass:
-    """pi^! of a curve class from the parent model (inject, zero on L/M)."""
-    parent = _check_step_pair(model_after)
-    if len(c) != len(parent.curve_basis):
+    """pi^! of a curve class from the model below (inject, zero on L/M)."""
+    _check_step_pair(model_after)
+    if len(c) != len(model_after.curve_basis) - 1:
         raise ValidationError("class not dimensioned for the parent model")
     return CurveClass(c.coeffs + (ZERO,))
 

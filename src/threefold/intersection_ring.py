@@ -6,13 +6,17 @@ values in the curve lattice) and the divisor/curve pairing, both sparse (see
 ThreefoldModel), the first and second Chern classes, the topological Euler
 characteristic and the Picard number.
 
+This module is the one reader of the sparse tables: meets gives every
+e_i.c in one walk of the pairing, and pair, the blowups and the nef
+conditions build on it; pairing_rows serves both pairing-matrix solves.
+
 All scalars are exact rationals.  Floating point never enters this module;
 the dynamics code converts on its own side when it needs numerics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -45,6 +49,12 @@ def _to_q(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise ValidationError(f"not an exact rational: {x!r}")
+
+
+def _require_int(value, what: str) -> None:
+    # a float or Fraction here would leak into the exact tables; bool is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 _FRACTION_ONLY = frozenset({Fraction})
@@ -85,69 +95,45 @@ class BasisElement:
 
 
 @dataclass(frozen=True)
-class DivisorClass:
+class _LatticeClass:
+    """Rational coefficients over one of a model's two bases; the arithmetic
+    keeps the subclass, and classes of different subclasses are never equal."""
+
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _tuple_q(self.coeffs))
+
+    def __add__(self, other):
+        _same_len(self, other)
+        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        _same_len(self, other)
+        return type(self)(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coeffs))
+
+    def scale(self, a):
+        a = _to_q(a)
+        return type(self)(tuple(a * c for c in self.coeffs))
+
+    __rmul__ = scale
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+
+class DivisorClass(_LatticeClass):
     """A rational divisor class, as coefficients over a model's divisor basis."""
 
-    coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _tuple_q(self.coeffs))
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        _same_len(self, other)
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _same_len(self, other)
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
-
-    def scale(self, a) -> "DivisorClass":
-        a = _to_q(a)
-        return DivisorClass(tuple(a * c for c in self.coeffs))
-
-    __rmul__ = scale
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(_LatticeClass):
     """A rational curve class, as coefficients over a model's curve basis."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _tuple_q(self.coeffs))
-
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        _same_len(self, other)
-        return CurveClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CurveClass") -> "CurveClass":
-        _same_len(self, other)
-        return CurveClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CurveClass":
-        return CurveClass(tuple(-a for a in self.coeffs))
-
-    def scale(self, a) -> "CurveClass":
-        a = _to_q(a)
-        return CurveClass(tuple(a * c for c in self.coeffs))
-
-    __rmul__ = scale
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
 
 def _same_len(a, b):
@@ -175,12 +161,11 @@ class ThreefoldModel:
 
     No explicit zero, no (j, i) key and no out-of-range index is stored
     (validate_model rejects them), so two models have the same tables
-    exactly when the dicts compare equal.  A blowup copies the parent's
-    dicts shallowly and adds only its new entries; the entry dicts are
-    shared along the tower and must never be mutated.  dense_row reads one
-    whole row, zeros included, for printing and matrix inversion.  Blowups
-    return new models; `parent` records the provenance used by the
-    pushforward/pullback maps and is ignored by equality.
+    exactly when the dicts compare equal.  A blowup copies the dicts of
+    the model below it shallowly and adds only its new entries; the entry
+    dicts are shared along the tower and must never be mutated.  dense_row
+    reads one whole row, zeros included, for printing.  Blowups return new
+    models and keep no link to the one below.
     """
 
     label: str
@@ -193,7 +178,6 @@ class ThreefoldModel:
     euler: int
     picard: int
     base_flags: frozenset[str] = frozenset()
-    parent: "ThreefoldModel | None" = field(default=None, compare=False, repr=False)
 
     def __hash__(self) -> int:
         # the tables are dicts; equal models agree on every field hashed here
@@ -214,40 +198,18 @@ class ThreefoldModel:
     # -- lookups ---------------------------------------------------------
 
     def divisor_index(self, name: str) -> int:
-        for i, e in enumerate(self.divisor_basis):
-            if e.name == name:
-                return i
-        raise ValidationError(f"no divisor generator named {name!r} in {self.label}")
+        return _index_in(self.divisor_basis, DIVISOR, name, self.label)
 
     def curve_index(self, name: str) -> int:
-        for a, e in enumerate(self.curve_basis):
-            if e.name == name:
-                return a
-        raise ValidationError(f"no curve generator named {name!r} in {self.label}")
+        return _index_in(self.curve_basis, CURVE, name, self.label)
 
     def divisor(self, coeffs: Mapping[str, object] | Sequence) -> DivisorClass:
         """Build a divisor class from a name->coefficient mapping or a full vector."""
-        if isinstance(coeffs, Mapping):
-            vec = [ZERO] * len(self.divisor_basis)
-            for name, c in coeffs.items():
-                vec[self.divisor_index(name)] = _to_q(c)
-            return DivisorClass(tuple(vec))
-        vec = _tuple_q(coeffs)
-        if len(vec) != len(self.divisor_basis):
-            raise ValidationError("divisor vector has wrong length")
-        return DivisorClass(vec)
+        return _class_over(self.divisor_basis, DIVISOR, coeffs, self.label)
 
     def curve(self, coeffs: Mapping[str, object] | Sequence) -> CurveClass:
         """Build a curve class from a name->coefficient mapping or a full vector."""
-        if isinstance(coeffs, Mapping):
-            vec = [ZERO] * len(self.curve_basis)
-            for name, c in coeffs.items():
-                vec[self.curve_index(name)] = _to_q(c)
-            return CurveClass(tuple(vec))
-        vec = _tuple_q(coeffs)
-        if len(vec) != len(self.curve_basis):
-            raise ValidationError("curve vector has wrong length")
-        return CurveClass(vec)
+        return _class_over(self.curve_basis, CURVE, coeffs, self.label)
 
     def zero_curve(self) -> CurveClass:
         return CurveClass((ZERO,) * len(self.curve_basis))
@@ -257,6 +219,29 @@ class ThreefoldModel:
 
     def curve_names(self) -> list[str]:
         return [e.name for e in self.curve_basis]
+
+
+def _index_in(basis: Sequence[BasisElement], kind: str, name: str, label: str) -> int:
+    for i, e in enumerate(basis):
+        if e.name == name:
+            return i
+    raise ValidationError(f"no {kind} generator named {name!r} in {label}")
+
+
+def _class_over(basis: Sequence[BasisElement], kind: str, coeffs, label: str):
+    """The DivisorClass or CurveClass (by kind) over basis, from a
+    name->coefficient mapping or a full vector; label names the model in
+    errors."""
+    cls = DivisorClass if kind == DIVISOR else CurveClass
+    if isinstance(coeffs, Mapping):
+        vec = [ZERO] * len(basis)
+        for name, c in coeffs.items():
+            vec[_index_in(basis, kind, name, label)] = _to_q(c)
+        return cls(tuple(vec))
+    vec = _tuple_q(coeffs)
+    if len(vec) != len(basis):
+        raise ValidationError(f"{kind} vector has wrong length")
+    return cls(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +279,23 @@ def multiply_divisors(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass)
     )
 
 
+def meets(model: ThreefoldModel, c: CurveClass) -> dict[int, Fraction]:
+    """{i: e_i.c} for the divisor generators e_i that c meets, in one walk
+    over the pairing table (a sum that cancels is kept as a zero)."""
+    cc = c.coeffs
+    out: dict[int, Fraction] = {}
+    for (i, a), v in model.pairing.items():
+        if cc[a]:
+            out[i] = out.get(i, ZERO) + v * cc[a]
+    return out
+
+
 def pair(model: ThreefoldModel, d: DivisorClass, c: CurveClass) -> Fraction:
     """Intersection number of a divisor class with a curve class."""
     if len(d) != len(model.divisor_basis) or len(c) != len(model.curve_basis):
         raise ValidationError("class not dimensioned for this model")
-    dc, cc = d.coeffs, c.coeffs
-    total = ZERO
-    for (i, a), v in model.pairing.items():
-        if dc[i] and cc[a]:
-            total += dc[i] * v * cc[a]
-    return total
+    dc = d.coeffs
+    return sum((dc[i] * m for i, m in meets(model, c).items()), ZERO)
 
 
 def triple(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass, d3: DivisorClass) -> Fraction:
@@ -330,16 +322,20 @@ def triple_products(model: ThreefoldModel) -> dict[tuple[int, int, int], Fractio
 # ---------------------------------------------------------------------------
 
 
+def pairing_rows(model: ThreefoldModel) -> list[dict[int, Fraction]]:
+    """The pairing matrix as sparse rows: row i is {a: pair(e_i, f_a)}."""
+    rows: list[dict[int, Fraction]] = [{} for _ in model.divisor_basis]
+    for (i, a), v in model.pairing.items():
+        rows[i][a] = v
+    return rows
+
+
 def pairing_determinant(model: ThreefoldModel) -> Fraction:
     """Determinant of the divisor/curve pairing matrix (exact), by
     fraction-free elimination of its sparse rows."""
-    n = len(model.divisor_basis)
-    if len(model.curve_basis) != n:
+    if len(model.curve_basis) != len(model.divisor_basis):
         raise ValidationError("pairing matrix is not square")
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for (i, a), v in model.pairing.items():
-        rows[i][a] = v
-    return QQ(bareiss_solve(rows)[0])
+    return QQ(bareiss_solve(pairing_rows(model))[0])
 
 
 def _index_key(key, n1: int, n2: int) -> bool:
@@ -360,6 +356,7 @@ def validate_model(model: ThreefoldModel) -> None:
         raise ValidationError(f"divisor basis size {nd} != curve basis size {nc}")
     if model.picard != nd:
         raise ValidationError(f"picard={model.picard} but divisor basis has size {nd}")
+    _require_int(model.euler, "euler")
     names_d = [e.name for e in model.divisor_basis]
     names_c = [e.name for e in model.curve_basis]
     if len(set(names_d)) != nd:
@@ -604,9 +601,10 @@ def make_custom_base(
 
     divisor_basis = tuple(BasisElement(n_, DIVISOR) for n_ in divisor_names)
     curve_basis = tuple(BasisElement(n_, CURVE) for n_ in curve_names)
-
-    c1_vec = c1 if isinstance(c1, DivisorClass) else None
-    c2_vec = c2 if isinstance(c2, CurveClass) else None
+    if not isinstance(c1, DivisorClass):
+        c1 = _class_over(divisor_basis, DIVISOR, c1, label)
+    if not isinstance(c2, CurveClass):
+        c2 = _class_over(curve_basis, CURVE, c2, label)
 
     model = ThreefoldModel(
         label=label,
@@ -614,29 +612,14 @@ def make_custom_base(
         curve_basis=curve_basis,
         mul2={key: entry for key, entry in table.items() if entry},
         pairing=ptable,
-        c1=c1_vec if c1_vec is not None else DivisorClass(tuple(ZERO for _ in range(nd))),
-        c2=c2_vec if c2_vec is not None else CurveClass(tuple(ZERO for _ in range(nc))),
+        c1=c1,
+        c2=c2,
         euler=euler,
         picard=nd,
         base_flags=frozenset(flags),
     )
-    if c1_vec is None:
-        model = _replace_chern(model, model.divisor(c1), None)
-    if c2_vec is None:
-        model = _replace_chern(model, None, model.curve(c2))
     validate_model(model)
     return model
-
-
-def _replace_chern(model: ThreefoldModel, c1: DivisorClass | None, c2: CurveClass | None) -> ThreefoldModel:
-    from dataclasses import replace
-
-    kwargs = {}
-    if c1 is not None:
-        kwargs["c1"] = c1
-    if c2 is not None:
-        kwargs["c2"] = c2
-    return replace(model, **kwargs)
 
 
 def make_base(spec: str, *, n: int | None = None, degrees: Sequence[int] | None = None, **custom) -> ThreefoldModel:

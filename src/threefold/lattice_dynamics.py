@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intersection_ring import ThreefoldModel, ValidationError, triple_products
+from .intersection_ring import ThreefoldModel, ValidationError, pairing_rows, triple_products
 from .polynomials import (
     CERTIFIED_WIDTH,
     AlgebraicNumber,
@@ -71,9 +71,7 @@ def _det_and_curve_matrix(model: ThreefoldModel, A):
     solves A^T Y = P for det(A) Y, a second P X = det(A) Y for
     det(P) det(A) B."""
     n = len(A)
-    P = [{} for _ in range(n)]
-    for (i, a), v in model.pairing.items():
-        P[i][a] = v
+    P = pairing_rows(model)
     det, Y = bareiss_solve([dict(enumerate(col)) for col in zip(*A)], P)
     if Y is None:
         return 0, None

@@ -47,6 +47,7 @@ from .intersection_ring import (
     ThreefoldModel,
     ValidationError,
     make_base,
+    meets,
     multiply_divisors,
     pair,
 )
@@ -56,7 +57,6 @@ from .linprog import (
     LinearForm,
     rational_feasible,
     render_certificate,
-    replay_certificate,
 )
 
 QQ = Fraction
@@ -81,12 +81,6 @@ __all__ = [
     "GeneralizedConfig",
     "GeneralizedReport",
     "check_generalized",
-    "ConstraintSystem",
-    "LinearForm",
-    "FeasibleResult",
-    "rational_feasible",
-    "replay_certificate",
-    "render_certificate",
 ]
 
 
@@ -156,19 +150,18 @@ def propagate_condition(
     verdict: ConditionVerdict,
     model_before: ThreefoldModel,
     step: BlowupStep,
-    step_index: int | None = None,
 ) -> ConditionVerdict:
     """Push a holding verdict through one blowup step.
 
     Point steps always carry the condition (T5).  Curve steps try, in order:
     T7 (Condition B only, c1.C != 2g-2), then the three T6 cases; cases
     whose optional flags are missing are skipped, never errors.  If nothing
-    applies the verdict degrades to unknown.
+    applies the verdict degrades to unknown.  The step's number is one past
+    the steps already in the trace.
     """
-    if step_index is None:
-        step_index = sum(1 for e in verdict.trace if e.step > 0) + 1
     if verdict.status != HOLDS:
         return verdict
+    step_index = sum(1 for e in verdict.trace if e.step > 0) + 1
     if step.kind == "point":
         return verdict.with_entry(HOLDS, TraceEntry(step_index, "T5", "point"))
 
@@ -228,7 +221,7 @@ def check_tower(tower: BlowupTower, condition: str) -> ConditionVerdict:
     if verdict.status != HOLDS:
         return verdict
     for k, step in enumerate(tower.steps):
-        verdict = propagate_condition(verdict, models[k], step, step_index=k + 1)
+        verdict = propagate_condition(verdict, models[k], step)
         if verdict.status != HOLDS:
             break
     return verdict
@@ -401,17 +394,6 @@ def _p3_points_lines_models(n: int):
     return x1, tower.top(), len(pairs)
 
 
-def _pair_by_basis(model: ThreefoldModel, curve) -> list[Fraction]:
-    """pair(e_k, curve) for every divisor generator e_k, in one walk over the
-    pairing table."""
-    cc = curve.coeffs
-    out = [ZERO] * len(model.divisor_basis)
-    for (k, a), v in model.pairing.items():
-        if cc[a]:
-            out[k] += v * cc[a]
-    return out
-
-
 def check_p3_points_lines(n: int) -> P3LinesReport:
     """Decide whether nef degrees are forced to zero for the configuration
     of n general points and all their connecting lines on P3.
@@ -435,21 +417,21 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
     nv = len(variables)
 
     # zeta . c2(X2) and zeta . c1(X2)^2, coefficient per basis divisor
-    c2_by_basis = _pair_by_basis(x2, x2.c2)
-    c1sq_by_basis = _pair_by_basis(x2, multiply_divisors(x2, x2.c1, x2.c1))
+    c2_by_basis = meets(x2, x2.c2)
+    c1sq_by_basis = meets(x2, multiply_divisors(x2, x2.c1, x2.c1))
+
+    def point_coeffs(by_basis):
+        # the deg_u and beta_l coefficients: h and -E_l paired with the class
+        return [by_basis.get(0, ZERO)] + [-by_basis.get(l, ZERO) for l in range(1, n + 1)]
 
     def assemble(by_basis, label):
-        coeffs = [ZERO] * nv
-        coeffs[0] = by_basis[0]
-        for l in range(1, n + 1):
-            coeffs[l] = -by_basis[l]
-        alpha_coeffs = {-by_basis[k] for k in range(n + 1, nd)}
+        alpha_coeffs = {-by_basis.get(k, ZERO) for k in range(n + 1, nd)}
         if len(alpha_coeffs) > 1:
             raise ValidationError(
                 f"exceptional multiplier coefficients differ in {label}: {alpha_coeffs}"
             )
-        coeffs[-1] = alpha_coeffs.pop() if alpha_coeffs else ZERO
-        return LinearForm(tuple(coeffs), label=label)
+        s_coeff = alpha_coeffs.pop() if alpha_coeffs else ZERO
+        return LinearForm(tuple(point_coeffs(by_basis) + [s_coeff]), label=label)
 
     equalities = (
         assemble(c2_by_basis, "zeta.c2(X2) = 0"),
@@ -468,20 +450,10 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
         sign_row(l, f"beta{l} >= 0")
     sign_row(nv - 1, "S >= 0")
 
-    # xi . D for xi = deg_u * h - sum beta_l E_l and D a curve class on X1,
-    # linear in D: the pairing grouped by curve generator once, and each row
-    # a sum over D's non-zero coefficients
-    pairing_of_curve: dict[int, dict[int, Fraction]] = {}
-    for (k, a), v in x1.pairing.items():
-        pairing_of_curve.setdefault(a, {})[k] = v
-
+    # xi . D for xi = deg_u * h - sum beta_l E_l and D a curve class on X1
     def nef_row_from_curve(curve_coeffs: dict, label: str):
-        by_basis = [ZERO] * (n + 1)
-        for name, c in curve_coeffs.items():
-            for k, v in pairing_of_curve.get(x1.curve_index(name), {}).items():
-                by_basis[k] += c * v
-        coeffs = [by_basis[0]] + [-by_basis[l] for l in range(1, n + 1)] + [ZERO]
-        ineqs.append(LinearForm(tuple(coeffs), label=label))
+        by_basis = meets(x1, x1.curve(curve_coeffs))
+        ineqs.append(LinearForm(tuple(point_coeffs(by_basis) + [ZERO]), label=label))
 
     if n <= 3:
         for l in range(1, n + 1):

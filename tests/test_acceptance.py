@@ -44,6 +44,7 @@ from threefold import (
     pullback_divisor,
     pushforward_curve,
     rationality_obstruction,
+    replay_certificate,
     triple,
     ueno_report,
     validate_action,
@@ -59,7 +60,6 @@ from threefold.nef_conditions import (
     check_p3_points_lines,
     check_picard1,
     check_tower,
-    replay_certificate,
 )
 from threefold.polynomials import (
     berkowitz_charpoly,

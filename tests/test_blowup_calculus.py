@@ -33,7 +33,15 @@ from threefold import (
     validate_model,
 )
 from threefold.blowup_calculus import _fresh_name, _next_step_index
-from threefold.intersection_ring import CURVE, DIVISOR, ONE, ZERO, BasisElement, ThreefoldModel
+from threefold.intersection_ring import (
+    CURVE,
+    DIVISOR,
+    ONE,
+    ZERO,
+    BasisElement,
+    ThreefoldModel,
+    meets,
+)
 
 
 def test_point_blowup_of_p3():
@@ -215,11 +223,27 @@ def test_pullback_pushforward_roundtrip_and_product_compat():
 
 
 def test_pullback_requires_recorded_step():
+    from threefold import parse_tower, serialize_model
+
     p3 = make_base("p3")
-    with pytest.raises(ValidationError):
-        pushforward_divisor(p3, p3.c1)
-    with pytest.raises(ValidationError):
-        pullback_divisor(p3, p3.c1)
+    x1 = blow_up_point(p3)
+    # a re-parsed `ring show` model is a custom base: its history is gone
+    shown = parse_tower(serialize_model(x1)).top()
+    for model in (p3, shown):
+        for fn, cls in (
+            (pullback_divisor, model.c1), (pushforward_divisor, model.c1),
+            (pullback_curve, model.c2), (pushforward_curve, model.c2),
+        ):
+            with pytest.raises(ValidationError) as err:
+                fn(model, cls)
+            assert str(err.value) == f"model {model.label!r} is not a recorded blowup of anything"
+    for fn, cls, where in (
+        (pullback_divisor, x1.c1, "the parent model"), (pushforward_divisor, p3.c1, "this model"),
+        (pullback_curve, x1.c2, "the parent model"), (pushforward_curve, p3.c2, "this model"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            fn(x1, cls)
+        assert str(err.value) == f"class not dimensioned for {where}"
 
 
 def test_line_strict_transform_classes():
@@ -382,8 +406,17 @@ def _reference_blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> 
         euler=model.euler + 2 - 2 * center.genus,
         picard=model.picard + 1,
         base_flags=frozenset(),
-        parent=model,
     )
+
+
+def _reference_pair(model, d, c):
+    """pair as first written: one double sum over the pairing table."""
+    dc, cc = d.coeffs, c.coeffs
+    total = ZERO
+    for (i, a), v in model.pairing.items():
+        if dc[i] and cc[a]:
+            total += dc[i] * v * cc[a]
+    return total
 
 
 def _reference_multiply_divisors(model, d1, d2):
@@ -452,3 +485,31 @@ def test_multiply_divisors_matches_reference(tower, data):
     assert got == _reference_multiply_divisors(model, d1, d2)
     assert all(type(c) is Q for c in got.coeffs)
     assert got == multiply_divisors(model, d2, d1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blowup_towers(), st.data())
+def test_pair_and_meets_match_reference(tower, data):
+    model = tower.top()
+    rho = model.picard
+    d = DivisorClass(data.draw(classes(rho, max_den=7)))
+    c = CurveClass(data.draw(classes(rho, max_den=7)))
+    assert pair(model, d, c) == _reference_pair(model, d, c)
+    met = meets(model, c)
+    assert sum((d.coeffs[i] * m for i, m in met.items()), ZERO) == pair(model, d, c)
+    for i in range(rho):
+        e_i = DivisorClass(tuple(ONE if k == i else ZERO for k in range(rho)))
+        assert met.get(i, ZERO) == _reference_pair(model, e_i, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blowup_towers())
+def test_each_model_of_a_tower_knows_its_step(tower):
+    models = tower.evaluate()
+    assert models[0].divisor_basis[-1].origin == "base"
+    for k, model in enumerate(models):
+        if k:
+            last = model.divisor_basis[-1], model.curve_basis[-1]
+            assert [(e.origin, e.step) for e in last] == [("exceptional", k)] * 2
+        assert _next_step_index(model) == k + 1
+

@@ -255,6 +255,51 @@ def test_class_arithmetic_is_exact():
     assert CurveClass((Q(0), Q(0))).is_zero()
 
 
+def test_divisor_and_curve_classes_stay_apart():
+    d, c = DivisorClass((Q(1), Q(2))), CurveClass((Q(1), Q(2)))
+    for x in (d, c):
+        assert {type(x + x), type(x - x), type(-x), type(x.scale(2)), type(2 * x)} == {type(x)}
+    assert d != c and hash(d) == hash(c)
+    assert repr(d) == "DivisorClass(coeffs=(Fraction(1, 1), Fraction(2, 1)))"
+    assert repr(c) == "CurveClass(coeffs=(Fraction(1, 1), Fraction(2, 1)))"
+
+
+def test_generator_lookup_errors():
+    p3 = make_base("p3")
+    for build, kind in ((p3.divisor, "divisor"), (p3.curve, "curve")):
+        with pytest.raises(ValidationError, match=f"^no {kind} generator named 'x' in P3$"):
+            build({"x": 1})
+        with pytest.raises(ValidationError, match=f"^{kind} vector has wrong length$"):
+            build((1, 2))
+    with pytest.raises(ValidationError, match="^no curve generator named 'y' in bad$"):
+        make_custom_base(
+            label="bad",
+            divisor_names=["a"],
+            curve_names=["x"],
+            mul2={("a", "a"): {"x": 1}},
+            pairing={("a", "x"): 1},
+            c1={"a": 1},
+            c2={"y": 1},
+            euler=4,
+        )
+
+
+@pytest.mark.parametrize("euler", [4.0, True])
+def test_custom_base_rejects_non_integer_euler(euler):
+    # serialize_model would write "euler = 4.0", which parse_tower refuses
+    with pytest.raises(ValidationError, match="euler must be an integer"):
+        make_custom_base(
+            label="bad",
+            divisor_names=["a"],
+            curve_names=["x"],
+            mul2={("a", "a"): {"x": 1}},
+            pairing={("a", "x"): 1},
+            c1={"a": 1},
+            c2={"x": 1},
+            euler=euler,
+        )
+
+
 # -- sparse tables: canonical form, validation, hashing ----------------------
 
 

@@ -17,6 +17,7 @@ from threefold import (
     make_custom_base,
     pair,
     point_step,
+    replay_certificate,
 )
 from threefold.nef_conditions import (
     HOLDS,
@@ -30,7 +31,6 @@ from threefold.nef_conditions import (
     check_picard1,
     check_tower,
     propagate_condition,
-    replay_certificate,
     seed_verdict,
 )
 
@@ -153,7 +153,7 @@ def test_t6_case1_fiber_of_exceptional_surface():
     )
     assert pair(x1, x1.c1, fiber.curve_class) == 1
     seed = ConditionVerdict("A", HOLDS, (TraceEntry(0, "base", "asserted"),))
-    out = propagate_condition(seed, x1, curve_step(fiber), step_index=1)
+    out = propagate_condition(seed, x1, curve_step(fiber))
     assert out.status == HOLDS
     assert out.trace[-1].theorem == "T6" and out.trace[-1].case == "1-odd-decomposable"
     assert out.trace[-1].witness("c1_dot_C") == 1
