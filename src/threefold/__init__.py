@@ -12,6 +12,7 @@ The package provides:
   points-and-lines feasibility argument on P3 (an LP solved by linprog).
 - polynomials: exact integer-polynomial tools (characteristic polynomials,
   root isolation, disk counts, factoring) behind the certified radii.
+- bareiss: the one fraction-free exact determinant and linear solve.
 - lattice_dynamics: validation of lattice automorphism actions and certified
   dynamical degrees / entropy.
 - case_studies: quotient-threefold Euler/Picard bookkeeping, the complete-

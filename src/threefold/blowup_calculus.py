@@ -24,16 +24,20 @@ caller's assertion; a center meeting an earlier exceptional divisor is
 handled purely through its class (the E.C coefficient lands on M).
 
 The tables are sparse (see ThreefoldModel), so the zero padding is implicit:
-both blowups go through one constructor, which copies the tables of the
-model below shallowly, adds the step's new products and pair(E, L) =
-pair(F, M) = -1, appends the exceptional generators (named afresh, tagged
-with their step) and moves the Chern classes, Euler and Picard numbers.
+both blowups go through one constructor, which appends the step's new
+products and pair(E, L) = pair(F, M) = -1 to the store the model's line of
+blowups shares (intersection_ring._Tables), names the exceptional generators
+from the store's per-stem counters, tags them with their step, and moves the
+Chern classes, Euler and Picard numbers.  The new model reads the store
+through prefix views, so nothing of the tables is copied, unless a model
+that already has a child is blown up again: then its prefix is copied once.
 
-A curve step costs one walk of the pairing plus work on the center's
-non-zero coordinates: intersection_ring.meets gives e_i.C for every divisor
-generator, and c1.C (hence gamma) and S.C for surface_data are sums over
-those e_i.C; F.F and the c2 update touch only the support of C.  The O(rho)
-rest is C-level copying: the two table dicts and the inherited Chern
+A curve step costs work on the center's support only: intersection_ring
+.meets reads the pairing columns of the center's non-zero coordinates and
+gives e_i.C for every divisor generator that C meets; c1.C (hence gamma)
+and S.C for surface_data are sums over those e_i.C; F.F and the c2 update
+touch only the support of C.  What is still O(rho) runs in C: the scan for
+the support, and the copies of the bases and of the inherited Chern
 coefficients, which are already Fractions and are not converted again.
 
 No history is stored: a model is a blowup exactly when its last divisor
@@ -46,12 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 
 from .intersection_ring import (
     CURVE,
     DIVISOR,
-    ONE,
+    MINUS_ONE,
     ZERO,
     BasisElement,
     CurveClass,
@@ -59,8 +62,10 @@ from .intersection_ring import (
     MulTable,
     ThreefoldModel,
     ValidationError,
+    _meets_on,
     _require_int,
-    meets,
+    _support,
+    _Tables,
     pair,
 )
 
@@ -174,13 +179,6 @@ def _blow_up(model: ThreefoldModel, step: BlowupStep) -> ThreefoldModel:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_name(taken: set[str], stem: str) -> str:
-    k = 1
-    while f"{stem}{k}" in taken:
-        k += 1
-    return f"{stem}{k}"
-
-
 def _next_step_index(model: ThreefoldModel) -> int:
     basis = model.divisor_basis
     return basis[-1].step + 1 if basis and basis[-1].origin == "exceptional" else 1
@@ -201,28 +199,31 @@ def _exceptional_model(
     products holds the new mul2 entries, those with the exceptional index
     n = rho; c1 gains c1_exceptional on the new divisor, c2 is the whole
     new second Chern class, and label ("C<step>" when empty) is appended
-    to the model's.
+    to the model's.  The entries go to model's store when model is the
+    newest model of its line, else to a copy of model's prefix.
     """
-    n = len(model.divisor_basis)
     step = _next_step_index(model)
-    mul2 = dict(model.mul2)
-    mul2.update(products)
-    pairing = dict(model.pairing)
-    pairing[(n, n)] = -ONE
-    d_name = _fresh_name(set(model.divisor_names()), stems[0])
-    c_name = _fresh_name(set(model.curve_names()), stems[1])
-    return ThreefoldModel(
+    c1 = DivisorClass(model.c1.coeffs + (c1_exceptional,))
+    c2 = CurveClass(c2)
+    tables = model._tables
+    if tables.rho != len(model.divisor_basis):
+        tables = _Tables(model)
+    d_name, c_name = tables.append(products, stems)
+    mul2, pairing = tables.views()
+    blown = ThreefoldModel(
         label=f"{model.label}+{label or f'C{step}'}",
         divisor_basis=model.divisor_basis + (BasisElement(d_name, DIVISOR, "exceptional", step),),
         curve_basis=model.curve_basis + (BasisElement(c_name, CURVE, "exceptional", step),),
         mul2=mul2,
         pairing=pairing,
-        c1=DivisorClass(model.c1.coeffs + (c1_exceptional,)),
-        c2=CurveClass(c2),
+        c1=c1,
+        c2=c2,
         euler=model.euler + euler_change,
         picard=model.picard + 1,
         base_flags=frozenset(),
     )
+    blown.__dict__["_tables"] = tables  # what the cached property would build, shared
+    return blown
 
 
 def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
@@ -230,7 +231,7 @@ def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
     n = len(model.divisor_basis)
     # pi*(a).E = 0 and pair(E, pi^! c) = 0 need no entry: E.E = -L
     return _exceptional_model(
-        model, ("E", "L"), "pt", {(n, n): {n: -ONE}}, QQ(-2), model.c2.coeffs + (ZERO,), 2
+        model, ("E", "L"), "pt", {(n, n): {n: MINUS_ONE}}, QQ(-2), model.c2.coeffs + (ZERO,), 2
     )
 
 
@@ -252,10 +253,10 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
         raise ValidationError("surface class not dimensioned for this model")
 
     # the center's non-zero coordinates, ascending
-    on_c = {a: cvec[a] for a in compress(range(len(cvec)), cvec)}
+    on_c = {a: cvec[a] for a in _support(cvec)}
     # e_i . C for each divisor generator e_i; then D . C = sum_i D_i (e_i . C)
     # for c1, and for the surface of surface_data
-    met = meets(model, center.curve_class)
+    met = _meets_on(model, on_c)
     if sd is not None:
         s = sd.surface.coeffs
         kappa = sum((s[i] * m for i, m in met.items()), ZERO)
@@ -265,10 +266,10 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
             )
     c1v = model.c1.coeffs
     c1_dot_c = sum((c1v[i] * m for i, m in met.items()), ZERO)
-    g = c1_dot_c + 2 * center.genus - 2  # gamma(model, center)
+    g = c1_dot_c + (2 * center.genus - 2)  # gamma(model, center)
 
     # pi*(e_i) . F = (e_i . C) M
-    products: MulTable = {(i, n): {n: coeff} for i, coeff in met.items() if coeff}
+    products = {(i, n): {n: coeff} for i, coeff in met.items() if coeff}
     # F.F = -pi^!(C) + gamma M
     ff = {a: -c for a, c in on_c.items()}
     if g:
@@ -281,7 +282,7 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
         c2[a] += c
     c2.append(-c1_dot_c)
     return _exceptional_model(
-        model, ("F", "M"), center.label, products, -ONE, tuple(c2), 2 - 2 * center.genus
+        model, ("F", "M"), center.label, products, MINUS_ONE, tuple(c2), 2 - 2 * center.genus
     )
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .intersection_ring import ValidationError, chern_series_ci
-from .polynomials import int_matrix_det
+from .bareiss import int_matrix_det
 
 QQ = Fraction
 

@@ -7,8 +7,10 @@ ThreefoldModel), the first and second Chern classes, the topological Euler
 characteristic and the Picard number.
 
 This module is the one reader of the sparse tables: meets gives every
-e_i.c in one walk of the pairing, and pair, the blowups and the nef
-conditions build on it; pairing_rows serves both pairing-matrix solves.
+e_i.c from the pairing columns of c's support, and pair, the blowups and
+the nef conditions build on it; pairing_rows serves both pairing-matrix
+solves.  The tables of a line of blowups live in one append-only store
+(_Tables), which every model of the line reads through prefix views.
 
 All scalars are exact rationals.  Floating point never enters this module;
 the dynamics code converts on its own side when it needs numerics.
@@ -16,16 +18,21 @@ the dynamics code converts on its own side when it needs numerics.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, islice, repeat
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from operator import is_not
+from typing import Iterable, Sequence
 
-from .polynomials import bareiss_solve
+from .bareiss import bareiss_solve
 
 QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 DIVISOR = "divisor"
 CURVE = "curve"
@@ -143,8 +150,123 @@ def _same_len(a, b):
         )
 
 
-MulTable = dict[tuple[int, int], dict[int, Fraction]]
-PairTable = dict[tuple[int, int], Fraction]
+MulTable = Mapping[tuple[int, int], dict[int, Fraction]]
+PairTable = Mapping[tuple[int, int], Fraction]
+
+
+def _support(coeffs: Sequence[Fraction]) -> list[int]:
+    """Indices of the non-zero coefficients, ascending.  The scan runs in C,
+    comparing each coefficient's identity with the shared ZERO; each hit is
+    then confirmed, since a zero that is another Fraction object is a hit."""
+    return [a for a in compress(range(len(coeffs)), map(is_not, coeffs, repeat(ZERO))) if coeffs[a]]
+
+
+class _TableView(Mapping):
+    """Read-only view of a model's table inside a _Tables store: the first
+    size entries of the store's dict, which are those whose key indices are
+    all below rho."""
+
+    __slots__ = ("_table", "_size", "_rho")
+
+    def __init__(self, table: dict, rho: int):
+        self._table = table
+        self._size = len(table)
+        self._rho = rho
+
+    def __getitem__(self, key):
+        value = self._table[key]
+        if max(key) >= self._rho:
+            raise KeyError(key)
+        return value
+
+    def __iter__(self):
+        return islice(self._table, self._size)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def items(self):
+        return _ViewItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _ViewItems(ItemsView):
+    """The items of a _TableView, read from the store's dict in C."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        view = self._mapping
+        return islice(view._table.items(), view._size)
+
+
+def _first_index(basis: Sequence[BasisElement]) -> dict[str, int]:
+    # the first index of each name, as a scan of the basis would find it
+    return {e.name: i for i, e in reversed(tuple(enumerate(basis)))}
+
+
+class _Tables:
+    """The append-only tables that one line of blowups shares.
+
+    A blowup of a model with rho generators adds only entries that carry
+    the new index rho: mul2 keys (i, rho), the pairing key (rho, rho) and
+    the names of the two new generators.  So the model after k blowups has
+    the first entries of the store, and each model of the line reads
+    _TableView prefixes of the same dicts, which later blowups never change.
+    Only the newest model of the line (its rho equal to the store's) appends
+    in place; blowing up an older model again copies that model's prefix
+    into a new store first.
+
+    columns indexes the pairing by curve: columns[a] lists (position, i,
+    pair(e_i, f_a)) in the pairing's order, so that meets walks only the
+    columns of a class's support and still meets the divisors in the order
+    of one walk of the whole pairing.  A blowup adds only the pairing entry
+    (rho, rho), so a column is complete once it exists, and an older model
+    finds no later divisor in its columns.  names maps each kind's generator
+    names to their indices, and counters holds each name stem's next
+    candidate number: every smaller number is taken, so a fresh name is the
+    first free one, as a scan from 1 would find it.
+    """
+
+    __slots__ = ("mul2", "pairing", "columns", "names", "counters", "rho")
+
+    def __init__(self, model: "ThreefoldModel"):
+        self.mul2 = dict(model.mul2.items())
+        self.pairing = dict(model.pairing.items())
+        self.columns: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for pos, ((i, a), v) in enumerate(self.pairing.items()):
+            self.columns.setdefault(a, []).append((pos, i, v))
+        self.names = {DIVISOR: _first_index(model.divisor_basis), CURVE: _first_index(model.curve_basis)}
+        self.counters: dict[str, int] = {}
+        self.rho = len(model.divisor_basis)
+
+    def _new_name(self, kind: str, stem: str) -> str:
+        taken = self.names[kind]
+        k = self.counters.get(stem, 1)
+        while f"{stem}{k}" in taken:
+            k += 1
+        self.counters[stem] = k + 1
+        name = f"{stem}{k}"
+        taken[name] = self.rho
+        return name
+
+    def append(self, products: MulTable, stems: tuple[str, str]) -> tuple[str, str]:
+        """Add the blowup of the newest model: its new products, pair = -1
+        between the exceptional divisor and curve, and their fresh names on
+        the two stems (divisor, curve), which are returned."""
+        n = self.rho
+        self.mul2.update(products)
+        self.pairing[(n, n)] = MINUS_ONE
+        self.columns[n] = [(len(self.pairing) - 1, n, MINUS_ONE)]
+        names = self._new_name(DIVISOR, stems[0]), self._new_name(CURVE, stems[1])
+        self.rho = n + 1
+        return names
+
+    def views(self) -> tuple[_TableView, _TableView]:
+        """mul2 and pairing of the newest model."""
+        return _TableView(self.mul2, self.rho), _TableView(self.pairing, self.rho)
 
 
 @dataclass(frozen=True)
@@ -161,11 +283,16 @@ class ThreefoldModel:
 
     No explicit zero, no (j, i) key and no out-of-range index is stored
     (validate_model rejects them), so two models have the same tables
-    exactly when the dicts compare equal.  A blowup copies the dicts of
-    the model below it shallowly and adds only its new entries; the entry
-    dicts are shared along the tower and must never be mutated.  dense_row
-    reads one whole row, zeros included, for printing.  Blowups return new
-    models and keep no link to the one below.
+    exactly when the mappings compare equal.  A base model holds plain
+    dicts.  A blown-up model holds read-only prefix views of the store its
+    line of blowups appends to (see _Tables), so a blowup copies nothing
+    and adds only its new entries; the entry dicts are shared along the
+    tower and must never be mutated.  dense_row reads one whole row, zeros
+    included, for printing.  Blowups return new models and keep no link to
+    the one below.
+
+    Name lookups and meets read the model's store, which is built from the
+    model's own tables on first use unless a blowup made the model.
     """
 
     label: str
@@ -195,21 +322,25 @@ class ThreefoldModel:
         entry = self.mul2.get((i, j) if i <= j else (j, i), {})
         return tuple(entry.get(a, ZERO) for a in range(m))
 
+    @cached_property
+    def _tables(self) -> _Tables:
+        return _Tables(self)
+
     # -- lookups ---------------------------------------------------------
 
     def divisor_index(self, name: str) -> int:
-        return _index_in(self.divisor_basis, DIVISOR, name, self.label)
+        return _index_of(self._tables.names[DIVISOR], len(self.divisor_basis), DIVISOR, name, self.label)
 
     def curve_index(self, name: str) -> int:
-        return _index_in(self.curve_basis, CURVE, name, self.label)
+        return _index_of(self._tables.names[CURVE], len(self.curve_basis), CURVE, name, self.label)
 
     def divisor(self, coeffs: Mapping[str, object] | Sequence) -> DivisorClass:
         """Build a divisor class from a name->coefficient mapping or a full vector."""
-        return _class_over(self.divisor_basis, DIVISOR, coeffs, self.label)
+        return _class_over(self._tables.names[DIVISOR], len(self.divisor_basis), DIVISOR, coeffs, self.label)
 
     def curve(self, coeffs: Mapping[str, object] | Sequence) -> CurveClass:
         """Build a curve class from a name->coefficient mapping or a full vector."""
-        return _class_over(self.curve_basis, CURVE, coeffs, self.label)
+        return _class_over(self._tables.names[CURVE], len(self.curve_basis), CURVE, coeffs, self.label)
 
     def zero_curve(self) -> CurveClass:
         return CurveClass((ZERO,) * len(self.curve_basis))
@@ -221,25 +352,26 @@ class ThreefoldModel:
         return [e.name for e in self.curve_basis]
 
 
-def _index_in(basis: Sequence[BasisElement], kind: str, name: str, label: str) -> int:
-    for i, e in enumerate(basis):
-        if e.name == name:
-            return i
-    raise ValidationError(f"no {kind} generator named {name!r} in {label}")
+def _index_of(names: Mapping[str, int], size: int, kind: str, name: str, label: str) -> int:
+    # names may hold later generators of the model's line: those are >= size
+    i = names.get(name)
+    if i is None or i >= size:
+        raise ValidationError(f"no {kind} generator named {name!r} in {label}")
+    return i
 
 
-def _class_over(basis: Sequence[BasisElement], kind: str, coeffs, label: str):
-    """The DivisorClass or CurveClass (by kind) over basis, from a
-    name->coefficient mapping or a full vector; label names the model in
-    errors."""
+def _class_over(names: Mapping[str, int], size: int, kind: str, coeffs, label: str):
+    """The DivisorClass or CurveClass (by kind) over a basis of the given
+    size, from a name->coefficient mapping (names gives each generator's
+    index) or a full vector; label names the model in errors."""
     cls = DivisorClass if kind == DIVISOR else CurveClass
     if isinstance(coeffs, Mapping):
-        vec = [ZERO] * len(basis)
+        vec = [ZERO] * size
         for name, c in coeffs.items():
-            vec[_index_in(basis, kind, name, label)] = _to_q(c)
+            vec[_index_of(names, size, kind, name, label)] = _to_q(c)
         return cls(tuple(vec))
     vec = _tuple_q(coeffs)
-    if len(vec) != len(basis):
+    if len(vec) != size:
         raise ValidationError(f"{kind} vector has wrong length")
     return cls(vec)
 
@@ -280,13 +412,33 @@ def multiply_divisors(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass)
 
 
 def meets(model: ThreefoldModel, c: CurveClass) -> dict[int, Fraction]:
-    """{i: e_i.c} for the divisor generators e_i that c meets, in one walk
-    over the pairing table (a sum that cancels is kept as a zero)."""
+    """{i: e_i.c} for the divisor generators e_i that c meets (a sum that
+    cancels is kept as a zero).
+
+    Only the pairing columns of c's support are read, and their entries are
+    summed in the pairing's order, so the keys come in the order that one
+    walk of the whole pairing would give them (blow_up_curve adds its
+    products in this order, and the eigenclass residuals sum over them).
+    """
     cc = c.coeffs
+    if len(cc) != len(model.curve_basis):
+        raise ValidationError("curve class not dimensioned for this model")
+    return _meets_on(model, {a: cc[a] for a in _support(cc)})
+
+
+def _meets_on(model: ThreefoldModel, on_c: dict[int, Fraction]) -> dict[int, Fraction]:
+    """meets for the class whose non-zero coordinates are on_c.  A pairing
+    of +-1 (every exceptional pair(E, L) is the shared MINUS_ONE) scales by
+    the coordinate itself, without a Fraction product."""
+    columns = model._tables.columns
+    terms = []
+    for a, ca in on_c.items():
+        for pos, i, v in columns.get(a, ()):
+            terms.append((pos, i, ca if v is ONE else -ca if v is MINUS_ONE else v * ca))
+    terms.sort()
     out: dict[int, Fraction] = {}
-    for (i, a), v in model.pairing.items():
-        if cc[a]:
-            out[i] = out.get(i, ZERO) + v * cc[a]
+    for _, i, t in terms:
+        out[i] = out[i] + t if i in out else t
     return out
 
 
@@ -581,7 +733,7 @@ def make_custom_base(
                 entry[c_index[name]] = q
         return entry
 
-    table: MulTable = {}
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (a, b), v in mul2.items():
         if a not in d_index or b not in d_index:
             raise ValidationError(f"unknown divisor generator in mul2 key ({a}, {b})")
@@ -602,9 +754,9 @@ def make_custom_base(
     divisor_basis = tuple(BasisElement(n_, DIVISOR) for n_ in divisor_names)
     curve_basis = tuple(BasisElement(n_, CURVE) for n_ in curve_names)
     if not isinstance(c1, DivisorClass):
-        c1 = _class_over(divisor_basis, DIVISOR, c1, label)
+        c1 = _class_over(d_index, nd, DIVISOR, c1, label)
     if not isinstance(c2, CurveClass):
-        c2 = _class_over(curve_basis, CURVE, c2, label)
+        c2 = _class_over(c_index, nc, CURVE, c2, label)
 
     model = ThreefoldModel(
         label=label,

@@ -25,12 +25,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bareiss import bareiss_solve
 from .intersection_ring import ThreefoldModel, ValidationError, pairing_rows, triple_products
 from .polynomials import (
     CERTIFIED_WIDTH,
     AlgebraicNumber,
     _exact_quotient,
-    bareiss_solve,
     berkowitz_charpoly,
     certified_radius_from_charpoly,
     count_real_roots,

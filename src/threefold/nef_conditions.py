@@ -33,7 +33,8 @@ from fractions import Fraction
 from .blowup_calculus import (
     BlowupStep,
     BlowupTower,
-    curve_step,
+    blow_up_curve,
+    blow_up_point,
     line_strict_transform,
     point_step,
 )
@@ -385,13 +386,17 @@ class P3LinesReport:
 
 def _p3_points_lines_models(n: int):
     """Build X1 (P3 blown up in n points) and X2 (all connecting lines
-    blown up on X1), returning (x1, x2, line count)."""
-    tower = BlowupTower(make_base("p3"), (point_step(),) * n)
-    x1 = tower.top()
+    blown up on X1), returning (x1, x2, line count).  Only the current
+    model is kept, so the line's shared tables are the only memory that
+    grows with the tower."""
+    x1 = make_base("p3")
+    for _ in range(n):
+        x1 = blow_up_point(x1)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
+    x2 = x1
     for (i, j) in pairs:
-        tower = tower.with_step(curve_step(line_strict_transform(tower, (i, j), label=f"D{i}{j}")))
-    return x1, tower.top(), len(pairs)
+        x2 = blow_up_curve(x2, line_strict_transform(x2, (i, j), label=f"D{i}{j}"))
+    return x1, x2, len(pairs)
 
 
 def check_p3_points_lines(n: int) -> P3LinesReport:

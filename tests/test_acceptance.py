@@ -67,8 +67,8 @@ from threefold.polynomials import (
     certified_spectral_radius,
     count_real_roots,
     int_matrix_det,
-    matrix_adjugate_unimodular,
 )
+from unimodular import matrix_adjugate_unimodular
 
 
 def report(criterion: str, ok: bool, detail: str):

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import blowup_towers, classes
+from strategies import blowup_towers, classes, curve_centers
 
 from threefold import (
     BlowupTower,
@@ -21,6 +21,7 @@ from threefold import (
     line_strict_transform,
     make_base,
     make_custom_base,
+    models_equivalent,
     multiply_divisors,
     pair,
     pairing_determinant,
@@ -32,7 +33,7 @@ from threefold import (
     triple,
     validate_model,
 )
-from threefold.blowup_calculus import _fresh_name, _next_step_index
+from threefold.blowup_calculus import _next_step_index
 from threefold.intersection_ring import (
     CURVE,
     DIVISOR,
@@ -359,6 +360,15 @@ def test_genus_multiplicity_and_degree_must_be_integers():
 # -- the blowup and the product against their first, all-Fraction versions ----
 
 
+def _reference_fresh_name(taken: set[str], stem: str) -> str:
+    """The first name stem<k>, k = 1, 2, ..., not in taken: the scan the
+    blowups' per-stem counters replace."""
+    k = 1
+    while f"{stem}{k}" in taken:
+        k += 1
+    return f"{stem}{k}"
+
+
 def _reference_blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldModel:
     """blow_up_curve as first written: c1.C and gamma by two walks of the
     pairing, kappa by a third, c2 updated on every coordinate."""
@@ -375,13 +385,10 @@ def _reference_blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> 
     step_index = _next_step_index(model)
     g = gamma(model, center)
     c1_dot_c = pair(model, model.c1, center.curve_class)
-    f_name = _fresh_name(set(model.divisor_names()), "F")
-    m_name = _fresh_name(set(model.curve_names()), "M")
+    f_name = _reference_fresh_name(set(model.divisor_names()), "F")
+    m_name = _reference_fresh_name(set(model.curve_names()), "M")
     cvec = center.curve_class.coeffs
-    meets = {}
-    for (i, a), v in model.pairing.items():
-        if cvec[a]:
-            meets[i] = meets.get(i, ZERO) + v * cvec[a]
+    meets = _reference_meets(model, center.curve_class)
     mul2 = dict(model.mul2)
     for i, coeff in meets.items():
         if coeff:
@@ -407,6 +414,16 @@ def _reference_blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> 
         picard=model.picard + 1,
         base_flags=frozenset(),
     )
+
+
+def _reference_meets(model, c):
+    """meets as first written: one walk of the whole pairing table."""
+    cc = c.coeffs
+    out = {}
+    for (i, a), v in model.pairing.items():
+        if cc[a]:
+            out[i] = out.get(i, ZERO) + v * cc[a]
+    return out
 
 
 def _reference_pair(model, d, c):
@@ -440,6 +457,10 @@ def _outcome(fn, *args):
 
 def _assert_same_model(got, want):
     assert got == want
+    # the tables iterate in the same order too (the eigenclass residuals sum
+    # over mul2 in its order, in floating point)
+    assert list(got.mul2.items()) == list(want.mul2.items())
+    assert list(got.pairing.items()) == list(want.pairing.items())
     assert (got.c1, got.c2, got.euler) == (want.c1, want.c2, want.euler)
     assert all(type(c) is Q for c in got.c1.coeffs + got.c2.coeffs)
     assert type(got.euler) is int
@@ -496,6 +517,8 @@ def test_pair_and_meets_match_reference(tower, data):
     c = CurveClass(data.draw(classes(rho, max_den=7)))
     assert pair(model, d, c) == _reference_pair(model, d, c)
     met = meets(model, c)
+    # the same keys in the same order as one walk of the whole pairing
+    assert list(met.items()) == list(_reference_meets(model, c).items())
     assert sum((d.coeffs[i] * m for i, m in met.items()), ZERO) == pair(model, d, c)
     for i in range(rho):
         e_i = DivisorClass(tuple(ONE if k == i else ZERO for k in range(rho)))
@@ -513,3 +536,62 @@ def test_each_model_of_a_tower_knows_its_step(tower):
             assert [(e.origin, e.step) for e in last] == [("exceptional", k)] * 2
         assert _next_step_index(model) == k + 1
 
+
+def _snapshot(model):
+    """Everything a later blowup must leave alone: the tables (copied), the
+    bases, and the class each generator name looks up."""
+    lookups = tuple(
+        (name, model.divisor({name: 1}), model.curve({e.name: 1}))
+        for name, e in zip(model.divisor_names(), model.curve_basis)
+    )
+    return (
+        dict(model.mul2.items()), dict(model.pairing.items()),
+        model.divisor_basis, model.curve_basis, lookups,
+    )
+
+
+def _draw_step(data, rho):
+    if data.draw(st.booleans()):
+        return point_step()
+    return curve_step(data.draw(curve_centers(rho)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blowup_towers(max_steps=5), st.data())
+def test_branches_leave_earlier_models_alone_and_match_fresh_builds(tower, data):
+    # the models of one tower share one store; blow the newest model up
+    # twice (in place, then as a branch) and an older one twice more, and
+    # grow one branch a step further
+    models = tower.evaluate()
+    snapshots = [_snapshot(m) for m in models]
+    older = data.draw(st.integers(0, len(models) - 1))
+    branches = []  # (steps from the base, model)
+    for k in sorted({len(models) - 1, older}, reverse=True):
+        for _ in range(2):
+            step = _draw_step(data, models[k].picard)
+            branches.append((tower.steps[:k] + (step,), BlowupTower(models[k], (step,)).top()))
+    steps, model = branches[-1]
+    step = _draw_step(data, model.picard)
+    branches.append((steps + (step,), BlowupTower(model, (step,)).top()))
+
+    names = {e.name for _, m in branches for e in m.curve_basis} | set(models[-1].curve_names())
+    later = [(m.mul2, m.pairing) for _, m in branches] + [(models[-1].mul2, models[-1].pairing)]
+    for model, snapshot in zip(models, snapshots):
+        assert _snapshot(model) == snapshot
+        validate_model(model)
+        # no entry of a later model or branch is found in this model's tables
+        for tables in later:
+            for own, copied, table in zip((model.mul2, model.pairing), snapshot, tables):
+                for key in set(dict(table.items())) - set(copied):
+                    assert key not in own and own.get(key) is None
+                    with pytest.raises(KeyError):
+                        own[key]
+        # a generator of a later model or of a branch is unknown to this one
+        for name in names - set(model.curve_names()):
+            with pytest.raises(ValidationError, match="no curve generator"):
+                model.curve({name: 1})
+    for steps, model in branches:
+        validate_model(model)
+        fresh = BlowupTower(replace(tower.base), steps).top()
+        assert models_equivalent(model, fresh)
+        _assert_same_model(model, fresh)

@@ -32,9 +32,9 @@ from threefold.polynomials import (
     AlgebraicNumber,
     berkowitz_charpoly,
     certified_spectral_radius,
-    matrix_adjugate_unimodular,
     poly_mul,
 )
+from unimodular import matrix_adjugate_unimodular
 
 
 def companion(poly):

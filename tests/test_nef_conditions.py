@@ -369,6 +369,26 @@ def test_p3_points_lines_n30_under_2gib_address_space():
     assert proc.stdout.strip() == "deg(u)=0 forced"
 
 
+def test_p3_points_lines_n60_under_256mib_address_space():
+    # rho = 1831: the models of the tower share one append-only store, so
+    # the tables take O(nnz) memory (a copy per model took 412 MB)
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from threefold import check_p3_points_lines\n"
+        "print(check_p3_points_lines(60).verdict)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "deg(u)=0 forced"
+
+
 # sha256 of every report and X2 model below, pinned when the curve blowups
 # and divisor products still summed Fractions coefficient by coefficient
 P3_POINTS_LINES_DIGEST = "7bd5dda0e017d7a374e41f105e375b9e390334402bbcb6fa440345dd246bd05c"

@@ -29,7 +29,6 @@ from threefold.polynomials import (
     disk_root_count_robust,
     int_matrix_det,
     isolate_real_roots,
-    matrix_adjugate_unimodular,
     minimal_polynomial_of_root,
     poly_compose_square,
     poly_degree,
@@ -44,6 +43,7 @@ from threefold.polynomials import (
     poly_trim,
     refine_root_interval,
 )
+from unimodular import matrix_adjugate_unimodular
 
 
 def test_charpoly_known_values():
