@@ -101,10 +101,9 @@ def _interval_str(alg) -> str:
 
 
 def cmd_ring(args) -> int:
-    from .towerfile import render_class, serialize_model
+    from .towerfile import render_class, ring_records, serialize_model
 
-    tower = _load_tower(args.file)
-    model = tower.top()
+    model = _load_tower(args.file).top()
     if args.format == "records":
         rep = Report()
         rep.add("label", model.label)
@@ -112,15 +111,10 @@ def cmd_ring(args) -> int:
         rep.add("euler", model.euler)
         rep.add("divisor_basis", ",".join(model.divisor_names()))
         rep.add("curve_basis", ",".join(model.curve_names()))
-        dn, cn = model.divisor_names(), model.curve_names()
-        for i in range(len(dn)):
-            for j in range(i, len(dn)):
-                rep.add(f"mul.{dn[i]}.{dn[j]}", render_class(cn, model.dense_row(i, j)))
-        for i in range(len(dn)):
-            for a, v in enumerate(model.dense_row(i)):
-                rep.add(f"pair.{dn[i]}.{cn[a]}", v)
-        rep.add("c1", render_class(dn, model.c1.coeffs))
-        rep.add("c2", render_class(cn, model.c2.coeffs))
+        for key, value in ring_records(model):
+            rep.add(key, value)
+        rep.add("c1", render_class(model.divisor_names(), model.c1.coeffs))
+        rep.add("c2", render_class(model.curve_names(), model.c2.coeffs))
         for flag in sorted(model.base_flags):
             rep.add("flag", flag)
         rep.emit("records")

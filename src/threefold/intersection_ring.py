@@ -8,9 +8,10 @@ characteristic and the Picard number.
 
 This module is the one reader of the sparse tables: meets gives every
 e_i.c from the pairing columns of c's support, and pair, the blowups and
-the nef conditions build on it; pairing_rows serves both pairing-matrix
-solves.  The tables of a line of blowups live in one append-only store
-(_Tables), which every model of the line reads through prefix views.
+the nef conditions build on it; triple_products reads the same columns;
+pairing_rows serves both pairing-matrix solves and `ring show`'s records.
+The tables of a line of blowups live in one append-only store (_Tables),
+which every model of the line reads through prefix views.
 
 All scalars are exact rationals.  Floating point never enters this module;
 the dynamics code converts on its own side when it needs numerics.
@@ -18,6 +19,7 @@ the dynamics code converts on its own side when it needs numerics.
 
 from __future__ import annotations
 
+import re
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +44,10 @@ FLAG_PICARD_RANK_1 = "picard-rank-1"
 FLAG_C2_MOVABLE_POSITIVE = "c2-movable-positive"
 FLAG_CONDITION_A = "condition-A-asserted"
 FLAG_CONDITION_B = "condition-B-asserted"
+
+# a generator name: the name token of the tower-file format
+NAME_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME = re.compile(NAME_TOKEN)
 
 
 class ValidationError(ValueError):
@@ -287,9 +293,8 @@ class ThreefoldModel:
     dicts.  A blown-up model holds read-only prefix views of the store its
     line of blowups appends to (see _Tables), so a blowup copies nothing
     and adds only its new entries; the entry dicts are shared along the
-    tower and must never be mutated.  dense_row reads one whole row, zeros
-    included, for printing.  Blowups return new models and keep no link to
-    the one below.
+    tower and must never be mutated.  Blowups return new models and keep
+    no link to the one below.
 
     Name lookups and meets read the model's store, which is built from the
     model's own tables on first use unless a blowup made the model.
@@ -312,15 +317,6 @@ class ThreefoldModel:
             (self.label, self.divisor_basis, self.curve_basis, self.c1, self.c2,
              self.euler, self.picard, self.base_flags)
         )
-
-    def dense_row(self, i: int, j: int | None = None) -> tuple[Fraction, ...]:
-        """Pairing row i, or with j the curve coefficients of e_i.e_j, as a
-        full tuple over the curve basis with its zeros."""
-        m = len(self.curve_basis)
-        if j is None:
-            return tuple(self.pairing.get((i, a), ZERO) for a in range(m))
-        entry = self.mul2.get((i, j) if i <= j else (j, i), {})
-        return tuple(entry.get(a, ZERO) for a in range(m))
 
     @cached_property
     def _tables(self) -> _Tables:
@@ -458,13 +454,11 @@ def triple(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass, d3: Diviso
 def triple_products(model: ThreefoldModel) -> dict[tuple[int, int, int], Fraction]:
     """The non-zero basis triple products T(i, j; k) = pair(e_k, e_i.e_j),
     keyed (i, j, k) with i <= j as in mul2."""
-    by_curve: dict[int, list[tuple[int, Fraction]]] = {}
-    for (k, a), v in model.pairing.items():
-        by_curve.setdefault(a, []).append((k, v))
+    columns = model._tables.columns
     out: dict[tuple[int, int, int], Fraction] = {}
     for (i, j), entry in model.mul2.items():
         for a, v in entry.items():
-            for k, p in by_curve.get(a, ()):
+            for _, k, p in columns.get(a, ()):
                 out[(i, j, k)] = out.get((i, j, k), ZERO) + v * p
     return {key: t for key, t in out.items() if t}
 
@@ -710,8 +704,12 @@ def make_custom_base(
     coefficients are dropped, so the tables come out in the canonical
     sparse form of ThreefoldModel.  Hypothesis flags are taken on the
     caller's word: the condition checkers refuse theorems whose flags are
-    not asserted here.
+    not asserted here.  Every generator name must be a NAME_TOKEN, so that
+    the tower-file writer's output reads back.
     """
+    for name in (*divisor_names, *curve_names):
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
+            raise ValidationError(f"generator name {name!r} is not a token {NAME_TOKEN}")
     nd = len(divisor_names)
     nc = len(curve_names)
     d_index = {n_: i for i, n_ in enumerate(divisor_names)}

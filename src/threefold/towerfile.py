@@ -10,9 +10,12 @@ Grammar (one statement per line, '#' starts a comment, rationals as p/q):
     alias <name> = <curve expr>
 
 Class expressions are rational linear combinations of the generator names
-available at the current step ("l - L1 - L2", "3/2 l", "2*l").  An alias
-names a curve class at the step where it is defined and may be used later;
-it is silently pulled back (zero-padded) to the current basis.
+available at the current step ("l - L1 - L2", "3/2 l", "2*l"), read as
+{name: coefficient} maps.  Names are tokens [A-Za-z_][A-Za-z0-9_]*, and
+make_custom_base refuses any other generator name.  An alias is the map of
+its expression and resolves by name wherever it is used: generator names
+are stable under blowups, so that is the pullback.  A blowup whose new
+curve generator would take an alias's name is an error.
 
 A custom base is a block after "base custom", closed by "end":
 
@@ -35,19 +38,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .blowup_calculus import BlowupStep, BlowupTower, CurveCenterSpec, SurfaceData
 from .intersection_ring import (
-    CurveClass,
-    DivisorClass,
+    NAME_TOKEN,
+    ONE,
+    ZERO,
     ThreefoldModel,
     ValidationError,
     make_base,
     make_custom_base,
+    pairing_rows,
 )
-
-QQ = Fraction
-ZERO = Fraction(0)
 
 
 class TowerParseError(ValueError):
@@ -61,7 +64,7 @@ class TowerParseError(ValueError):
 @dataclass(frozen=True)
 class TowerDocument:
     tower: BlowupTower
-    aliases: dict[str, tuple[int, CurveClass]]  # name -> (basis size at def, class)
+    aliases: dict[str, dict[str, Fraction]]  # name -> {generator name: coefficient}
 
     def top(self) -> ThreefoldModel:
         return self.tower.top()
@@ -70,27 +73,24 @@ class TowerDocument:
 def _rational(text: str, line: int, col: int | None = None) -> Fraction:
     """A p/q literal the tokenizer already matched; q = 0 is a located error."""
     try:
-        return QQ(text)
+        return Fraction(text)
     except ZeroDivisionError:
         raise TowerParseError(f"zero denominator in coefficient {text!r}", line, col) from None
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<num>\d+/\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<star>\*))"
+    rf"\s*(?:(?P<sign>[+-])|(?P<num>\d+/\d+|\d+)|(?P<name>{NAME_TOKEN})|(?P<star>\*))"
 )
 
 
-def _parse_linear_expr(text: str, line: int, col0: int, resolve):
-    """Parse a rational linear combination; `resolve(name) -> vector (list)`.
-
-    Returns the accumulated coefficient list (length decided by resolve).
-    """
+def _parse_linear_expr(text: str, line: int, col0: int, resolve) -> dict[str, Fraction]:
+    """Parse a rational linear combination into its {generator name:
+    coefficient} map; resolve(name) is the term map a name stands for
+    ({name: 1} for a generator, its map for an alias), or None."""
     pos = 0
-    acc = None
+    acc: dict[str, Fraction] = {}
     sign = 1
     pending_num: Fraction | None = None
-    saw_term = False
-    expecting_term = True
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
@@ -106,11 +106,7 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve):
                     line,
                     col0 + m.start("sign") + 1,
                 )
-            if not expecting_term and m.group("sign"):
-                sign = 1 if m.group("sign") == "+" else -1
-                expecting_term = True
-            elif expecting_term:
-                sign *= 1 if m.group("sign") == "+" else -1
+            sign *= 1 if m.group("sign") == "+" else -1  # the last term reset sign to 1
             continue
         if m.group("num"):
             if pending_num is not None:
@@ -123,38 +119,33 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve):
                 raise TowerParseError("'*' without a coefficient", line, col0 + m.start("star") + 1)
             continue
         name = m.group("name")
-        vec = resolve(name)
-        if vec is None:
+        terms = resolve(name)
+        if terms is None:
             raise TowerParseError(f"unknown name {name!r}", line, col0 + m.start("name") + 1)
-        coeff = (pending_num if pending_num is not None else QQ(1)) * sign
-        if acc is None:
-            acc = [ZERO] * len(vec)
-        if len(vec) != len(acc):
-            raise TowerParseError(f"name {name!r} has inconsistent dimension", line)
-        for i, v in enumerate(vec):
-            if v:
-                acc[i] += coeff * v
+        coeff = (pending_num if pending_num is not None else ONE) * sign
+        for g, v in terms.items():
+            acc[g] = acc.get(g, ZERO) + coeff * v
         pending_num = None
         sign = 1
-        expecting_term = False
-        saw_term = True
     if pending_num is not None:
         raise TowerParseError("trailing coefficient without a generator", line, pending_col)
-    if not saw_term:
+    if not acc:  # every term map has a key
         raise TowerParseError("empty class expression", line, col0 + 1)
     return acc
 
 
-def _resolve_in(names):
-    """A resolver for _parse_linear_expr: the unit vector of a name in names."""
-
-    def resolve(nm):
-        if nm in names:
-            k = names.index(nm)
-            return [QQ(1) if t == k else ZERO for t in range(len(names))]
+def _generator(index, name: str) -> dict[str, Fraction] | None:
+    """{name: 1} if index (a model's curve_index or divisor_index) knows name."""
+    try:
+        index(name)
+    except ValidationError:
         return None
+    return {name: ONE}
 
-    return resolve
+
+def _declared(names):
+    """A resolver giving {name: 1} for each name in the set names, which may grow."""
+    return lambda name: {name: ONE} if name in names else None
 
 
 def _strip_comment(raw: str) -> str:
@@ -216,17 +207,16 @@ def parse_tower(text: str) -> TowerDocument:
         idx += 1
 
     tower = BlowupTower(base)
-    aliases: dict[str, tuple[int, CurveClass]] = {}
+    aliases: dict[str, dict[str, Fraction]] = {}
 
     def resolve_curve(name):
-        names = tower.top().curve_names()
-        if name not in names and name in aliases:
-            size, cls = aliases[name]
-            return list(cls.coeffs) + [ZERO] * (len(names) - size)
-        return _resolve_in(names)(name)
+        return _generator(tower.top().curve_index, name) or aliases.get(name)
 
-    def resolve_divisor(name):
-        return _resolve_in(tower.top().divisor_names())(name)
+    def blow_up(step, line_no):
+        grown = tower.with_step(step)
+        if (name := grown.top().curve_basis[-1].name) in aliases:
+            raise TowerParseError(f"the new curve generator {name!r} takes an alias's name", line_no)
+        return grown
 
     while True:
         idx = next_meaningful(idx)
@@ -238,7 +228,7 @@ def parse_tower(text: str) -> TowerDocument:
         lead = len(raw) - len(stmt)  # columns count from the start of the line
         idx += 1
         if stmt == "blowup point":
-            tower = tower.with_step(BlowupStep("point"))
+            tower = blow_up(BlowupStep("point"), line_no)
             continue
         if stmt.startswith("blowup curve"):
             m = _CURVE_RE.match(stmt)
@@ -251,13 +241,12 @@ def parse_tower(text: str) -> TowerDocument:
                     "malformed curve blowup (expected 'blowup curve class = <expr> genus = <int> [options]')",
                     line_no,
                 )
-            vec = _parse_linear_expr(m.group("cls"), line_no, lead + m.start("cls"), resolve_curve)
+            terms = _parse_linear_expr(m.group("cls"), line_no, lead + m.start("cls"), resolve_curve)
+            model = tower.top()
             try:
-                opts = _parse_curve_options(
-                    m.group("rest"), line_no, lead + m.start("rest"), resolve_divisor
-                )
+                opts = _parse_curve_options(m.group("rest"), line_no, lead + m.start("rest"), model)
                 center = CurveCenterSpec(
-                    curve_class=tower.top().curve(vec),
+                    curve_class=model.curve(terms),
                     genus=int(m.group("genus")),
                     normal_bundle_decomposable=opts.get("normal"),
                     tau0=opts.get("tau0"),
@@ -265,19 +254,18 @@ def parse_tower(text: str) -> TowerDocument:
                     movable_witness=opts.get("movable"),
                     label=opts.get("label", ""),
                 )
-                tower = tower.with_step(BlowupStep("curve", center))
+                tower = blow_up(BlowupStep("curve", center), line_no)
             except ValidationError as e:
                 raise TowerParseError(str(e), line_no) from None
             continue
         if stmt.startswith("alias"):
-            m = re.match(r"^alias\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$", stmt)
+            m = re.match(rf"^alias\s+({NAME_TOKEN})\s*=\s*(.*)$", stmt)
             if not m:
                 raise TowerParseError("malformed alias (expected 'alias <name> = <expr>')", line_no)
             name = m.group(1)
             if resolve_curve(name) is not None:
                 raise TowerParseError(f"alias {name!r} shadows an existing name", line_no)
-            vec = _parse_linear_expr(m.group(2), line_no, lead + m.start(2), resolve_curve)
-            aliases[name] = (len(vec), CurveClass(tuple(vec)))
+            aliases[name] = _parse_linear_expr(m.group(2), line_no, lead + m.start(2), resolve_curve)
             continue
         if stmt.startswith("base"):
             raise TowerParseError("duplicate 'base' statement", line_no)
@@ -291,8 +279,8 @@ def parse_tower(text: str) -> TowerDocument:
     return TowerDocument(tower=tower, aliases=aliases)
 
 
-def _parse_curve_options(rest: str, line_no: int, col0: int, resolve_divisor):
-    """Options after 'genus = <int>'; rest starts at line offset col0."""
+def _parse_curve_options(rest: str, line_no: int, col0: int, model: ThreefoldModel):
+    """Options after 'genus = <int>' on a blowup of model; rest starts at col0."""
     opts = {}
     pos = 0
     while pos < len(rest):
@@ -314,14 +302,13 @@ def _parse_curve_options(rest: str, line_no: int, col0: int, resolve_divisor):
             elif key == "label":
                 opts["label"] = m.group(1)
             else:
-                vec = _parse_linear_expr(
-                    m.group("surf").rstrip(), line_no, col0 + pos + m.start("surf"), resolve_divisor
-                )
+                surf, resolve = m.group("surf").rstrip(), partial(_generator, model.divisor_index)
+                terms = _parse_linear_expr(surf, line_no, col0 + pos + m.start("surf"), resolve)
                 kappa = m.group("kappa")
                 if kappa is not None:
                     kappa = _rational(kappa, line_no, col0 + pos + m.start("kappa") + 1)
                 opts["surface"] = SurfaceData(
-                    surface=DivisorClass(tuple(vec)), mu=int(m.group("mu")), kappa=kappa
+                    surface=model.divisor(terms), mu=int(m.group("mu")), kappa=kappa
                 )
             pos += m.end()
             break
@@ -341,7 +328,9 @@ def _parse_custom_block(lines, start):
     label = "custom"
     divisors: list[str] = []
     curves: list[str] = []
-    mul: dict[tuple[str, str], dict] = {}
+    declared: set[str] = set()  # the curves so far, which a mul line may name
+    resolve_curve = _declared(declared)
+    mul: dict[tuple[str, str], dict[str, Fraction]] = {}
     pairing: dict[tuple[str, str], Fraction] = {}
     c1_expr = None
     c2_expr = None
@@ -373,19 +362,14 @@ def _parse_custom_block(lines, start):
             divisors.append(tail)
         elif head == "curve":
             curves.append(tail)
+            declared.add(tail)
         elif head == "mul":
             m = re.match(r"^(\S+)\s+(\S+)\s*=\s*(.*)$", tail)
             if not m:
                 raise TowerParseError("malformed mul entry", line_no)
             a, b, expr = m.groups()
-            if expr.strip() == "0":
-                vec = {name: ZERO for name in curves}
-            else:
-                coeffs = _parse_linear_expr(
-                    expr, line_no, len(raw) - len(expr), _resolve_in(curves)
-                )
-                vec = {name: coeffs[t] for t, name in enumerate(curves)}
-            mul[(a, b)] = vec
+            col = len(raw) - len(expr)
+            mul[(a, b)] = {} if expr.strip() == "0" else _parse_linear_expr(expr, line_no, col, resolve_curve)
         elif head == "pair":
             m = re.match(r"^(\S+)\s+(\S+)\s*=\s*(-?\d+(?:/\d+)?)$", tail)
             if not m:
@@ -416,8 +400,6 @@ def _parse_custom_block(lines, start):
         raise TowerParseError("custom base block never closed with 'end'", len(lines))
     if c1_expr is None or c2_expr is None or euler is None:
         raise TowerParseError("custom base needs c1, c2 and euler", i)
-    c1_vec = _parse_linear_expr(*c1_expr, _resolve_in(divisors))
-    c2_vec = _parse_linear_expr(*c2_expr, _resolve_in(curves))
     try:
         model = make_custom_base(
             label=label,
@@ -425,8 +407,8 @@ def _parse_custom_block(lines, start):
             curve_names=curves,
             mul2=mul,
             pairing=pairing,
-            c1=DivisorClass(tuple(c1_vec)),
-            c2=CurveClass(tuple(c2_vec)),
+            c1=_parse_linear_expr(*c1_expr, _declared(set(divisors))),
+            c2=_parse_linear_expr(*c2_expr, resolve_curve),
             euler=euler,
             flags=flags,
         )
@@ -444,9 +426,10 @@ def _parse_custom_block(lines, start):
 # ---------------------------------------------------------------------------
 
 
-def render_class(names, coeffs) -> str:
+def _render(terms) -> str:
+    """The expression of the (name, coefficient) terms, zeros skipped."""
     parts = []
-    for name, c in zip(names, coeffs):
+    for name, c in terms:
         if c == 0:
             continue
         if c == 1:
@@ -464,29 +447,49 @@ def render_class(names, coeffs) -> str:
     return out
 
 
+def render_class(names, coeffs) -> str:
+    """The expression of a coefficient vector over the names."""
+    return _render(zip(names, coeffs))
+
+
+def _products(model: ThreefoldModel):
+    """(e_i, e_j, e_i.e_j) for every i <= j in basis order, each product written
+    from its stored entry in curve-index order, or "0" when none is stored."""
+    dn, cn = model.divisor_names(), model.curve_names()
+    for i, d in enumerate(dn):
+        for j in range(i, len(dn)):
+            entry = model.mul2.get((i, j))
+            yield d, dn[j], _render((cn[a], c) for a, c in sorted(entry.items())) if entry else "0"
+
+
+def ring_records(model: ThreefoldModel):
+    """The (key, value) records of the tables that `ring show --format
+    records` prints: every product, then every pairing, zeros included."""
+    for d, e, product in _products(model):
+        yield f"mul.{d}.{e}", product
+    cn = model.curve_names()
+    for d, row in zip(model.divisor_names(), pairing_rows(model)):
+        for a, c in enumerate(cn):
+            yield f"pair.{d}.{c}", row.get(a, ZERO)
+
+
 def serialize_model(model: ThreefoldModel) -> str:
     """Emit the model as a parseable 'base custom' block."""
-    dn = model.divisor_names()
-    cn = model.curve_names()
-    lines = ["base custom", f"label {model.label}"]
-    for name in dn:
-        lines.append(f"divisor {name}")
-    for name in cn:
-        lines.append(f"curve {name}")
-    for i in range(len(dn)):
-        for j in range(i, len(dn)):
-            lines.append(f"mul {dn[i]} {dn[j]} = {render_class(cn, model.dense_row(i, j))}")
-    for i in range(len(dn)):
-        for a, v in enumerate(model.dense_row(i)):
-            if v != 0:
-                lines.append(f"pair {dn[i]} {cn[a]} = {v}")
-    lines.append(f"c1 = {render_class(dn, model.c1.coeffs)}")
-    lines.append(f"c2 = {render_class(cn, model.c2.coeffs)}")
-    lines.append(f"euler = {model.euler}")
-    lines.append(f"picard = {model.picard}")
-    for flag in sorted(model.base_flags):
-        lines.append(f"flag {flag}")
-    lines.append("end")
+    dn, cn = model.divisor_names(), model.curve_names()
+    lines = [
+        "base custom",
+        f"label {model.label}",
+        *(f"divisor {name}" for name in dn),
+        *(f"curve {name}" for name in cn),
+        *(f"mul {d} {e} = {product}" for d, e, product in _products(model)),
+        *(f"pair {dn[i]} {cn[a]} = {v}" for (i, a), v in sorted(model.pairing.items()) if v),
+        f"c1 = {render_class(dn, model.c1.coeffs)}",
+        f"c2 = {render_class(cn, model.c2.coeffs)}",
+        f"euler = {model.euler}",
+        f"picard = {model.picard}",
+        *(f"flag {flag}" for flag in sorted(model.base_flags)),
+        "end",
+    ]
     return "\n".join(lines) + "\n"
 
 

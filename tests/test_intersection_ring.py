@@ -4,6 +4,9 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from strategies import blowup_towers
+from towerfile_reference import dense_row
 
 from threefold import (
     CurveClass,
@@ -21,6 +24,7 @@ from threefold import (
     validate_model,
 )
 from threefold.blowup_calculus import CurveCenterSpec
+from threefold.intersection_ring import triple_products
 
 
 # -- independent oracle: truncated power series in one variable -------------
@@ -335,7 +339,7 @@ def test_multiply_divisors_matches_dense_rows():
             dense = [Q(0)] * nd
             for i, ci in enumerate(d1.coeffs):
                 for j, cj in enumerate(d2.coeffs):
-                    for a, v in enumerate(model.dense_row(i, j)):
+                    for a, v in enumerate(dense_row(model, i, j)):
                         dense[a] += ci * cj * v
             assert multiply_divisors(model, d1, d2).coeffs == tuple(dense)
 
@@ -345,7 +349,7 @@ def test_tables_are_canonical_sparse_dicts():
     assert all(i <= j for i, j in model.mul2)
     assert all(entry and all(entry.values()) for entry in model.mul2.values())
     assert all(model.pairing.values())
-    assert model.dense_row(5, 0) == model.dense_row(0, 5)
+    assert dense_row(model, 5, 0) == dense_row(model, 0, 5)
     validate_model(model)
 
 
@@ -459,3 +463,47 @@ def test_class_coefficients_are_exact_and_fraction_tuples_are_kept():
     for bad in ((Q(1), 0.5), [0.5], (Q(1), None)):
         with pytest.raises(ValidationError, match="not an exact rational"):
             CurveClass(bad)
+
+
+@pytest.mark.parametrize(
+    "divisors, curves",
+    [(["a"], ["x y"]), (["a b"], ["x"]), (["1a"], ["x"]), (["a"], ["x-1"]), (["a"], [""]), (["a"], [7])],
+)
+def test_custom_base_refuses_names_the_tower_format_cannot_read(divisors, curves):
+    # `ring show` writes every generator name into the tower format, where a
+    # name is one token [A-Za-z_][A-Za-z0-9_]*
+    with pytest.raises(ValidationError, match="is not a token"):
+        make_custom_base(
+            label="names",
+            divisor_names=divisors,
+            curve_names=curves,
+            mul2={},
+            pairing={(divisors[0], curves[0]): 1},
+            c1={},
+            c2={},
+            euler=4,
+        )
+
+
+def _triple_products_by_fresh_index(model):
+    """triple_products as it was computed from an index of the pairing by
+    curve, built anew on every call."""
+    by_curve = {}
+    for (k, a), v in model.pairing.items():
+        by_curve.setdefault(a, []).append((k, v))
+    out = {}
+    for (i, j), entry in model.mul2.items():
+        for a, v in entry.items():
+            for k, p in by_curve.get(a, ()):
+                out[(i, j, k)] = out.get((i, j, k), Q(0)) + v * p
+    return {key: t for key, t in out.items() if t}
+
+
+@settings(max_examples=40, deadline=None)
+@given(blowup_towers())
+def test_triple_products_read_the_stored_pairing_columns(tower):
+    # every model of the tower, the older ones reading prefixes of a store
+    # that later blowups appended to
+    for model in tower.evaluate():
+        got = triple_products(model)
+        assert list(got.items()) == list(_triple_products_by_fresh_index(model).items())

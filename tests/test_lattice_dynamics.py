@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from towerfile_reference import dense_row
 
 from threefold import (
     CurveCenterSpec,
@@ -153,7 +154,7 @@ def test_pairing_preserved_jointly():
     for model, A in ((x2, swap), p3lines_point_swap()):
         n = len(A)
         B = validate_action(model, A).action.curve_matrix
-        P = [model.dense_row(i) for i in range(n)]
+        P = [dense_row(model, i) for i in range(n)]
         # A^T P B = P, summed over the non-zero entries of A and of A^T P
         cols = [[(k, a) for k, a in enumerate(col) if a] for col in zip(*A)]
         for i in range(n):

@@ -1,12 +1,17 @@
+import itertools
+import time
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategies import blowup_towers
+from towerfile_reference import _reference_parse_tower, _reference_serialize_model
 
 from threefold import (
     blow_up_curve,
     blow_up_point,
+    line_strict_transform,
     make_base,
     models_equivalent,
     parse_tower,
@@ -355,3 +360,116 @@ def test_zero_denominator_is_a_parse_error():
     with pytest.raises(TowerParseError, match="zero denominator") as err:
         parse_tower(custom.replace("pair a x", "  pair  a x"))
     assert (err.value.line, err.value.col) == (5, 15)
+
+
+def test_a_blowup_may_not_take_the_name_of_an_alias():
+    # the new fiber M1 would shadow the alias M1, and the second center would
+    # silently be the fiber class instead of l
+    text = "base p3\nalias M1 = l\nblowup curve class = M1 genus = 0\nblowup curve class = M1 genus = 0\n"
+    with pytest.raises(TowerParseError, match="new curve generator 'M1' takes an alias's name") as err:
+        parse_tower(text)
+    assert err.value.line == 3
+    with pytest.raises(TowerParseError, match="'L1' takes an alias's name") as err:
+        parse_tower("base p3\nalias L1 = l\nblowup point\n")
+    assert err.value.line == 3
+
+
+def test_aliases_are_term_maps_resolved_by_name():
+    doc = parse_tower("base p3\nblowup point\nalias D = 2 l - L1\nalias G = D + l\nblowup point\n")
+    assert doc.aliases == {"D": {"l": 2, "L1": -1}, "G": {"l": 3, "L1": -1}}
+
+
+def test_a_mul_line_names_only_curves_declared_before_it():
+    text = CUSTOM_BASE.replace("curve x\nmul a a = x\n", "mul a a = x\ncurve x\n")
+    with pytest.raises(TowerParseError, match="unknown name 'x'") as err:
+        parse_tower(text)
+    assert (err.value.line, err.value.col) == (3, 11)
+
+
+def test_writer_orders_each_product_by_curve_index():
+    # the block lists y before x; the stored entry keeps that order, and the
+    # writer must still write the product over the curve basis in order
+    block = (
+        "base custom\ndivisor a\ndivisor b\ncurve x\ncurve y\n"
+        "mul a a = y + 2 x\nmul a b = x\npair a x = 1\npair b y = 1\nc1 = a\nc2 = x\neuler = 4\nend\n"
+    )
+    model = parse_tower(block).top()
+    assert list(model.mul2[(0, 0)]) == [1, 0]
+    text = serialize_model(model)
+    assert "mul a a = 2 x + y\n" in text
+    assert text == _reference_serialize_model(model) == _reference_serialize_model(_reference_parse_tower(block).top())
+
+
+def _in_order(model):
+    """The tables with the order of their keys and of each entry's terms."""
+    return [(k, list(e.items())) for k, e in model.mul2.items()], list(model.pairing.items())
+
+
+STOCK_SPECS = {"P3": "p3", "P2xP1": "p2xp1", "P1xP1xP1": "p1cubed"}
+
+
+@st.composite
+def tower_texts(draw):
+    """A tower file for a drawn tower: the base by name or as a custom block,
+    each class written as its terms c*name in a drawn order (zeros kept),
+    and some curve centers through an alias of their part on the base,
+    defined before the first blowup and pulled back by name."""
+    tower = draw(blowup_towers())
+    models = tower.evaluate()
+    base = tower.base
+    spec = STOCK_SPECS.get(base.label)
+    head = [f"base {spec}"] if spec and draw(st.booleans()) else serialize_model(base).splitlines()
+    aliases, steps = [], []
+
+    def expr(names, coeffs):
+        terms = draw(st.permutations(list(zip(names, coeffs))))
+        return " + ".join(f"{c}*{n}" for n, c in terms)
+
+    for k, step in enumerate(tower.steps):
+        if step.kind == "point":
+            steps.append("blowup point")
+            continue
+        center, model = step.center, models[k]
+        names, coeffs = model.curve_names(), center.curve_class.coeffs
+        cls = expr(names, coeffs)
+        if k and draw(st.booleans()):
+            aliases.append(f"alias Q{k} = {expr(names[:base.picard], coeffs[:base.picard])}")
+            cls = f"Q{k} + {expr(names[base.picard:], coeffs[base.picard:])}"
+        line = f"blowup curve class = {cls} genus = {center.genus}"
+        if center.surface_data is not None:
+            sd = center.surface_data
+            line += f" surface = {expr(model.divisor_names(), sd.surface.coeffs)}; mu={sd.mu}"
+        steps.append(line)
+    return "\n".join(head + aliases + steps) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_texts())
+def test_sparse_format_matches_the_dense_reference(text):
+    new = parse_tower(text).top()
+    ref = _reference_parse_tower(text).top()
+    assert new == ref and models_equivalent(new, ref)
+    assert _in_order(new) == _in_order(ref)
+    shown = serialize_model(new)
+    assert shown == _reference_serialize_model(ref)
+    back, ref_back = parse_tower(shown).top(), _reference_parse_tower(shown).top()
+    assert back == ref_back and _in_order(back) == _in_order(ref_back)
+    assert serialize_model(back) == shown
+
+
+def test_points_and_lines_round_trip_at_rho_466():
+    # P3 in 30 points, then the 435 lines through two of them; the dense
+    # writer took about 13 s here, and reading its output back was O(rho^3)
+    model = make_base("p3")
+    for _ in range(30):
+        model = blow_up_point(model)
+    for i, j in itertools.combinations(range(1, 31), 2):
+        model = blow_up_curve(model, line_strict_transform(model, (i, j)))
+    assert model.picard == 466
+    t0 = time.perf_counter()
+    text = serialize_model(model)
+    back = parse_tower(text).top()
+    elapsed = time.perf_counter() - t0
+    assert models_equivalent(back, model)
+    assert serialize_model(back) == text
+    assert elapsed < 8.0, f"ring show and its read-back took {elapsed:.2f} s at rho = 466"
