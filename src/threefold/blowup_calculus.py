@@ -35,14 +35,15 @@ that already has a child is blown up again: then its prefix is copied once.
 A curve step costs work on the center's support only: intersection_ring
 .meets reads the pairing columns of the center's non-zero coordinates and
 gives e_i.C for every divisor generator that C meets; c1.C (hence gamma)
-and S.C for surface_data are sums over those e_i.C; F.F and the c2 update
-touch only the support of C.  What is still O(rho) runs in C: the scan for
+and S.C for surface_data are sums over those e_i.C (_center_numbers, which
+the checkers call too); F.F and the c2 update touch only the support of C.  What is still O(rho) runs in C: the scan for
 the support, and the copies of the bases and of the inherited Chern
 coefficients, which are already Fractions and are not converted again.
 
 No history is stored: a model is a blowup exactly when its last divisor
 generator is exceptional, the step of that generator numbers the next one,
-and the model below has rho - 1 generators of each kind.
+and the model below has rho - 1 generators of each kind.  A BlowupTower
+keeps its top model only, on which every center's numbers can be read.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ from .intersection_ring import (
     ValidationError,
     _meets_on,
     _require_int,
+    _require_line_text,
     _support,
     _Tables,
-    pair,
 )
 
 QQ = Fraction
@@ -106,6 +107,7 @@ class CurveCenterSpec:
             raise ValidationError("genus must be non-negative")
         if self.curve_class.is_zero():
             raise ValidationError("curve center class is zero")
+        _require_line_text(self.label, "center label")
 
 
 @dataclass(frozen=True)
@@ -132,39 +134,33 @@ def curve_step(center: CurveCenterSpec) -> BlowupStep:
 
 @dataclass(frozen=True)
 class BlowupTower:
-    """A base model plus an ordered list of blowup steps, and the models
-    they build.
+    """A base model plus an ordered list of blowup steps, and their top model.
 
-    Curve centers must be dimensioned for the model at their own step.  The
-    models [base, after step 1, ..., after step k] are built once, on first
-    use, and kept: evaluate() and top() read them, and with_step() extends
-    them by one blowup, so a tower grown step by step (as the tower-file
-    parser does) blows each step up exactly once.  Building them is what
-    validates the centers.
+    Curve centers must be dimensioned for the model at their own step.  Only
+    the top model is kept (the checkers read each center on it): it is built
+    once, on first use, and with_step() blows it up one step more, so a
+    tower grown step by step (as the tower-file parser does) blows each step
+    up exactly once.  Building it is what validates the centers.
     """
 
     base: ThreefoldModel
     steps: tuple[BlowupStep, ...] = ()
 
     @cached_property
-    def _models(self) -> tuple[ThreefoldModel, ...]:
-        models = [self.base]
+    def _top(self) -> ThreefoldModel:
+        model = self.base
         for step in self.steps:
-            models.append(_blow_up(models[-1], step))
-        return tuple(models)
-
-    def evaluate(self) -> list[ThreefoldModel]:
-        """One model per prefix: [base, after step 1, ..., after step k]."""
-        return list(self._models)
+            model = _blow_up(model, step)
+        return model
 
     def top(self) -> ThreefoldModel:
-        return self._models[-1]
+        return self._top
 
     def with_step(self, step: BlowupStep) -> "BlowupTower":
-        """This tower one step longer, reusing the models already built."""
+        """This tower one step longer, blowing up only the top model."""
         longer = BlowupTower(self.base, self.steps + (step,))
         # the dataclass is frozen; seed the cache the way cached_property fills it
-        object.__setattr__(longer, "_models", self._models + (_blow_up(self.top(), step),))
+        object.__setattr__(longer, "_top", _blow_up(self.top(), step))
         return longer
 
 
@@ -235,37 +231,45 @@ def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
     )
 
 
+def _center_numbers(model: ThreefoldModel, center: CurveCenterSpec):
+    """(c1.C, S.C or None without surface_data, on_c, met) for a center C:
+    on_c maps C's support to its coordinates and met holds e_i.C for each
+    divisor generator e_i that C meets.  model is the model C is blown up
+    on or any later model of its tower, where the numbers are the same: a
+    blowup keeps c1's old coordinates and pairs its new generators only with
+    each other, so pi*D . pi^!C = D.C and E . pi^!C = 0."""
+    cvec = center.curve_class.coeffs
+    if len(cvec) > len(model.curve_basis):
+        raise ValidationError("center class not dimensioned for this model")
+    on_c = {a: cvec[a] for a in _support(cvec)}
+    met = _meets_on(model, on_c)
+    c1v = model.c1.coeffs
+    c1_dot_c = sum((c1v[i] * m for i, m in met.items()), ZERO)
+    kappa = None
+    if center.surface_data is not None:
+        s = center.surface_data.surface.coeffs
+        kappa = sum((s[i] * m for i, m in met.items()), ZERO)
+    return c1_dot_c, kappa, on_c, met
+
+
 def gamma(model: ThreefoldModel, center: CurveCenterSpec) -> Fraction:
     """Normal-bundle degree of the center: c1 . C + 2g - 2."""
     if len(center.curve_class) != len(model.curve_basis):
         raise ValidationError("center class not dimensioned for this model")
-    return pair(model, model.c1, center.curve_class) + 2 * center.genus - 2
+    return _center_numbers(model, center)[0] + 2 * center.genus - 2
 
 
 def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldModel:
     """Blow up a smooth curve: basis gains F (ruled divisor) and M (fiber)."""
     n = len(model.divisor_basis)
-    cvec = center.curve_class.coeffs
-    if len(cvec) != len(model.curve_basis):
+    if len(center.curve_class) != len(model.curve_basis):
         raise ValidationError("center class not dimensioned for this model")
     sd = center.surface_data
     if sd is not None and len(sd.surface) != n:
         raise ValidationError("surface class not dimensioned for this model")
-
-    # the center's non-zero coordinates, ascending
-    on_c = {a: cvec[a] for a in _support(cvec)}
-    # e_i . C for each divisor generator e_i; then D . C = sum_i D_i (e_i . C)
-    # for c1, and for the surface of surface_data
-    met = _meets_on(model, on_c)
-    if sd is not None:
-        s = sd.surface.coeffs
-        kappa = sum((s[i] * m for i, m in met.items()), ZERO)
-        if sd.kappa is not None and sd.kappa != kappa:
-            raise ValidationError(
-                f"surface_data kappa={sd.kappa} but S.C={kappa}"
-            )
-    c1v = model.c1.coeffs
-    c1_dot_c = sum((c1v[i] * m for i, m in met.items()), ZERO)
+    c1_dot_c, kappa, on_c, met = _center_numbers(model, center)
+    if sd is not None and sd.kappa is not None and sd.kappa != kappa:
+        raise ValidationError(f"surface_data kappa={sd.kappa} but S.C={kappa}")
     g = c1_dot_c + (2 * center.genus - 2)  # gamma(model, center)
 
     # pi*(e_i) . F = (e_i . C) M
@@ -337,7 +341,7 @@ def pushforward_curve(model_after: ThreefoldModel, c: CurveClass) -> CurveClass:
 
 
 def line_strict_transform(
-    model: "ThreefoldModel | BlowupTower",
+    model: ThreefoldModel,
     point_indices: tuple[int, ...] | list[int],
     degree: int = 1,
     genus: int = 0,
@@ -345,13 +349,10 @@ def line_strict_transform(
 ) -> CurveCenterSpec:
     """Strict transform of a degree-d curve through chosen blown-up points.
 
-    Accepts the current model or a tower (whose top model is used).  The
-    model must contain curve generators named "l" (the base line class) and
+    The model must contain curve generators named "l" (the base line class) and
     "L<i>" for each index; the class is d*l - sum of the chosen L_i with
     genus as given (0 for lines and rational normal curves).
     """
-    if isinstance(model, BlowupTower):
-        model = model.top()
     idx = list(point_indices)
     if len(set(idx)) != len(idx):
         raise ValidationError("repeated point indices")

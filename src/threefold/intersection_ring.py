@@ -70,6 +70,16 @@ def _require_int(value, what: str) -> None:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def _require_line_text(text: str, what: str) -> None:
+    # the tower format writes a label or flag after its keyword on one line,
+    # which the parser cuts at '#' and strips
+    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+        raise ValidationError(
+            f"{what} {text!r} cannot be written to a tower file: no '#', line break, "
+            "or leading or trailing whitespace"
+        )
+
+
 _FRACTION_ONLY = frozenset({Fraction})
 
 
@@ -704,9 +714,16 @@ def make_custom_base(
     coefficients are dropped, so the tables come out in the canonical
     sparse form of ThreefoldModel.  Hypothesis flags are taken on the
     caller's word: the condition checkers refuse theorems whose flags are
-    not asserted here.  Every generator name must be a NAME_TOKEN, so that
+    not asserted here.  Every generator name must be a NAME_TOKEN, and the
+    label and each flag (not empty) must fit on a tower-file line, so that
     the tower-file writer's output reads back.
     """
+    _require_line_text(label, "label")
+    flags = frozenset(flags)
+    for flag in flags:
+        if not flag:
+            raise ValidationError("a flag must not be empty")
+        _require_line_text(flag, "flag")
     for name in (*divisor_names, *curve_names):
         if not isinstance(name, str) or not _NAME.fullmatch(name):
             raise ValidationError(f"generator name {name!r} is not a token {NAME_TOKEN}")
@@ -766,7 +783,7 @@ def make_custom_base(
         c2=c2,
         euler=euler,
         picard=nd,
-        base_flags=frozenset(flags),
+        base_flags=flags,
     )
     validate_model(model)
     return model

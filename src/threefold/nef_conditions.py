@@ -33,6 +33,7 @@ from fractions import Fraction
 from .blowup_calculus import (
     BlowupStep,
     BlowupTower,
+    _center_numbers,
     blow_up_curve,
     blow_up_point,
     line_strict_transform,
@@ -158,7 +159,8 @@ def propagate_condition(
     T7 (Condition B only, c1.C != 2g-2), then the three T6 cases; cases
     whose optional flags are missing are skipped, never errors.  If nothing
     applies the verdict degrades to unknown.  The step's number is one past
-    the steps already in the trace.
+    the steps already in the trace.  model_before is the model the step
+    blows up, or any later model of the tower: the center reads the same.
     """
     if verdict.status != HOLDS:
         return verdict
@@ -167,7 +169,7 @@ def propagate_condition(
         return verdict.with_entry(HOLDS, TraceEntry(step_index, "T5", "point"))
 
     center = step.center
-    c1_dot_c = pair(model_before, model_before.c1, center.curve_class)
+    c1_dot_c, kappa = _center_numbers(model_before, center)[:2]
     g = center.genus
     gam = c1_dot_c + 2 * g - 2
     base_witnesses = (
@@ -195,20 +197,12 @@ def propagate_condition(
             TraceEntry(step_index, "T6", "2-negative-gamma-movable", base_witnesses),
         )
 
-    if center.surface_data is not None:
-        sd = center.surface_data
-        kappa = pair(model_before, sd.surface, center.curve_class)
-        mu = sd.mu
-        if 2 * kappa < mu * gam:
-            return verdict.with_entry(
-                HOLDS,
-                TraceEntry(
-                    step_index,
-                    "T6",
-                    "3-surface",
-                    base_witnesses + (("kappa", kappa), ("mu", QQ(mu))),
-                ),
-            )
+    if kappa is not None and 2 * kappa < center.surface_data.mu * gam:
+        mu = QQ(center.surface_data.mu)
+        return verdict.with_entry(
+            HOLDS,
+            TraceEntry(step_index, "T6", "3-surface", base_witnesses + (("kappa", kappa), ("mu", mu))),
+        )
 
     return verdict.with_entry(
         UNKNOWN, TraceEntry(step_index, "none", "no-case-applies", base_witnesses)
@@ -216,13 +210,14 @@ def propagate_condition(
 
 
 def check_tower(tower: BlowupTower, condition: str) -> ConditionVerdict:
-    """Fold propagate_condition along the tower, seeding from the base flags."""
-    models = tower.evaluate()
-    verdict = seed_verdict(models[0], condition)
+    """Fold propagate_condition along the tower, seeding from the base flags
+    and reading every center on the top model."""
+    top = tower.top()
+    verdict = seed_verdict(tower.base, condition)
     if verdict.status != HOLDS:
         return verdict
-    for k, step in enumerate(tower.steps):
-        verdict = propagate_condition(verdict, models[k], step)
+    for step in tower.steps:
+        verdict = propagate_condition(verdict, top, step)
         if verdict.status != HOLDS:
             break
     return verdict
@@ -328,7 +323,7 @@ def check_c2_positive_tower(tower: BlowupTower, condition: str) -> ConditionVerd
     per-center margin is recorded in the trace)."""
     if condition not in ("A", "B"):
         raise ValidationError("condition must be 'A' or 'B'")
-    models = tower.evaluate()
+    top = tower.top()
     gate = _whole_tower_gate(tower, "T4", FLAG_C2_MOVABLE_POSITIVE, "base-not-c2-positive")
     if gate is not None:
         return ConditionVerdict(condition, UNVERIFIED, (gate,))
@@ -340,8 +335,7 @@ def check_c2_positive_tower(tower: BlowupTower, condition: str) -> ConditionVerd
             entries.append(TraceEntry(k + 1, "T4", "point"))
             continue
         center = step.center
-        model_before = models[k]
-        c1_dot_c = pair(model_before, model_before.c1, center.curve_class)
+        c1_dot_c = _center_numbers(top, center)[0]
         margin = (2 * center.genus - 2) - c1_dot_c
         ok = margin >= 0
         all_margins_ok = all_margins_ok and ok

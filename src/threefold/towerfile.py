@@ -158,6 +158,9 @@ _CI_RE = re.compile(r"^ci\((\d+);([\d,]+)\)$")
 _CURVE_RE = re.compile(
     r"^blowup\s+curve\s+class\s*=\s*(?P<cls>.*?)\s+genus\s*=\s*(?P<genus>\d+)(?P<rest>.*)$"
 )
+_ALIAS_RE = re.compile(rf"^alias\s+({NAME_TOKEN})\s*=\s*(.*)$")
+_MUL_RE = re.compile(r"^(\S+)\s+(\S+)\s*=\s*(.*)$")
+_PAIR_RE = re.compile(r"^(\S+)\s+(\S+)\s*=\s*(-?\d+(?:/\d+)?)$")
 _OPT_RES = {
     "normal": re.compile(r"^normal\s*=\s*decomposable\b"),
     "tau0": re.compile(r"^tau0\s*=\s*(-?\d+)\b"),
@@ -259,7 +262,7 @@ def parse_tower(text: str) -> TowerDocument:
                 raise TowerParseError(str(e), line_no) from None
             continue
         if stmt.startswith("alias"):
-            m = re.match(rf"^alias\s+({NAME_TOKEN})\s*=\s*(.*)$", stmt)
+            m = _ALIAS_RE.match(stmt)
             if not m:
                 raise TowerParseError("malformed alias (expected 'alias <name> = <expr>')", line_no)
             name = m.group(1)
@@ -364,14 +367,14 @@ def _parse_custom_block(lines, start):
             curves.append(tail)
             declared.add(tail)
         elif head == "mul":
-            m = re.match(r"^(\S+)\s+(\S+)\s*=\s*(.*)$", tail)
+            m = _MUL_RE.match(tail)
             if not m:
                 raise TowerParseError("malformed mul entry", line_no)
             a, b, expr = m.groups()
             col = len(raw) - len(expr)
             mul[(a, b)] = {} if expr.strip() == "0" else _parse_linear_expr(expr, line_no, col, resolve_curve)
         elif head == "pair":
-            m = re.match(r"^(\S+)\s+(\S+)\s*=\s*(-?\d+(?:/\d+)?)$", tail)
+            m = _PAIR_RE.match(tail)
             if not m:
                 raise TowerParseError("malformed pair entry (want 'pair d c = p/q')", line_no)
             pairing[(m.group(1), m.group(2))] = _rational(

@@ -4,6 +4,7 @@ A tower is drawn as a base model plus a list of steps, each curve center
 dimensioned for the model at its own step; nothing is blown up while
 drawing, so a test can build the tower with whichever transform it checks.
 Use with @settings(deadline=None): tower sizes vary a lot between examples.
+A tower keeps only its top model; models_of folds out the ones below it.
 """
 
 from fractions import Fraction as Q
@@ -56,7 +57,8 @@ def classes(size: int, max_den: int = 3):
 @st.composite
 def curve_centers(draw, rho: int):
     """A non-zero curve center on a model of Picard number rho, sometimes
-    with surface data (kappa left to the blowup to compute)."""
+    with surface data (kappa left to the blowup to compute), and with the
+    normal-bundle and movability flags drawn unset, true or false."""
     vec = list(draw(classes(rho)))
     if not any(vec):
         vec[draw(st.integers(0, rho - 1))] = Q(1)
@@ -65,8 +67,13 @@ def curve_centers(draw, rho: int):
         surface_data = SurfaceData(
             surface=DivisorClass(draw(classes(rho))), mu=draw(st.integers(1, 3))
         )
+    flag = st.sampled_from([None, True, False])
     return CurveCenterSpec(
-        CurveClass(tuple(vec)), genus=draw(st.integers(0, 3)), surface_data=surface_data
+        CurveClass(tuple(vec)),
+        genus=draw(st.integers(0, 3)),
+        normal_bundle_decomposable=draw(flag),
+        surface_data=surface_data,
+        movable_witness=draw(flag),
     )
 
 
@@ -81,3 +88,12 @@ def blowup_towers(draw, max_steps: int = 6):
         else:
             steps.append(curve_step(draw(curve_centers(base.picard + len(steps)))))
     return BlowupTower(base, tuple(steps))
+
+
+def models_of(tower: BlowupTower) -> list:
+    """[base, after step 1, ..., after step k], each step blown up on the
+    model before it, so the models share one line's store."""
+    models = [tower.base]
+    for step in tower.steps:
+        models.append(BlowupTower(models[-1], (step,)).top())
+    return models

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import blowup_towers, classes, curve_centers
+from strategies import blowup_towers, classes, curve_centers, models_of
 
 from threefold import (
     BlowupTower,
@@ -290,7 +290,7 @@ def test_tower_evaluation():
     x2 = blow_up_point(blow_up_point(p3))
     d12 = line_strict_transform(x2, [1, 2])
     tower = BlowupTower(p3, (point_step(), point_step(), curve_step(d12)))
-    models = tower.evaluate()
+    models = models_of(tower)
     assert len(models) == 4
     assert [m.picard for m in models] == [1, 2, 3, 4]
     assert models[-1].euler == 4 + 2 + 2 + 2
@@ -489,7 +489,7 @@ def test_blow_up_curve_matches_reference(tower):
                     assert got == ref
                 else:
                     _assert_same_model(got, ref)
-    got = tower.evaluate()
+    got = models_of(tower)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         _assert_same_model(a, b)
@@ -528,7 +528,7 @@ def test_pair_and_meets_match_reference(tower, data):
 @settings(max_examples=100, deadline=None)
 @given(blowup_towers())
 def test_each_model_of_a_tower_knows_its_step(tower):
-    models = tower.evaluate()
+    models = models_of(tower)
     assert models[0].divisor_basis[-1].origin == "base"
     for k, model in enumerate(models):
         if k:
@@ -562,7 +562,7 @@ def test_branches_leave_earlier_models_alone_and_match_fresh_builds(tower, data)
     # the models of one tower share one store; blow the newest model up
     # twice (in place, then as a branch) and an older one twice more, and
     # grow one branch a step further
-    models = tower.evaluate()
+    models = models_of(tower)
     snapshots = [_snapshot(m) for m in models]
     older = data.draw(st.integers(0, len(models) - 1))
     branches = []  # (steps from the base, model)

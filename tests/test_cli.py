@@ -593,6 +593,111 @@ def test_ring_show_records_golden(capsys, tmp_path):
     assert out == MIXED_TOWER_RECORDS
 
 
+# `check` and `picard1` records of THEOREM_TOWER and MIXED_TOWER; every key
+# and value is part of the records contract
+THEOREM_TOWER_CHECK_A_RECORDS = """condition=A
+status=unknown
+trace=T5,T5,none
+trace.step0=base:picard-rank-1
+trace.step1=T5:point
+trace.step2=T5:point
+trace.step3=none:no-case-applies
+trace.step3.c1_dot_C=0
+trace.step3.genus=0
+trace.step3.two_g_minus_2=-2
+trace.step3.gamma=-2
+"""
+
+THEOREM_TOWER_CHECK_B_RECORDS = """condition=B
+status=holds-by-theorem
+trace=T5,T5,T7
+trace.step0=base:picard-rank-1
+trace.step1=T5:point
+trace.step2=T5:point
+trace.step3=T7:c1C-not-2g-2
+trace.step3.c1_dot_C=0
+trace.step3.genus=0
+trace.step3.two_g_minus_2=-2
+trace.step3.gamma=-2
+"""
+
+THEOREM_TOWER_PICARD1_RECORDS = """condition_a=holds-by-theorem
+condition_b=holds-by-theorem
+alphas=1
+alpha.step3=1
+gamma.step3=2
+"""
+
+MIXED_TOWER_CHECK_A_RECORDS = """condition=A
+status=unknown
+trace=T5,T5,T5,T5,none
+trace.step0=base:picard-rank-1
+trace.step1=T5:point
+trace.step2=T5:point
+trace.step3=T5:point
+trace.step4=T5:point
+trace.step5=none:no-case-applies
+trace.step5.c1_dot_C=0
+trace.step5.genus=0
+trace.step5.two_g_minus_2=-2
+trace.step5.gamma=-2
+"""
+
+MIXED_TOWER_CHECK_B_RECORDS = """condition=B
+status=holds-by-theorem
+trace=T5,T5,T5,T5,T7,T7,T7
+trace.step0=base:picard-rank-1
+trace.step1=T5:point
+trace.step2=T5:point
+trace.step3=T5:point
+trace.step4=T5:point
+trace.step5=T7:c1C-not-2g-2
+trace.step5.c1_dot_C=0
+trace.step5.genus=0
+trace.step5.two_g_minus_2=-2
+trace.step5.gamma=-2
+trace.step6=T7:c1C-not-2g-2
+trace.step6.c1_dot_C=0
+trace.step6.genus=0
+trace.step6.two_g_minus_2=-2
+trace.step6.gamma=-2
+trace.step7=T7:c1C-not-2g-2
+trace.step7.c1_dot_C=2
+trace.step7.genus=0
+trace.step7.two_g_minus_2=-2
+trace.step7.gamma=0
+"""
+
+MIXED_TOWER_PICARD1_RECORDS = """condition_a=holds-by-theorem
+condition_b=holds-by-theorem
+alphas=1,1,2/3
+alpha.step5=1
+gamma.step5=2
+alpha.step6=1
+gamma.step6=2
+alpha.step7=2/3
+gamma.step7=6
+"""
+
+
+@pytest.mark.parametrize(
+    "tower, argv, golden",
+    [
+        (THEOREM_TOWER, ("check", "--condition", "A"), THEOREM_TOWER_CHECK_A_RECORDS),
+        (THEOREM_TOWER, ("check", "--condition", "B"), THEOREM_TOWER_CHECK_B_RECORDS),
+        (THEOREM_TOWER, ("picard1",), THEOREM_TOWER_PICARD1_RECORDS),
+        (MIXED_TOWER, ("check", "--condition", "A"), MIXED_TOWER_CHECK_A_RECORDS),
+        (MIXED_TOWER, ("check", "--condition", "B"), MIXED_TOWER_CHECK_B_RECORDS),
+        (MIXED_TOWER, ("picard1",), MIXED_TOWER_PICARD1_RECORDS),
+    ],
+)
+def test_check_and_picard1_records_golden(capsys, tmp_path, tower, argv, golden):
+    f = tmp_path / "tower.txt"
+    f.write_text(tower)
+    code, out, err = run(capsys, *argv, str(f), "--format", "records")
+    assert (code, out, err) == (0, golden, "")
+
+
 def test_zero_denominator_is_a_located_error_not_a_traceback(tmp_path):
     import os
     import subprocess

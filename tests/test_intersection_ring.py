@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
-from strategies import blowup_towers
+from strategies import blowup_towers, models_of
 from towerfile_reference import dense_row
 
 from threefold import (
@@ -504,6 +504,6 @@ def _triple_products_by_fresh_index(model):
 def test_triple_products_read_the_stored_pairing_columns(tower):
     # every model of the tower, the older ones reading prefixes of a store
     # that later blowups appended to
-    for model in tower.evaluate():
+    for model in models_of(tower):
         got = triple_products(model)
         assert list(got.items()) == list(_triple_products_by_fresh_index(model).items())

@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from strategies import blowup_towers, models_of
 
 from threefold import (
     BlowupTower,
@@ -19,11 +21,14 @@ from threefold import (
     point_step,
     replay_certificate,
 )
+from threefold.blowup_calculus import _center_numbers
 from threefold.nef_conditions import (
     HOLDS,
     UNKNOWN,
     UNVERIFIED,
+    ConditionVerdict,
     GeneralizedConfig,
+    TraceEntry,
     _p3_points_lines_models,
     check_c2_positive_tower,
     check_generalized,
@@ -224,6 +229,15 @@ def test_propagate_requires_holding_verdict():
     stuck = ConditionVerdict("A", UNKNOWN, (TraceEntry(0, "base", "x"),))
     out = propagate_condition(stuck, base, point_step())
     assert out is stuck
+
+
+def test_propagate_refuses_a_center_of_a_later_model():
+    # any later model of the tower may read a center, an earlier one may not
+    x1 = blow_up_point(p3())
+    center = CurveCenterSpec(x1.curve({"l": 1, "L1": -1}), genus=0)
+    with pytest.raises(ValidationError, match="class not dimensioned for this model"):
+        propagate_condition(seed_verdict(p3(), "A"), p3(), curve_step(center))
+    assert propagate_condition(seed_verdict(p3(), "A"), blow_up_point(x1), curve_step(center)).status == UNKNOWN
 
 
 # -- picard rank 1 -----------------------------------------------------------
@@ -483,3 +497,117 @@ def test_generalized_single_conjunct_failures():
 def test_generalized_requires_positive_lambda():
     with pytest.raises(ValidationError):
         GeneralizedConfig(n=1, curves=(), incidence=((),), lam=Q(0))
+
+
+# -- the checkers against their fold over every model of the tower ----------
+
+
+def _reference_propagate_condition(verdict, model_before, step):
+    """propagate_condition as first written: c1.C and S.C paired on the
+    model the step blows up."""
+    if verdict.status != HOLDS:
+        return verdict
+    step_index = sum(1 for e in verdict.trace if e.step > 0) + 1
+    if step.kind == "point":
+        return verdict.with_entry(HOLDS, TraceEntry(step_index, "T5", "point"))
+    center = step.center
+    c1_dot_c = pair(model_before, model_before.c1, center.curve_class)
+    g = center.genus
+    gam = c1_dot_c + 2 * g - 2
+    base_witnesses = (
+        ("c1_dot_C", c1_dot_c),
+        ("genus", g),
+        ("two_g_minus_2", Q(2 * g - 2)),
+        ("gamma", gam),
+    )
+    if verdict.condition == "B" and c1_dot_c != 2 * g - 2:
+        return verdict.with_entry(HOLDS, TraceEntry(step_index, "T7", "c1C-not-2g-2", base_witnesses))
+    odd = c1_dot_c.denominator == 1 and int(c1_dot_c) % 2 != 0
+    if odd and center.normal_bundle_decomposable is True:
+        return verdict.with_entry(HOLDS, TraceEntry(step_index, "T6", "1-odd-decomposable", base_witnesses))
+    if gam < 0 and center.movable_witness is True:
+        return verdict.with_entry(
+            HOLDS, TraceEntry(step_index, "T6", "2-negative-gamma-movable", base_witnesses)
+        )
+    if center.surface_data is not None:
+        sd = center.surface_data
+        kappa = pair(model_before, sd.surface, center.curve_class)
+        if 2 * kappa < sd.mu * gam:
+            witnesses = base_witnesses + (("kappa", kappa), ("mu", Q(sd.mu)))
+            return verdict.with_entry(HOLDS, TraceEntry(step_index, "T6", "3-surface", witnesses))
+    return verdict.with_entry(UNKNOWN, TraceEntry(step_index, "none", "no-case-applies", base_witnesses))
+
+
+def _reference_check_tower(tower, condition):
+    """check_tower as first written: each step read on the model before it."""
+    models = models_of(tower)
+    verdict = seed_verdict(models[0], condition)
+    if verdict.status != HOLDS:
+        return verdict
+    for k, step in enumerate(tower.steps):
+        verdict = _reference_propagate_condition(verdict, models[k], step)
+        if verdict.status != HOLDS:
+            break
+    return verdict
+
+
+def _reference_check_c2_positive_tower(tower, condition):
+    """check_c2_positive_tower as first written, on the model before each step."""
+    models = models_of(tower)
+    if "c2-movable-positive" not in tower.base.base_flags:
+        return ConditionVerdict(condition, UNVERIFIED, (TraceEntry(0, "T4", "base-not-c2-positive"),))
+    kinds = [step.kind for step in tower.steps]
+    if ("curve", "point") in zip(kinds, kinds[1:]):
+        return ConditionVerdict(condition, UNVERIFIED, (TraceEntry(0, "T4", "steps-not-points-then-curves"),))
+    entries = [TraceEntry(0, "T4", "c2-movable-positive")]
+    all_margins_ok = True
+    for k, step in enumerate(tower.steps):
+        if step.kind == "point":
+            entries.append(TraceEntry(k + 1, "T4", "point"))
+            continue
+        center = step.center
+        c1_dot_c = pair(models[k], models[k].c1, center.curve_class)
+        margin = (2 * center.genus - 2) - c1_dot_c
+        all_margins_ok = all_margins_ok and margin >= 0
+        entries.append(
+            TraceEntry(
+                k + 1,
+                "T4",
+                "curve-margin",
+                (
+                    ("c1_dot_C", c1_dot_c),
+                    ("two_g_minus_2", Q(2 * center.genus - 2)),
+                    ("margin", margin),
+                    ("margin_ok", margin >= 0),
+                ),
+            )
+        )
+    status = HOLDS if condition == "B" or all_margins_ok else UNKNOWN
+    return ConditionVerdict(condition, status, tuple(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blowup_towers())
+def test_checkers_reading_the_top_match_the_fold_over_every_model(tower):
+    for condition in ("A", "B"):
+        assert repr(check_tower(tower, condition)) == repr(_reference_check_tower(tower, condition))
+        assert repr(check_c2_positive_tower(tower, condition)) == repr(
+            _reference_check_c2_positive_tower(tower, condition)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(blowup_towers())
+def test_center_numbers_on_every_later_model_equal_the_pairing_below(tower):
+    models = models_of(tower)
+    for k, step in enumerate(tower.steps):
+        if step.kind == "point":
+            continue
+        center, below = step.center, models[k]
+        sd = center.surface_data
+        want = (
+            pair(below, below.c1, center.curve_class),
+            None if sd is None else pair(below, sd.surface, center.curve_class),
+        )
+        for later in models[k:]:
+            assert _center_numbers(later, center)[:2] == want

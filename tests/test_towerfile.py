@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import blowup_towers
+from strategies import blowup_towers, models_of
 from towerfile_reference import _reference_parse_tower, _reference_serialize_model
 
 from threefold import (
@@ -13,11 +13,13 @@ from threefold import (
     blow_up_point,
     line_strict_transform,
     make_base,
+    make_custom_base,
     models_equivalent,
     parse_tower,
     serialize_model,
 )
 from threefold.blowup_calculus import CurveCenterSpec
+from threefold.intersection_ring import ValidationError
 from threefold.towerfile import TowerParseError
 
 
@@ -192,6 +194,54 @@ def test_blownup_model_roundtrip():
     assert models_equivalent(doc.top(), model)
     # and the re-parsed model serializes to the same text (fixed point)
     assert serialize_model(doc.top()) == text
+
+
+def _custom_p3(label="custom", flags=()):
+    return make_custom_base(
+        label=label,
+        divisor_names=["h"],
+        curve_names=["l"],
+        mul2={("h", "h"): {"l": 1}},
+        pairing={("h", "l"): 1},
+        c1={"h": 4},
+        c2={"l": 6},
+        euler=4,
+        flags=flags,
+    )
+
+
+@pytest.mark.parametrize(
+    "label, flags, what",
+    [
+        ("cubic #2", (), "label"),  # read back as 'cubic'
+        ("a\nb", (), "label"),  # 'b' read as a statement
+        (" x", (), "label"),
+        ("custom", ("note #1",), "flag"),
+        ("custom", ("two  spaces ",), "flag"),  # loses its trailing blank
+        ("custom", ("a\u2028b",), "flag"),  # a line break to str.splitlines
+    ],
+)
+def test_labels_and_flags_a_tower_file_cannot_carry_are_refused(label, flags, what):
+    with pytest.raises(ValidationError, match=f"^{what} .* cannot be written to a tower file"):
+        _custom_p3(label, flags)
+
+
+def test_empty_flags_and_unwritable_center_labels_are_refused():
+    with pytest.raises(ValidationError, match="flag must not be empty"):
+        _custom_p3(flags=("",))
+    p3 = make_base("p3")
+    # the model label P3+x#y would read back as P3+x
+    with pytest.raises(ValidationError, match="center label 'x#y' cannot be written"):
+        CurveCenterSpec(p3.curve({"l": 1}), genus=0, label="x#y")
+
+
+def test_labels_and_flags_that_fit_a_line_read_back():
+    model = _custom_p3("a  b", ("two  spaces", "x"))
+    back = parse_tower(serialize_model(model)).top()
+    assert back.label == "a  b"
+    assert models_equivalent(back, model)
+    model = blow_up_curve(model, CurveCenterSpec(model.curve({"l": 1}), genus=0, label="D 1"))
+    assert parse_tower(serialize_model(model)).top().label == "a  b+D 1"
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,7 +465,7 @@ def tower_texts(draw):
     and some curve centers through an alias of their part on the base,
     defined before the first blowup and pulled back by name."""
     tower = draw(blowup_towers())
-    models = tower.evaluate()
+    models = models_of(tower)
     base = tower.base
     spec = STOCK_SPECS.get(base.label)
     head = [f"base {spec}"] if spec and draw(st.booleans()) else serialize_model(base).splitlines()
