@@ -38,8 +38,9 @@ integer polynomials.  The pieces:
   width.  When the dominant modulus is not carried by real roots alone,
   the squared radius is recovered as the largest real root of the
   symmetric square of the squarefree part (the polynomial of its pairwise
-  root products, built from power sums by Newton's identities), which
-  always carries it.
+  root products), which always carries it; that polynomial is built from
+  power sums by Newton's identities in its two halves (Graeffe and
+  exterior square), and only the half owning the root is factored.
 """
 
 from __future__ import annotations
@@ -271,34 +272,44 @@ def berkowitz_charpoly(matrix) -> list[int]:
     return list(reversed(vec))
 
 
-def _symmetric_square(sf) -> list[int]:
-    """An integer polynomial of degree n(n+1)/2 whose roots are the
-    products alpha_i alpha_j (i <= j) of the roots alpha_1..alpha_n of the
-    integer polynomial sf.
+def _symmetric_square(sf) -> tuple[list[int], list[int]]:
+    """The two halves of the symmetric square of the integer polynomial sf
+    (the polynomial of degree n(n+1)/2 whose roots are the products
+    alpha_i alpha_j, i <= j, of the roots alpha_1..alpha_n of sf): its
+    Graeffe polynomial, of degree n with the roots alpha_i^2, and its
+    exterior square, of degree n(n-1)/2 with the roots alpha_i alpha_j
+    (i < j).  Their product is the symmetric square, which is therefore
+    never irreducible; each half is factored on its own.
 
     With a = lc(sf), g(x) = a^(n-1) sf(x / a) is monic with integer
     coefficients and the roots a alpha_i.  Newton's identities give the
-    power sums s_k of those roots; the k-th power sum of their products
-    (i <= j) is (s_k^2 + s_2k) / 2, and Newton's identities turn these back
-    into the monic integer polynomial h with the roots a^2 alpha_i alpha_j
-    (each division by k is exact); h(a^2 x) has the roots alpha_i alpha_j
-    (Bostan, Flajolet, Salvy and Schost, J. Symbolic Comput. 41, 2006).
+    power sums s_k of those roots; the k-th power sums of the halves' roots
+    are s_2k and (s_k^2 - s_2k) / 2, and Newton's identities turn these
+    back into monic integer polynomials h with the roots a^2 alpha_i^2 and
+    a^2 alpha_i alpha_j (each division by k is exact); h(a^2 x) has the
+    roots alpha_i^2 or alpha_i alpha_j (Bostan, Flajolet, Salvy and
+    Schost, J. Symbolic Comput. 41, 2006).
     """
     n, a = len(sf) - 1, sf[-1]
     # coefficients of g from x^(n-1) down: e[i] belongs to x^(n-i)
     e = [1] + [sf[n - i] * a ** (i - 1) for i in range(1, n + 1)]
-    m = n * (n + 1) // 2
-    s = [0] * (2 * m + 1)
-    for k in range(1, 2 * m + 1):
+    m = n * (n - 1) // 2
+    s = [0] * (2 * max(n, m) + 1)
+    for k in range(1, len(s)):
         acc = k * e[k] if k <= n else 0
         for i in range(1, min(k, n + 1)):
             acc += e[i] * s[k - i]
         s[k] = -acc
-    sums = [0] + [(s[k] * s[k] + s[2 * k]) // 2 for k in range(1, m + 1)]
-    h = [1]  # h[i] belongs to x^(m-i)
-    for k in range(1, m + 1):
-        h.append(-sum(h[i] * sums[k - i] for i in range(k)) // k)
-    return [c * a ** (2 * j) for j, c in enumerate(reversed(h))]
+
+    def from_power_sums(sums):
+        h = [1]  # h[i] belongs to x^(d-i), d = len(sums) - 1
+        for k in range(1, len(sums)):
+            h.append(-sum(h[i] * sums[k - i] for i in range(k)) // k)
+        return [c * a ** (2 * j) for j, c in enumerate(reversed(h))]
+
+    graeffe = from_power_sums([0] + [s[2 * k] for k in range(1, n + 1)])
+    wedge = from_power_sums([0] + [(s[k] * s[k] - s[2 * k]) // 2 for k in range(1, m + 1)])
+    return graeffe, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +598,10 @@ class AlgebraicNumber:
 #
 # A polynomial mod m is a list of ints in [0, m), low-to-high, without
 # leading zeros ([] is zero); every divisor below has a leading coefficient
-# invertible mod m.
+# invertible mod m.  The radius fallback's symmetric square is the product
+# of its two halves, so its degree sets never end the search early and it
+# would always be lifted and recombined: only the half that owns the
+# squared radius is factored.
 
 GOOD_PRIMES = 3  # primes whose degree sets are intersected before lifting
 
@@ -920,9 +934,10 @@ def _fraction_sqrt_bounds(x: Fraction, width: Fraction) -> tuple[Fraction, Fract
         raise ValueError("negative radicand")
     if x == 0:
         return ZERO, ZERO
-    scale = 1
-    while QQ(1, scale) > width * width / 4:
-        scale *= 4
+    # the least power of 4 with 1 / scale <= width^2 / 4, i.e. at least
+    # t = ceil(4 q^2 / p^2) for width = p / q
+    t = -(-4 * width.denominator**2 // width.numerator**2)
+    scale = 1 << 2 * (((t - 1).bit_length() + 1) // 2)
     num = x.numerator * scale * scale
     den = x.denominator
     # sqrt(x) = sqrt(num/den)/scale = sqrt(num*den)/(den*scale)
@@ -1042,9 +1057,13 @@ def certified_radius_from_charpoly(p) -> AlgebraicNumber:
     largest-modulus real root r and certify with two disk counts that the
     annulus just around |r| contains only real roots and nothing lies
     outside; when a complex pair dominates (or ties with a real root), the
-    squared radius is recovered as the largest real root of
-    _symmetric_square(sf), the polynomial of the products of pairs of
-    roots of the squarefree part sf, and verified by the same disk counts.
+    squared radius is recovered as the largest real root of the product of
+    the two halves of _symmetric_square(sf), the polynomial of the products
+    of pairs of roots of the squarefree part sf, and verified by the same
+    disk counts.  Its minimal polynomial is read from the factors of the
+    half with that root alone: the Graeffe polynomial (roots alpha_i^2)
+    when a real root carries the modulus, else the exterior square (roots
+    alpha_i alpha_j, i < j).
 
     The certificate depends on the primitive integer polynomial of p alone
     (its squarefree part, constant and leading coefficient), so it is
@@ -1112,7 +1131,8 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
             "could not certify the spectral radius (tied moduli on a matrix "
             "too large for the tensor-square fallback)"
         )
-    cp_sf = poly_squarefree(_symmetric_square(sf))
+    graeffe, wedge = _symmetric_square(sf)
+    cp_sf = poly_squarefree(poly_mul(graeffe, wedge))
     reals = isolate_real_roots(cp_sf)
     if not reals:
         raise ValueError("symmetric square has no real root; engine bug")
@@ -1120,7 +1140,12 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
     lam_lo, lam_hi = refine_root_interval(cp_sf, lam_lo, lam_hi, CERTIFIED_WIDTH**2 / 8)
     if lam_hi <= 0:
         raise ValueError("symmetric square has no positive real root; engine bug")
-    m_lam = minimal_polynomial_of_root(cp_sf, lam_lo, lam_hi)
+    # (lam_lo, lam_hi] isolates one root of cp_sf, so of either half that
+    # has a root in it, and the minimal polynomial divides that half: the
+    # Graeffe half when a real root has the largest modulus, else the
+    # exterior square
+    half = graeffe if count_real_roots(graeffe, lam_lo, lam_hi) else wedge
+    m_lam = minimal_polynomial_of_root(half, lam_lo, lam_hi)
     s = AlgebraicNumber(tuple(m_lam), lam_lo, lam_hi)
     m2 = [0] * (2 * len(s.minpoly) - 1)
     for i, c in enumerate(s.minpoly):

@@ -17,6 +17,7 @@ printed one (both recorded in the project decision log):
   is the scope the detailed invariants give it.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -281,6 +282,12 @@ def _companion_plus_fixed(poly):
     return m
 
 
+# sha256 of every certified lambda1 and lambda2 (minpoly, lo, hi) of the
+# 1000 matrices below, pinned when the complex-dominant radii were still
+# read from the factors of the whole symmetric square
+CRITERION_6_RADII_DIGEST = "6b610714cd419aedac2534773172e1a025a4800f31f2f632d93425b342f737bf"
+
+
 def test_criterion_6_dynamics_properties():
     t0 = time.monotonic()
     rng = random.Random(20240817)
@@ -288,8 +295,11 @@ def test_criterion_6_dynamics_properties():
 
     log_concavity_violations = 0
     counterexample = None
+    digest = hashlib.sha256()
     for A in matrices:
         rep = dynamical_degrees(None, A)
+        for lam in (rep.lambda1, rep.lambda2):
+            digest.update(repr((lam.minpoly, str(lam.lo), str(lam.hi))).encode())
         rat = rationality_obstruction(berkowitz_charpoly(A))
         assert rat.status == "consistent", A
         inv = matrix_adjugate_unimodular(A)
@@ -301,6 +311,7 @@ def test_criterion_6_dynamics_properties():
             log_concavity_violations += 1
             if counterexample is None:
                 counterexample = A
+    assert digest.hexdigest() == CRITERION_6_RADII_DIGEST
 
     # log-concavity lambda1^2 >= lambda2, interval-certified on validated
     # actions over genuine models (its actual scope; see module docstring)

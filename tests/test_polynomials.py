@@ -1,13 +1,20 @@
 import math
 import random
 from fractions import Fraction as Q
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from radius_reference import (
+    reference_fallback_radius,
+    reference_sqrt_bounds,
+    reference_symmetric_square,
+)
 from test_intersection_ring import _leibniz_det
+from threefold import polynomials
 from threefold.lattice_dynamics import dynamical_degrees
 from threefold.polynomials import (
     CERTIFIED_WIDTH,
@@ -17,6 +24,8 @@ from threefold.polynomials import (
     _certified_radius_int,
     _chain_for,
     _dominant_real_root,
+    _factor_squarefree,
+    _fraction_sqrt_bounds,
     _irreducible_factors_int,
     _symmetric_square,
     bareiss_solve,
@@ -680,11 +689,25 @@ _DENSE_POLYS = st.tuples(
 @example(berkowitz_charpoly([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]))  # +-i twice
 @example(berkowitz_charpoly([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]))  # golden pair twice
 @example(berkowitz_charpoly([[2, 1, 0], [0, 2, 1], [0, 0, 2]]))  # one Jordan block at 2
+# non-monic, leading coefficients 2 and 3 (the second one of degree > 4)
+@example([1, -3, 0, 2])
+@example([-1, 2, 0, -2, 1, 3])
 def test_symmetric_square_matches_kronecker_square(p):
     sf = poly_squarefree(p)
     n, a = len(sf) - 1, sf[-1]
-    got = _symmetric_square(sf)
+    graeffe, wedge = _symmetric_square(sf)
+    assert len(graeffe) == n + 1 and len(wedge) == n * (n - 1) // 2 + 1
+    got = poly_mul(graeffe, wedge)
     assert all(type(c) is int for c in got) and len(got) == n * (n + 1) // 2 + 1
+    # the halves split the whole symmetric square exactly, and their
+    # irreducible factors are those of its squarefree part
+    assert got == reference_symmetric_square(sf)
+    halves = {
+        f for h in (graeffe, wedge) for f in _irreducible_factors_int(tuple(poly_primitive_int(h)))
+    }
+    assert sorted(halves) == sorted(_irreducible_factors_int(tuple(poly_squarefree(got))))
+    # the Graeffe half's roots are the squares of the roots of sf
+    assert poly_squarefree(graeffe) == poly_squarefree(poly_compose_square(sf))
     got = poly_squarefree(got)
     if a == 1 or n <= 4:
         assert got == _ref_pairwise_products(sf)
@@ -813,6 +836,78 @@ def test_refused_radius_is_not_cached():
             certified_radius_from_charpoly(p)
     info = _certified_radius_int.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# the complex-dominant fallback on the two halves of the symmetric square
+# ---------------------------------------------------------------------------
+
+# characteristic polynomials from the slow end of the dyn-sample workload:
+# lambda1 of the first three and lambda2 of the last reach the fallback
+_FALLBACK_TAIL = [(1, -29, 3, 4, 1), (1, -32, 19, -4, 1), (1, -45, -2, 3, 1), (-1, -2, -1, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(0, 10**6, max_denominator=10**12),
+    st.fractions(0, 10**6, max_denominator=10**40).filter(lambda w: w > 0),
+)
+@example(Q(2), CERTIFIED_WIDTH / 2)
+@example(Q(7, 3), Q(4))
+@example(Q(5), Q(1, 2**40))
+def test_fraction_sqrt_bounds_match_the_scaling_loop(x, width):
+    assert _fraction_sqrt_bounds(x, width) == reference_sqrt_bounds(x, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unimodular_matrices(max_n=8))
+@example(companion_matrix(list(_FALLBACK_TAIL[0])))
+@example(companion_matrix(list(_FALLBACK_TAIL[1])))
+@example(companion_matrix(list(_FALLBACK_TAIL[2])))
+@example(companion_matrix(list(_FALLBACK_TAIL[3])))
+def test_fallback_matches_the_whole_symmetric_square_route(m):
+    cp = berkowitz_charpoly(m)
+    for p in (cp, cp[::-1]):
+        with patch.object(polynomials, "_symmetric_square", wraps=_symmetric_square) as split:
+            got = _outcome(_certified_radius_int.__wrapped__, tuple(poly_primitive_int(p)))
+        if split.called:
+            event("reached the fallback")
+            assert got == _outcome(reference_fallback_radius, split.call_args.args[0])
+
+
+def test_fallback_reads_a_real_radius_from_the_graeffe_half():
+    # the real root 3/2 and a complex pair of modulus 3/2 - 3e-14, too
+    # close for the real-root certificate: the squared radius 9/4 is a root
+    # of the Graeffe half, and the exterior square's z conj(z) lies below it
+    sf = poly_mul([-3, 2], [9 * 10**13 - 4, 4 * 10**13, 4 * 10**13])
+    with patch.object(polynomials, "_symmetric_square", wraps=_symmetric_square) as split:
+        got = _certified_radius_int.__wrapped__(tuple(sf))
+    assert split.called and got.minpoly == (-3, 2)
+    assert got == reference_fallback_radius(sf)
+
+
+@pytest.mark.parametrize("p", _FALLBACK_TAIL)
+def test_fallback_never_factors_the_whole_symmetric_square(p):
+    real, factored = polynomials._factor_by_primes, []
+
+    def spy(f):
+        factored.append(f)
+        return real(f)
+
+    _factor_squarefree.cache_clear()
+    reached = 0
+    for q in (p, p[::-1]):
+        factored.clear()
+        with patch.object(polynomials, "_factor_by_primes", spy), patch.object(
+            polynomials, "_symmetric_square", wraps=_symmetric_square
+        ) as split:
+            _certified_radius_int.__wrapped__(tuple(poly_primitive_int(q)))
+        reached += split.call_count
+        # of degree n(n+1)/2, only the square-root step's even m(x^2) may
+        # be factored
+        n = len(poly_squarefree(q)) - 1
+        assert all(len(f) - 1 != n * (n + 1) // 2 or not any(f[1::2]) for f in factored)
+    assert reached == 1
 
 
 _WIDTHS = st.fractions(Q(1, 10**15), 4, max_denominator=10**15).filter(lambda w: w > 0)
