@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .intersection_ring import (
     CURVE,
@@ -66,6 +67,7 @@ from .intersection_ring import (
     _meets_on,
     _require_int,
     _require_line_text,
+    _scaled_to_integers,
     _support,
     _Tables,
 )
@@ -243,13 +245,16 @@ def _center_numbers(model: ThreefoldModel, center: CurveCenterSpec):
         raise ValidationError("center class not dimensioned for this model")
     on_c = {a: cvec[a] for a in _support(cvec)}
     met = _meets_on(model, on_c)
-    c1v = model.c1.coeffs
-    c1_dot_c = sum((c1v[i] * m for i, m in met.items()), ZERO)
-    kappa = None
-    if center.surface_data is not None:
-        s = center.surface_data.surface.coeffs
-        kappa = sum((s[i] * m for i, m in met.items()), ZERO)
-    return c1_dot_c, kappa, on_c, met
+    # both numbers are int sums over one denominator, one Fraction each
+    sm, mv = _scaled_to_integers(list(met.values()))
+
+    def dot(coeffs):
+        s, xv = _scaled_to_integers([coeffs[i] for i in met])
+        return QQ(sum(map(mul, xv, mv)), s * sm)
+
+    sd = center.surface_data
+    kappa = None if sd is None else dot(sd.surface.coeffs)
+    return dot(model.c1.coeffs), kappa, on_c, met
 
 
 def gamma(model: ThreefoldModel, center: CurveCenterSpec) -> Fraction:
@@ -361,7 +366,7 @@ def line_strict_transform(
         raise ValidationError("degree must be positive")
     coeffs = {"l": Fraction(degree)}
     for i in idx:
-        coeffs[f"L{i}"] = Fraction(-1)
+        coeffs[f"L{i}"] = MINUS_ONE
     cls = model.curve(coeffs)
     return CurveCenterSpec(
         curve_class=cls,

@@ -7,11 +7,12 @@ two-phase simplex: Dantzig's rule (most negative reduced cost, lowest
 column on ties), and Bland's rule once 200 degenerate pivots follow each
 other, so runs are deterministic and never cycle.  The tableau is fraction
 free: each row is a sparse dict {column: int} over one positive int
-denominator, a pivot cross-multiplies the rows it touches and divides
-them by their gcd, and Fractions are made only for the answer.  When the
-maximum is attained, the dual solution is returned as a certificate:
-multipliers y_i >= 0 for the inequalities and free z_j for the equalities
-with
+denominator, a pivot cross-multiplies the rows it touches, a row is
+divided by its gcd only once its denominator outgrows a machine word (no
+pivot choice depends on a row's scale), and Fractions are made only for
+the answer.  When the maximum is attained, the dual solution is returned
+as a certificate: multipliers y_i >= 0 for the inequalities and free z_j
+for the equalities with
 
     sum_i y_i * f_i + sum_j z_j * g_j  ==  (max) - objective
 
@@ -28,6 +29,8 @@ QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _FRACTION_ONLY = frozenset({Fraction})
+# an eliminated row is reduced by its gcd once its denominator passes this
+_WORD = 1 << 62
 
 
 class LinProgError(ValueError):
@@ -56,20 +59,22 @@ class LinearForm:
         return sum((c * x for c, x in zip(self.coeffs, point)), self.constant)
 
     def render(self, variables: list[str]) -> str:
+        # the numerator carries a Fraction's sign, and an integral one prints as it
         parts = []
         for c, v in zip(self.coeffs, variables):
-            if c == 0:
+            k = c.numerator
+            if not k:
                 continue
-            if c == 1:
-                parts.append(f"+ {v}")
-            elif c == -1:
-                parts.append(f"- {v}")
-            elif c > 0:
-                parts.append(f"+ {c} {v}")
+            sign = "+" if k > 0 else "-"
+            if c.denominator != 1:
+                parts.append(f"{sign} {abs(c)} {v}")
+            elif k == 1 or k == -1:
+                parts.append(f"{sign} {v}")
             else:
-                parts.append(f"- {-c} {v}")
-        if self.constant != 0 or not parts:
-            parts.append(f"+ {self.constant}" if self.constant >= 0 else f"- {-self.constant}")
+                parts.append(f"{sign} {abs(k)} {v}")
+        const = self.constant
+        if const.numerator or not parts:
+            parts.append(f"+ {const}" if const.numerator >= 0 else f"- {-const}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else text
 
@@ -129,7 +134,12 @@ def _reduce(rows, dens, i):
 
 
 def _eliminate(rows, dens, i, source, source_den, col):
-    """Row i minus (its entry in col) times source/source_den, in place."""
+    """Row i minus (its entry in col) times source/source_den, in place.
+
+    The row is reduced only when its denominator passes _WORD: the simplex
+    compares numerators within one row and cross-multiplies the ratio test,
+    so the scale of a row never changes a pivot, and the answer's Fractions
+    normalise."""
     row = rows[i]
     f = row.get(col)
     if not f:
@@ -144,7 +154,8 @@ def _eliminate(rows, dens, i, source, source_den, col):
             row[j] = v
         else:
             del row[j]
-    _reduce(rows, dens, i)
+    if dens[i] > _WORD:
+        _reduce(rows, dens, i)
 
 
 def _simplex(rows, dens, basis, m, width, ncols):
@@ -422,6 +433,7 @@ def render_certificate(
     system: ConstraintSystem, result: FeasibleResult
 ) -> list[str]:
     """One line per constraint with its multiplier, exact rationals as p/q."""
+    variables = list(system.variables)
     lines = []
     for e in result.certificate:
         form = (
@@ -430,6 +442,6 @@ def render_certificate(
         rel = ">= 0" if e.kind == "ineq" else "= 0"
         label = e.label or f"{e.kind}[{e.index}]"
         lines.append(
-            f"{e.multiplier} * ({form.render(list(system.variables))} {rel})   [{label}]"
+            f"{e.multiplier} * ({form.render(variables)} {rel})   [{label}]"
         )
     return lines

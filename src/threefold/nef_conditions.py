@@ -48,6 +48,8 @@ from .intersection_ring import (
     ZERO,
     ThreefoldModel,
     ValidationError,
+    _require_int,
+    _scaled_to_integers,
     make_base,
     meets,
     multiply_divisors,
@@ -159,12 +161,13 @@ def propagate_condition(
     T7 (Condition B only, c1.C != 2g-2), then the three T6 cases; cases
     whose optional flags are missing are skipped, never errors.  If nothing
     applies the verdict degrades to unknown.  The step's number is one past
-    the steps already in the trace.  model_before is the model the step
-    blows up, or any later model of the tower: the center reads the same.
+    the trace's last step (seed_verdict and this function number the steps
+    0, 1, 2, ...).  model_before is the model the step blows up, or any
+    later model of the tower: the center reads the same.
     """
     if verdict.status != HOLDS:
         return verdict
-    step_index = sum(1 for e in verdict.trace if e.step > 0) + 1
+    step_index = verdict.trace[-1].step + 1 if verdict.trace else 1
     if step.kind == "point":
         return verdict.with_entry(HOLDS, TraceEntry(step_index, "T5", "point"))
 
@@ -407,6 +410,7 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
     by the exact LP engine and "forced" means it is exactly zero, with the
     dual combination returned as a replayable certificate.
     """
+    _require_int(n, "n")
     if n < 1:
         raise ValidationError("n must be >= 1")
     x1, x2, n_lines = _p3_points_lines_models(n)
@@ -449,14 +453,35 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
         sign_row(l, f"beta{l} >= 0")
     sign_row(nv - 1, "S >= 0")
 
-    # xi . D for xi = deg_u * h - sum beta_l E_l and D a curve class on X1
-    def nef_row_from_curve(curve_coeffs: dict, label: str):
-        by_basis = meets(x1, x1.curve(curve_coeffs))
-        ineqs.append(LinearForm(tuple(point_coeffs(by_basis) + [ZERO]), label=label))
+    # xi . D for xi = deg_u * h - sum beta_l E_l and D = k_0 l + sum k_i L_i
+    # on X1, one row per (combo, label) with combo {i: k_i}: meets is linear
+    # in D, so it runs once per curve generator, every row is an integer
+    # combination of those rows over their common denominator, and one
+    # Fraction is made per distinct value
+    def nef_rows(combos):
+        by_gen = [point_coeffs(meets(x1, x1.curve({g: ONE})))
+                  for g in ["l"] + [f"L{l}" for l in range(1, n + 1)]]
+        den, flat = _scaled_to_integers([c for row in by_gen for c in row])
+        width = n + 1
+        by_gen = [{j: v for j, v in enumerate(flat[k:k + width]) if v}
+                  for k in range(0, len(flat), width)]
+        fractions: dict[int, Fraction] = {}
+        for combo, label in combos:
+            acc = [0] * width
+            for g, k in combo.items():
+                for j, v in by_gen[g].items():
+                    acc[j] += k * v
+            coeffs = []
+            for v in acc:
+                q = fractions.get(v)
+                if q is None:
+                    q = fractions[v] = QQ(v, den)
+                coeffs.append(q)
+            coeffs.append(ZERO)
+            ineqs.append(LinearForm(tuple(coeffs), label=label))
 
     if n <= 3:
-        for l in range(1, n + 1):
-            nef_row_from_curve({"l": ONE, f"L{l}": -ONE}, f"line-through-p{l}")
+        nef_rows(({0: 1, l: -1}, f"line-through-p{l}") for l in range(1, n + 1))
     elif n <= 5:
         # aggregate rational-normal-curve bound, encoded as printed
         coeffs = [ZERO] * nv
@@ -465,11 +490,10 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
             coeffs[l] = -ONE
         ineqs.append(LinearForm(tuple(coeffs), label="rational-normal-curves(aggregate)"))
     elif n <= 9:
-        for subset in itertools.combinations(range(1, n + 1), 6):
-            cc = {"l": QQ(3)}
-            for l in subset:
-                cc[f"L{l}"] = -ONE
-            nef_row_from_curve(cc, f"twisted-cubic{subset}")
+        nef_rows(
+            ({0: 3, **dict.fromkeys(subset, -1)}, f"twisted-cubic{subset}")
+            for subset in itertools.combinations(range(1, n + 1), 6)
+        )
     # n >= 10: nothing beyond the sign constraints
 
     system = ConstraintSystem(tuple(variables), equalities, tuple(ineqs))

@@ -78,9 +78,26 @@ def curve_centers(draw, rho: int):
 
 
 @st.composite
-def blowup_towers(draw, max_steps: int = 6):
-    """An unbuilt BlowupTower over one of BASES: points and curve centers."""
-    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+def fractional_c1_bases(draw):
+    """FRACTIONAL_BASE's tables under a drawn c1 with denominators up to 7."""
+    a, b = draw(classes(2, max_den=7))
+    return make_custom_base(
+        label="fractional-c1",
+        divisor_names=["A", "B"],
+        curve_names=["f1", "f2"],
+        mul2={("A", "B"): {"f1": Q(1, 2)}, ("B", "B"): {"f2": 3}},
+        pairing={("A", "f2"): Q(1, 3), ("B", "f1"): 2},
+        c1={"A": a, "B": b},
+        c2={"f1": Q(5, 2), "f2": Q(1, 3)},
+        euler=6,
+    )
+
+
+@st.composite
+def blowup_towers(draw, max_steps: int = 6, bases=None):
+    """An unbuilt BlowupTower over one of BASES (or a base drawn from the
+    strategy bases): points and curve centers."""
+    base = BASES[draw(st.sampled_from(sorted(BASES)))] if bases is None else draw(bases)
     steps = []
     for _ in range(draw(st.integers(0, max_steps))):
         if draw(st.booleans()):

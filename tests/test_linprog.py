@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threefold import linprog
 from threefold.linprog import (
@@ -477,6 +479,69 @@ def test_fractional_systems_match_dense_reference():
     assert min(statuses[s] for s in ("optimal", "unbounded", "infeasible")) > 100
 
 
+def _large_system(rng):
+    """2-6 variables, 0-2 equalities, 2-8 inequalities whose numerators
+    and denominators have 20-40 bits, so that eliminated rows outgrow a
+    machine word after a few pivots."""
+    n = rng.randint(2, 6)
+    variables = tuple(f"x{i}" for i in range(n))
+
+    def big():
+        return rng.randrange(1 << 19, 1 << 40)
+
+    def q():
+        if rng.random() < 0.3:
+            return Q(0)
+        num = rng.choice((-1, 1)) * big()
+        return Q(num) if rng.random() < 0.5 else Q(num, big())
+
+    def form(constant):
+        return LinearForm(tuple(q() for _ in range(n)), constant)
+
+    ineqs = [form(abs(q()) if rng.random() < 0.8 else q()) for _ in range(rng.randint(2, 8))]
+    for j in rng.sample(range(n), rng.randint(0, n)):
+        coeffs = [Q(0)] * n
+        coeffs[j] = Q(big(), big())
+        ineqs.insert(rng.randint(0, len(ineqs)), LinearForm(tuple(coeffs)))
+    return ConstraintSystem(
+        variables,
+        equalities=tuple(form(q()) for _ in range(rng.randint(0, 2))),
+        inequalities=tuple(ineqs),
+    )
+
+
+def test_large_coefficient_systems_match_dense_reference(monkeypatch):
+    # an eliminated row is reduced only once its denominator passes a word:
+    # count the reductions made inside _eliminate, so that both branches run
+    eliminate, reduce = linprog._eliminate, linprog._reduce
+    inside = [False]
+    reduced_eliminated = [0]
+
+    def counting_eliminate(*args):
+        inside[0] = True
+        try:
+            return eliminate(*args)
+        finally:
+            inside[0] = False
+
+    def counting_reduce(rows, dens, i):
+        if inside[0]:
+            assert dens[i] > linprog._WORD
+            reduced_eliminated[0] += 1
+        return reduce(rows, dens, i)
+
+    monkeypatch.setattr(linprog, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(linprog, "_reduce", counting_reduce)
+    rng = random.Random(4040)
+    statuses = collections.Counter()
+    for _ in range(300):
+        system = _large_system(rng)
+        objective = system.variables[rng.randrange(len(system.variables))]
+        statuses[_assert_same_as_reference(system, objective)] += 1
+    assert statuses["optimal"] > 30, statuses
+    assert reduced_eliminated[0] > 0
+
+
 @functools.lru_cache(maxsize=None)
 def _p3_system(n):
     return check_p3_points_lines(n).system
@@ -592,3 +657,41 @@ def test_linear_form_converts_floats_exactly_and_keeps_fractions():
     coeffs = (Q(1), Q(-2, 5))
     assert LinearForm(coeffs).coeffs is coeffs
     assert LinearForm([Q(1)]).coeffs == (Q(1),)
+
+
+def _reference_render(form, variables):
+    """LinearForm.render as first written: every coefficient compared with
+    0, 1 and -1 as a Fraction."""
+    parts = []
+    for c, v in zip(form.coeffs, variables):
+        if c == 0:
+            continue
+        if c == 1:
+            parts.append(f"+ {v}")
+        elif c == -1:
+            parts.append(f"- {v}")
+        elif c > 0:
+            parts.append(f"+ {c} {v}")
+        else:
+            parts.append(f"- {-c} {v}")
+    if form.constant != 0 or not parts:
+        parts.append(f"+ {form.constant}" if form.constant >= 0 else f"- {-form.constant}")
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else text
+
+
+# 0, +-1, other integers and non-integral values, each drawn often
+_render_values = st.one_of(
+    st.just(Q(0)),
+    st.sampled_from([Q(1), Q(-1)]),
+    st.integers(-10**12, 10**12).map(Q),
+    st.builds(Q, st.integers(-10**6, 10**6), st.integers(2, 10**6)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_render_values, min_size=0, max_size=6), _render_values)
+def test_render_matches_reference(coeffs, constant):
+    form = LinearForm(tuple(coeffs), constant)
+    variables = [f"x{i}" for i in range(len(coeffs))]
+    assert form.render(variables) == _reference_render(form, variables)

@@ -4,8 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
-from strategies import blowup_towers, models_of
+from hypothesis import strategies as st
+from strategies import blowup_towers, fractional_c1_bases, models_of
 
+from threefold import nef_conditions
 from threefold import (
     BlowupTower,
     CurveCenterSpec,
@@ -22,6 +24,7 @@ from threefold import (
     replay_certificate,
 )
 from threefold.blowup_calculus import _center_numbers
+from threefold.intersection_ring import meets
 from threefold.nef_conditions import (
     HOLDS,
     UNKNOWN,
@@ -447,6 +450,26 @@ def test_p3_points_lines_rejects_bad_n():
         check_p3_points_lines(0)
 
 
+@pytest.mark.parametrize("n", [2.5, "3", True, Q(3)])
+def test_p3_points_lines_refuses_a_non_integer_n(n):
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        check_p3_points_lines(n)
+
+
+def test_p3_points_lines_nef_rows_meet_once_per_generator(monkeypatch):
+    # meets is linear in the curve class: one call per generator l, L1..L9
+    # and one per equality, not one per twisted cubic (84 at n = 9)
+    calls = []
+
+    def counting(model, c):
+        calls.append(c)
+        return meets(model, c)
+
+    monkeypatch.setattr(nef_conditions, "meets", counting)
+    check_p3_points_lines(9)
+    assert len(calls) == 9 + 3
+
+
 # -- generalized criterion ----------------------------------------------------
 
 
@@ -586,6 +609,17 @@ def _reference_check_c2_positive_tower(tower, condition):
     return ConditionVerdict(condition, status, tuple(entries))
 
 
+def test_check_tower_matches_the_fold_on_the_points_and_lines_tower():
+    # P3 in 30 points, then the 435 lines through two of them: 465 steps
+    tower = BlowupTower(p3(), (point_step(),) * 30)
+    for i, j in itertools.combinations(range(1, 31), 2):
+        tower = tower.with_step(curve_step(line_strict_transform(tower.top(), (i, j))))
+    assert len(tower.steps) == 465
+    for condition in ("A", "B"):
+        assert repr(check_tower(tower, condition)) == repr(_reference_check_tower(tower, condition))
+    assert check_tower(tower, "B").trace[-1].step == 465
+
+
 @settings(max_examples=300, deadline=None)
 @given(blowup_towers())
 def test_checkers_reading_the_top_match_the_fold_over_every_model(tower):
@@ -596,8 +630,10 @@ def test_checkers_reading_the_top_match_the_fold_over_every_model(tower):
         )
 
 
-@settings(max_examples=150, deadline=None)
-@given(blowup_towers())
+# pair is the Fraction sum over meets; the fractional-c1 bases give c1.C
+# and S.C non-integral terms on the base's generators
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(blowup_towers(), blowup_towers(bases=fractional_c1_bases())))
 def test_center_numbers_on_every_later_model_equal_the_pairing_below(tower):
     models = models_of(tower)
     for k, step in enumerate(tower.steps):
@@ -611,3 +647,4 @@ def test_center_numbers_on_every_later_model_equal_the_pairing_below(tower):
         )
         for later in models[k:]:
             assert _center_numbers(later, center)[:2] == want
+
