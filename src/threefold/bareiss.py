@@ -1,5 +1,5 @@
-"""The one exact determinant and linear solve: fraction-free (Bareiss)
-elimination on sparse rows.
+"""The one exact determinant, rank and linear solve: fraction-free
+(Bareiss) elimination on sparse rows.
 
 Kept apart from polynomials so that the intersection ring and the case
 studies load this and nothing of the polynomial toolbox.
@@ -30,6 +30,38 @@ def bareiss_solve(rows, rhs=None):
     Math. Comp. 22, 1968).
     """
     n = len(rows)
+    work, sign, pivots, prev, scale = _eliminate(rows, rhs)
+    if len(pivots) < n:
+        return 0, None
+
+    def unscaled(v):
+        v *= sign
+        return v if scale == 1 else QQ(v, scale)
+
+    if rhs is None:
+        return unscaled(prev), None
+    # back-substitution of prev * X, row by row from the bottom
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = {c - n: v * prev for c, v in work[i].items() if c >= n}
+        for j, u in work[i].items():
+            if j < n:
+                for c, v in x[j].items():
+                    acc[c] = acc.get(c, 0) - u * v
+        x[i] = {c: v // pivots[i] for c, v in acc.items() if v}
+    return unscaled(prev), [{c: unscaled(v) for c, v in r.items()} for r in x]
+
+
+def bareiss_rank(rows) -> int:
+    """Rank of a square matrix given as sparse rows, as in bareiss_solve."""
+    return len(_eliminate(rows)[2])
+
+
+def _eliminate(rows, rhs=None):
+    """The forward pass of bareiss_solve: (work, sign, pivots, last pivot,
+    scale), with work the rows in echelon form.  A column without a pivot is skipped, so
+    len(pivots) is the rank; without a skip, row k holds pivot k."""
+    n = len(rows)
     work = []
     scale = 1
     for i, row in enumerate(rows):
@@ -49,18 +81,19 @@ def bareiss_solve(rows, rhs=None):
     # used (as pivot row, or updated with its own last pivot as divisor)
     sign, prev, pivots, last = 1, 1, [], [1] * n
     for k in range(n):
-        p = next((r for r in range(k, n) if k in work[r]), None)
+        r = len(pivots)
+        p = next((i for i in range(r, n) if k in work[i]), None)
         if p is None:
-            return 0, None
-        if p != k:
-            work[k], work[p] = work[p], work[k]
-            last[k], last[p] = last[p], last[k]
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            last[r], last[p] = last[p], last[r]
             sign = -sign
-        if last[k] != prev:
-            work[k] = {c: v * prev // last[k] for c, v in work[k].items()}
-        rk = work[k]
+        if last[r] != prev:
+            work[r] = {c: v * prev // last[r] for c, v in work[r].items()}
+        rk = work[r]
         pk = rk.pop(k)
-        for i in range(k + 1, n):
+        for i in range(r + 1, n):
             ri = work[i]
             a = ri.pop(k, 0)
             if a:
@@ -72,23 +105,7 @@ def bareiss_solve(rows, rhs=None):
                 last[i] = pk
         pivots.append(pk)
         prev = pk
-
-    def unscaled(v):
-        v *= sign
-        return v if scale == 1 else QQ(v, scale)
-
-    if rhs is None:
-        return unscaled(prev), None
-    # back-substitution of prev * X, row by row from the bottom
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = {c - n: v * prev for c, v in work[i].items() if c >= n}
-        for j, u in work[i].items():
-            if j < n:
-                for c, v in x[j].items():
-                    acc[c] = acc.get(c, 0) - u * v
-        x[i] = {c: v // pivots[i] for c, v in acc.items() if v}
-    return unscaled(prev), [{c: unscaled(v) for c, v in r.items()} for r in x]
+    return work, sign, pivots, prev, scale
 
 
 def int_matrix_det(matrix) -> int:

@@ -1,5 +1,5 @@
 """Lattice automorphism actions: validation, certified dynamical degrees,
-the rationality obstruction, and numeric eigenclass constraints.
+the rationality obstruction, and exact eigenclass constraints.
 
 An action is an integer matrix A on the divisor basis (the pullback action
 on divisor coefficient vectors).  The induced curve matrix is
@@ -16,7 +16,9 @@ interval of width <= 1e-10, with disk counts ruling out larger complex
 moduli (see polynomials.certified_radius_from_charpoly).  Comparisons between
 certified numbers (lambda1 != lambda2, lambda1^2 >= lambda2, lambda2 >= 1)
 are decided by interval refinement plus minimal-polynomial identity, never
-by floating point.
+by floating point.  So is every vanishing of the eigenclass constraints:
+the leading eigenvector has coordinates in Z[lambda1], and a residual is 0
+exactly when lambda1's minimal polynomial divides it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from .bareiss import bareiss_solve
-from .intersection_ring import ThreefoldModel, ValidationError, pairing_rows, triple_products
+from .bareiss import bareiss_rank, bareiss_solve
+from .intersection_ring import (
+    DivisorClass,
+    ThreefoldModel,
+    ValidationError,
+    multiply_divisors,
+    pair,
+    pairing_rows,
+    triple_products,
+)
 from .polynomials import (
     CERTIFIED_WIDTH,
     AlgebraicNumber,
@@ -37,6 +48,8 @@ from .polynomials import (
     minimal_polynomial_of_root,
     poly_compose_square,
     poly_eval,
+    poly_mul,
+    poly_primitive_int,
     poly_trim,
     refine_root_interval,
 )
@@ -46,7 +59,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 DEFAULT_TOLERANCE = 1e-8
-EIGENVECTOR_PRECISION_BITS = 96  # >= 64 fractional bits
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +74,13 @@ def _as_int(v) -> int:
     raise ValidationError(f"action matrices must have integer entries, got {v!r}")
 
 
-def _mat_vec(a, v):
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
+def _sparse_rows(a):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
+def _mat_vec(rows, v):
+    """The matrix with these _sparse_rows times the vector v."""
+    return [sum(x * v[j] for j, x in row) for row in rows]
 
 
 def _det_and_curve_matrix(model: ThreefoldModel, A):
@@ -127,7 +144,7 @@ def validate_action(model: ThreefoldModel, A) -> ActionValidation:
     form = triple_products(model)
     before = {key: t for key, t in form.items() if key[1] <= key[2]}
     after: dict[tuple[int, int, int], Fraction] = {}
-    rows = [[(i, v) for i, v in enumerate(row) if v] for row in A]
+    rows = _sparse_rows(A)
     for (p, q, r), t in form.items():
         for p1, q1 in {(p, q), (q, p)}:
             for i, a in rows[p1]:
@@ -149,10 +166,10 @@ def validate_action(model: ThreefoldModel, A) -> ActionValidation:
             f"{before.get((i, j, k), ZERO)} -> {after.get((i, j, k), ZERO)}"
         )
 
-    if _mat_vec(A, list(model.c1.coeffs)) != list(model.c1.coeffs):
+    if _mat_vec(rows, model.c1.coeffs) != list(model.c1.coeffs):
         violations.append("c1 is not fixed")
     if B is not None:
-        if _mat_vec(B, list(model.c2.coeffs)) != list(model.c2.coeffs):
+        if _mat_vec(_sparse_rows(B), model.c2.coeffs) != list(model.c2.coeffs):
             violations.append("c2 is not fixed")
 
     ok = not violations
@@ -298,7 +315,7 @@ def lambda2_at_least_one_certified(report: DegreeReport) -> bool:
 
 @dataclass(frozen=True)
 class RationalityReport:
-    status: str  # "consistent" | "not-unimodular" | "contradiction"
+    status: str  # "consistent" | "not-unimodular"
     detail: str
     witnesses: tuple[tuple[int, int], ...] = ()  # (candidate, P(candidate))
 
@@ -307,9 +324,9 @@ def rationality_obstruction(char_poly) -> RationalityReport:
     """Rational-root analysis of a monic integer characteristic polynomial.
 
     If |P(0)| != 1 the matrix was not unimodular.  Otherwise the only
-    possible rational eigenvalues are +-1, so no rational eigenvalue can
-    exceed 1 in modulus; a contradiction witness would indicate an engine
-    bug upstream, not mathematics.
+    possible rational eigenvalues are the divisors +-1 of P(0), so no
+    rational eigenvalue can exceed 1 in modulus; the witnesses are P(1)
+    and P(-1).
     """
     p = poly_trim([int(c) for c in char_poly])
     if p[-1] != 1:
@@ -320,18 +337,10 @@ def rationality_obstruction(char_poly) -> RationalityReport:
             status="not-unimodular",
             detail=f"P(0) = {p0}, so det is not +-1",
         )
-    witnesses = tuple((c, poly_eval(p, c)) for c in (1, -1))
-    for cand, val in witnesses:
-        if val == 0 and abs(cand) > 1:
-            return RationalityReport(
-                status="contradiction",
-                detail=f"rational root {cand} of modulus > 1",
-                witnesses=witnesses,
-            )
     return RationalityReport(
         status="consistent",
         detail="rational eigenvalue candidates +-1 cannot exceed modulus 1",
-        witnesses=witnesses,
+        witnesses=tuple((c, poly_eval(p, c)) for c in (1, -1)),
     )
 
 
@@ -353,49 +362,23 @@ class EigenclassReport:
     degrees: DegreeReport | None = None  # the certified degrees it used
 
 
-def _root_multiplicity(charpoly, minpoly) -> int:
-    """How often the irreducible primitive minpoly divides the monic integer
-    charpoly; division over Z decides it, by Gauss's lemma."""
+def _root_multiplicity(charpoly, minpoly) -> tuple[int, list[int]]:
+    """(k, P) with charpoly = minpoly^k P and P prime to the irreducible
+    primitive minpoly; division over Z decides it, by Gauss's lemma."""
     mult, q = 0, list(charpoly)
-    while (q := _exact_quotient(q, minpoly)) is not None:
-        mult += 1
-    return mult
+    while (quotient := _exact_quotient(q, minpoly)) is not None:
+        mult, q = mult + 1, quotient
+    return mult, q
 
 
-def _nullspace_mp(A, lam, n, prec):
-    """Nullspace basis of (A - lam I) with mpmath at the given precision."""
-    import mpmath
-
-    with mpmath.workprec(prec):
-        M = [[mpmath.mpf(A[i][j]) - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-        tol = mpmath.mpf(2) ** (-prec // 2)
-        row = 0
-        pivots = []
-        for col in range(n):
-            piv, best = None, tol
-            for r in range(row, n):
-                if abs(M[r][col]) > best:
-                    piv, best = r, abs(M[r][col])
-            if piv is None:
-                continue
-            M[row], M[piv] = M[piv], M[row]
-            pv = M[row][col]
-            M[row] = [v / pv for v in M[row]]
-            for r in range(n):
-                if r != row and abs(M[r][col]) > 0:
-                    f = M[r][col]
-                    M[r] = [v - f * w for v, w in zip(M[r], M[row])]
-            pivots.append(col)
-            row += 1
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [mpmath.mpf(0)] * n
-            v[fc] = mpmath.mpf(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -M[r][fc]
-            basis.append(v)
-        return basis
+def _horner(rows, p, v):
+    """The stages of Horner's rule for p(A) v, p an integer polynomial of
+    degree e and rows the _sparse_rows of A: out_e = p_e v, then out_t =
+    A out_{t+1} + p_t v down to out_0 = p(A) v."""
+    stages = [[0] * len(v)]
+    for c in reversed(p):
+        stages.append([x + c * y for x, y in zip(_mat_vec(rows, stages[-1]), v)])
+    return stages[1:]
 
 
 def eigenclass_constraints(
@@ -403,99 +386,107 @@ def eigenclass_constraints(
     A,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> EigenclassReport:
-    """Evaluate the forced vanishings against a numeric leading eigenvector.
+    """Evaluate the forced vanishings on an exact leading eigenvector.
 
-    With lambda1 > 1 + tolerance, a leading eigenvector zeta of A is
-    computed with at least 64 fractional bits and the residuals
-    |(zeta^2)_k|, |zeta^3|, |zeta^2.c1|, |zeta.c1^2| and |zeta.c2| are
-    reported against the tolerance; when lambda1 != lambda2 is certified
-    the componentwise |(zeta.c1)_k| constraints are reported as well.  The
-    vector is the leading eigenvector of the lattice action, not a
-    certified nef class.  The report carries the DegreeReport it certified.
-    The action is validated before the tolerance is checked.
+    With lambda1 > 1 + tolerance, let m be lambda1's minimal polynomial and
+    chi_A = m^k P with m prime to P.  The leading eigenspace is not
+    defective exactly when (mP)(A) = 0; then zeta = (m(x) / (x - lambda1))(A)
+    P(A) e_j, for the first j with P(A) e_j != 0, is an eigenvector with
+    coordinates in Z[lambda1].  The residuals |(zeta^2)_k|, |zeta^3|,
+    |zeta^2.c1|, |zeta.c1^2| and |zeta.c2|, and the componentwise
+    |(zeta.c1)_k| when lambda1 != lambda2 is certified, are polynomials in
+    lambda1 built from products and pairings of integer vectors.  Each is 0
+    exactly when m divides it, else its value at lambda1 (refined to
+    2^-128) over the matching power of max |zeta_i|, and it is compared
+    with the tolerance.  The vector is the leading eigenvector of the
+    lattice action, not a certified nef class.  The report carries the
+    DegreeReport it certified.  The action is validated before the
+    tolerance is checked.
     """
     report = dynamical_degrees(model, A)
     if not 0 < tolerance < math.inf:
         raise ValidationError("tolerance must be finite and positive")
     l1 = report.lambda1
-    if float(l1) <= 1 + tolerance:
+
+    def result(status: str, detail: str, **found) -> EigenclassReport:
         return EigenclassReport(
-            status="entropy-zero",
+            status=status,
             lambda1=float(l1),
             tolerance=tolerance,
-            detail="no conclusion: entropy zero regime",
+            detail=detail,
             degrees=report,
+            **found,
         )
 
-    import mpmath  # loaded for the first eigenvector, not at import
-
-    n = len(model.divisor_basis)
-    mult = _root_multiplicity(report.charpoly, l1.minpoly)
-    prec = EIGENVECTOR_PRECISION_BITS
-    l1_narrow = l1.refined(QQ(1, 2 ** (prec + 16)))
-    with mpmath.workprec(prec + 32):
-        lam = (mpmath.mpf(l1_narrow.lo.numerator) / l1_narrow.lo.denominator +
-               mpmath.mpf(l1_narrow.hi.numerator) / l1_narrow.hi.denominator) / 2
-        basis = _nullspace_mp(A, lam, n, prec + 32)
-        if len(basis) < mult:
-            return EigenclassReport(
-                status="eigenvector-not-certified",
-                lambda1=float(l1),
-                tolerance=tolerance,
-                detail=f"leading eigenspace defective: algebraic multiplicity {mult}, "
-                f"numeric nullity {len(basis)}",
-                degrees=report,
+    if float(l1) <= 1 + tolerance:
+        return result("entropy-zero", "no conclusion: entropy zero regime")
+    n = len(A)
+    m = list(l1.minpoly)
+    mult, P = _root_multiplicity(report.charpoly, m)
+    if mult == 0:
+        # only complex or negative eigenvalues have modulus lambda1, which
+        # no action preserving a nef cone can do
+        return result("eigenvector-not-certified", "lambda1 is not an eigenvalue of A")
+    rows = _sparse_rows(A)
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    if mult > 1:
+        # (mP)(A) maps onto m(A) ker m(A)^k, of rank d (k - g) for g
+        # eigenvectors; for k = 1 it is chi_A(A) = 0 (Cayley-Hamilton)
+        image = [_horner(rows, poly_mul(m, P), e)[-1] for e in units]
+        if any(map(any, image)):
+            g = mult - bareiss_rank([dict(enumerate(col)) for col in image]) // (len(m) - 1)
+            return result(
+                "eigenvector-not-certified",
+                f"leading eigenspace defective: algebraic multiplicity {mult}, numeric nullity {g}",
             )
-        zeta = basis[0]
-        norm = max(abs(c) for c in zeta)
-        zeta = [c / norm for c in zeta]
+    # zeta = sum_t lambda1^t w_t for the Horner stages w_{d-1} = u, ...,
+    # w_0 of m(A) u = 0, since m(x) / (x - lambda1) = sum_t lambda1^t q_t(x)
+    # with q_{d-1} = 1 and q_t = x q_{t+1} + m_{t+1}
+    u = next(v for v in (_horner(rows, P, e)[-1] for e in units) if any(v))
+    ws = [DivisorClass(w) for w in reversed(_horner(rows, m, u)[:-1])]
+    narrow = l1.refined(QQ(1, 2**128))
+    lam = (narrow.lo + narrow.hi) / 2
+    zeta = [poly_eval([w.coeffs[i] for w in ws], lam) for i in range(n)]
+    norm = max(map(abs, zeta))
 
-        # float views of the model tables
-        def fr(x: Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
+    def size(q, degree: int) -> float:
+        # |sum_p lambda1^p q[p]| / norm^degree, 0 exactly when m divides it
+        if _exact_quotient(poly_primitive_int(q), m) is not None:
+            return 0.0
+        return float(abs(poly_eval(q, lam)) / norm**degree)
 
-        mul2f = [
-            (i, j, [(k, fr(c)) for k, c in entry.items()])
-            for (i, j), entry in model.mul2.items()
-        ]
-        pairf = [(i, a, fr(v)) for (i, a), v in model.pairing.items()]
-        c1f = [fr(c) for c in model.c1.coeffs]
-        c2f = [fr(c) for c in model.c2.coeffs]
+    def largest(classes, degree: int) -> float:
+        # the largest size of a coordinate of sum_p lambda1^p classes[p]
+        return max(size([c.coeffs[a] for c in classes], degree) for a in range(len(classes[0])))
 
-        def mulf(x, y):
-            out = [mpmath.mpf(0)] * n
-            for i, j, entry in mul2f:
-                f = x[i] * y[j] if i == j else x[i] * y[j] + x[j] * y[i]
-                if f:
-                    for k, v in entry:
-                        out[k] += f * v
-            return out
+    def paired(divisors, curves):
+        # coefficients of sum_{s, t} lambda1^(s + t) pair(divisors[s], curves[t])
+        out = [ZERO] * (len(divisors) + len(curves) - 1)
+        for s, x in enumerate(divisors):
+            for t, y in enumerate(curves):
+                out[s + t] += pair(model, x, y)
+        return out
 
-        def pairfv(d, c):
-            return sum(d[i] * v * c[a] for i, a, v in pairf)
-
-        zeta2 = mulf(zeta, zeta)
-        c1c1 = mulf(c1f, c1f)
-        residuals = {
-            "zeta2_components_max": float(max(abs(c) for c in zeta2)),
-            "zeta3": float(abs(pairfv(zeta, zeta2))),
-            "zeta2_c1": float(abs(pairfv(c1f, zeta2))),
-            "zeta_c1sq": float(abs(pairfv(zeta, c1c1))),
-            "zeta_c2": float(abs(pairfv(zeta, c2f))),
-        }
-        if report.primitive_hint:
-            zc1 = mulf(zeta, c1f)
-            residuals["zeta_c1_components_max"] = float(max(abs(c) for c in zc1))
-
-    within = {k: val < tolerance for k, val in residuals.items()}
-    return EigenclassReport(
-        status="ok",
-        lambda1=float(l1),
-        tolerance=tolerance,
+    zeta2 = [model.zero_curve()] * (2 * len(ws) - 1)
+    for s, t in combinations_with_replacement(range(len(ws)), 2):
+        product = multiply_divisors(model, ws[s], ws[t])
+        zeta2[s + t] += product if s == t else product.scale(2)
+    residuals = {
+        "zeta2_components_max": largest(zeta2, 2),
+        "zeta3": size(paired(ws, zeta2), 3),
+        "zeta2_c1": size(paired([model.c1], zeta2), 2),
+        "zeta_c1sq": size(paired(ws, [multiply_divisors(model, model.c1, model.c1)]), 1),
+        "zeta_c2": size(paired(ws, [model.c2]), 1),
+    }
+    if report.primitive_hint:
+        residuals["zeta_c1_components_max"] = largest(
+            [multiply_divisors(model, w, model.c1) for w in ws], 1
+        )
+    return result(
+        "ok",
+        "leading eigenvector residuals (eigenvector is not certified nef)",
         residuals=residuals,
-        within_tolerance=within,
-        eigenvector=tuple(float(c) for c in zeta),
+        within_tolerance={k: val < tolerance for k, val in residuals.items()},
+        eigenvector=tuple(float(z / norm) for z in zeta),
         includes_lambda_neq_constraints=report.primitive_hint,
-        detail="leading eigenvector residuals (eigenvector is not certified nef)",
-        degrees=report,
     )

@@ -10,8 +10,6 @@ denominator while being refined); exact division is _exact_quotient on
 integer polynomials.  The pieces:
 
 - berkowitz_charpoly: division-free characteristic polynomial.
-- bareiss_solve and int_matrix_det (from the bareiss module, re-exported
-  here): the one exact determinant/solve, fraction-free on sparse rows.
 - poly_gcd and poly_squarefree: the primitive polynomial remainder
   sequence (W. S. Brown, J. ACM 18, 1971); one cache of squarefree parts,
   keyed by the primitive integer tuple, serves every caller below.
@@ -30,17 +28,17 @@ integer polynomials.  The pieces:
   characteristic polynomials of A and A^-1 are factored once.
 - certified_radius_from_charpoly: the largest root modulus of an integer
   characteristic polynomial as an exact algebraic number (minimal
-  polynomial + isolating interval); certified_spectral_radius is its
-  matrix front.  Each distinct primitive polynomial is certified once per
-  process (one cache, keyed like the squarefree parts), so a reciprocal
-  characteristic polynomial and its reversal share one certificate.  Only
-  the real roots whose modulus can still lead are refined to the certified
-  width.  When the dominant modulus is not carried by real roots alone,
-  the squared radius is recovered as the largest real root of the
-  symmetric square of the squarefree part (the polynomial of its pairwise
-  root products), which always carries it; that polynomial is built from
-  power sums by Newton's identities in its two halves (Graeffe and
-  exterior square), and only the half owning the root is factored.
+  polynomial + isolating interval).  Each distinct primitive polynomial
+  is certified once per process (one cache, keyed like the squarefree
+  parts), so a reciprocal characteristic polynomial and its reversal
+  share one certificate.  Only the real roots whose modulus can still
+  lead are refined to the certified width.  When the dominant modulus is
+  not carried by real roots alone, the squared radius is recovered as
+  the largest real root of the symmetric square of the squarefree part
+  (the polynomial of its pairwise root products), which always carries
+  it; that polynomial is built from power sums by Newton's identities in
+  its two halves (Graeffe and exterior square), and only the half owning
+  the root is factored.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import comb, gcd, isqrt, lcm
-
-from .bareiss import bareiss_solve, int_matrix_det  # noqa: F401  (re-exported)
 
 QQ = Fraction
 ZERO = Fraction(0)
@@ -949,12 +945,6 @@ def _fraction_sqrt_bounds(x: Fraction, width: Fraction) -> tuple[Fraction, Fract
 
 # the most a certified radius interval (and its square's) may be wide
 CERTIFIED_WIDTH = QQ(1, 10**10)
-
-
-def certified_spectral_radius(matrix) -> AlgebraicNumber:
-    """Spectral radius of an integer matrix as a certified algebraic number
-    (certified_radius_from_charpoly of its characteristic polynomial)."""
-    return certified_radius_from_charpoly(berkowitz_charpoly(matrix))
 
 
 def _abs_interval(lo, hi):

@@ -50,6 +50,7 @@ from threefold import (
     ueno_report,
     validate_action,
 )
+from threefold.bareiss import int_matrix_det
 from threefold.lattice_dynamics import (
     algebraic_compare,
     algebraic_square,
@@ -65,9 +66,8 @@ from threefold.nef_conditions import (
 from threefold.polynomials import (
     berkowitz_charpoly,
     cauchy_root_bound,
-    certified_spectral_radius,
+    certified_radius_from_charpoly,
     count_real_roots,
-    int_matrix_det,
 )
 from unimodular import matrix_adjugate_unimodular
 
@@ -303,7 +303,7 @@ def test_criterion_6_dynamics_properties():
         rat = rationality_obstruction(berkowitz_charpoly(A))
         assert rat.status == "consistent", A
         inv = matrix_adjugate_unimodular(A)
-        l1_inv = certified_spectral_radius(inv)
+        l1_inv = certified_radius_from_charpoly(berkowitz_charpoly(inv))
         assert abs(float(rep.lambda2) - float(l1_inv)) < 1e-9, A
         assert float(rep.lambda1) * float(l1_inv) >= 1 - 1e-12, A
         assert lambda2_at_least_one_certified(rep), A

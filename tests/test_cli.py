@@ -87,12 +87,14 @@ def test_dynamics_with_model(capsys, tmp_path):
     assert "eigenclass_status: entropy-zero" in out
 
 
-def _salem_files(tmp_path):
-    """A 5x5 Salem action on a synthetic model: (matrix file, tower file)."""
+def _block_files(tmp_path, block):
+    """block (+) 1 on a synthetic model with one cube generator f, f^3 = 1,
+    c1 = 2f and c2 = 3g: (matrix file, tower file)."""
     from threefold import make_custom_base, serialize_model
 
-    divisors = [f"d{i}" for i in range(1, 5)] + ["f"]
-    curves = [f"c{i}" for i in range(1, 5)] + ["g"]
+    rank = len(block) + 1
+    divisors = [f"d{i}" for i in range(1, rank)] + ["f"]
+    curves = [f"c{i}" for i in range(1, rank)] + ["g"]
     model = make_custom_base(
         label="synthetic",
         divisor_names=divisors,
@@ -101,20 +103,19 @@ def _salem_files(tmp_path):
         pairing={(d, c): 1 for d, c in zip(divisors, curves)},
         c1={"f": 2},
         c2={"g": 3},
-        euler=12,
+        euler=2 + 2 * rank,
     )
     tower = tmp_path / "synth.tower"
     tower.write_text(serialize_model(model))
-    mat = tmp_path / "salem.mat"
-    rows = [
-        [0, 0, 0, -1, 0],
-        [1, 0, 0, 2, 0],
-        [0, 1, 0, 0, 0],
-        [0, 0, 1, 2, 0],
-        [0, 0, 0, 0, 1],
-    ]
+    mat = tmp_path / "action.mat"
+    rows = [list(row) + [0] for row in block] + [[0] * (rank - 1) + [1]]
     mat.write_text("\n".join(" ".join(str(v) for v in r) for r in rows) + "\n")
     return mat, tower
+
+
+def _salem_files(tmp_path):
+    """A 5x5 Salem action on a synthetic model: (matrix file, tower file)."""
+    return _block_files(tmp_path, [[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 2]])
 
 
 def test_dynamics_positive_entropy_eigenclass(capsys, tmp_path):
@@ -124,6 +125,50 @@ def test_dynamics_positive_entropy_eigenclass(capsys, tmp_path):
     assert "eigenclass_status: ok" in out
     assert "lambda1_minpoly: x^4 - 2*x^3 - 2*x + 1" in out
     assert "residual.zeta_c2" in out
+
+
+# lambda1 is not an eigenvalue of the action: a complex pair carries it
+# (chi = x^3 + x + 1), or only -lambda1 is an eigenvalue (x^2 + 3x + 1)
+NOT_AN_EIGENVALUE = {
+    ((0, 0, -1), (1, 0, -1), (0, 1, 0)): """action_valid=true
+mode=model
+lambda1=1.2106077944
+lambda1_minpoly=x^6 - x^4 - 1
+lambda1_interval=[13498727979202634319122732488519819662905455/11150372599265311570767859136324180752990208, \
+6749363989601317159563804258508150731980463/5575186299632655785383929568162090376495104] (width <= 4.373e-22)
+lambda2=1.4655712319
+lambda2_minpoly=x^3 - x^2 - 1
+lambda2_interval=[100713288173/68719476736, 50356644087/34359738368] (width <= 1.455e-11)
+entropy=0.382245085836
+primitive_hint=true
+rationality_obstruction=consistent
+eigenclass_status=eigenvector-not-certified
+eigenclass_detail=lambda1 is not an eigenvalue of A
+""",
+    ((0, -1), (1, -3)): """action_valid=true
+mode=model
+lambda1=2.6180339887
+lambda1_minpoly=x^2 - 3*x + 1
+lambda1_interval=[179909925783/68719476736, 359819851569/137438953472] (width <= 2.183e-11)
+lambda2=2.6180339887
+lambda2_minpoly=x^2 - 3*x + 1
+lambda2_interval=[179909925783/68719476736, 359819851569/137438953472] (width <= 2.183e-11)
+entropy=0.962423650118
+primitive_hint=false
+rationality_obstruction=consistent
+eigenclass_status=eigenvector-not-certified
+eigenclass_detail=lambda1 is not an eigenvalue of A
+""",
+}
+
+
+@pytest.mark.parametrize("block", list(NOT_AN_EIGENVALUE), ids=["complex-pair", "negative-root"])
+def test_dynamics_lambda1_not_an_eigenvalue_records(capsys, tmp_path, block):
+    mat, tower = _block_files(tmp_path, block)
+    argv = ("dynamics", "--matrix", str(mat), "--model", str(tower), "--format", "records")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == NOT_AN_EIGENVALUE[block]
 
 
 def test_dynamics_rejects_non_finite_tolerance(capsys, tmp_path):
@@ -154,12 +199,13 @@ def test_dynamics_with_model_certifies_each_degree_once(capsys, tmp_path, monkey
 
 
 def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch):
+    import threefold.bareiss as bareiss
     import threefold.cli as cli
     import threefold.lattice_dynamics as ld
     import threefold.polynomials as poly
 
     charpolys, solves, validations = [], [], []
-    charpoly, solve, validate = poly.berkowitz_charpoly, poly.bareiss_solve, ld.validate_action
+    charpoly, solve, validate = poly.berkowitz_charpoly, bareiss.bareiss_solve, ld.validate_action
 
     def counted_validate(model, A):
         validations.append(len(A))
@@ -178,6 +224,7 @@ def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch
 
     for module in (ld, poly):
         monkeypatch.setattr(module, "berkowitz_charpoly", counted_charpoly)
+    for module in (ld, bareiss):
         monkeypatch.setattr(module, "bareiss_solve", counted_solve)
     mat, tower = _salem_files(tmp_path)
     code, out, _ = run(capsys, "dynamics", "--matrix", str(mat), "--model", str(tower))
@@ -300,9 +347,10 @@ def test_dynamics_records_golden(capsys, tmp_path, matrix):
 
 
 def test_cli_import_loads_neither_sympy_nor_mpmath(tmp_path):
-    """Importing the CLI loads neither; certifying dynamical degrees (the
-    golden raw actions and the Salem action with its model) never loads
-    sympy."""
+    """Importing the CLI loads neither, and neither is loaded after
+    certifying dynamical degrees (the golden raw actions) and the exact
+    eigenclass residuals (the positive-entropy Salem action with its
+    model)."""
     import os
     import subprocess
     import sys
@@ -320,13 +368,14 @@ def test_cli_import_loads_neither_sympy_nor_mpmath(tmp_path):
 import contextlib, io, sys
 import threefold.cli
 print(sorted({{'sympy', 'mpmath'}} & set(sys.modules)))
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()) as out:
     codes = [threefold.cli.main(argv) for argv in {runs!r}]
-print(codes, 'sympy' in sys.modules)
+print(codes, 'eigenclass_status: ok' in out.getvalue())
+print(sorted({{'sympy', 'mpmath'}} & set(sys.modules)))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", f"{[0] * len(runs)} False"]
+    assert proc.stdout.splitlines() == ["[]", f"{[0] * len(runs)} True", "[]"]
 
 
 def _modules_loaded_by(argv, tmp_path):

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from eigenclass_reference import reference_eigenclass_constraints
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from towerfile_reference import dense_row
@@ -32,7 +34,7 @@ from threefold.nef_conditions import _p3_points_lines_models
 from threefold.polynomials import (
     AlgebraicNumber,
     berkowitz_charpoly,
-    certified_spectral_radius,
+    certified_radius_from_charpoly,
     poly_mul,
 )
 from unimodular import matrix_adjugate_unimodular
@@ -245,7 +247,7 @@ def test_lambda2_from_reversed_charpoly_matches_inverse(A):
     # lambda2 comes from the reversal of chi_A; the reference certifies the
     # integer inverse's own characteristic polynomial
     got = dynamical_degrees(None, A).lambda2
-    ref = certified_spectral_radius(matrix_adjugate_unimodular(A))
+    ref = certified_radius_from_charpoly(berkowitz_charpoly(matrix_adjugate_unimodular(A)))
     assert (got.minpoly, got.lo, got.hi) == (ref.minpoly, ref.lo, ref.hi)
 
 
@@ -257,7 +259,8 @@ def test_lambda2_from_reversed_charpoly_matches_curve_matrix():
         (zero_product_model(4), block_plus_fixed(companion(PLASTIC))),
     ):
         got = dynamical_degrees(model, A).lambda2
-        ref = certified_spectral_radius(validate_action(model, A).action.curve_matrix)
+        B = validate_action(model, A).action.curve_matrix
+        ref = certified_radius_from_charpoly(berkowitz_charpoly(B))
         assert (got.minpoly, got.lo, got.hi) == (ref.minpoly, ref.lo, ref.hi)
 
 
@@ -273,7 +276,7 @@ def test_rationality_obstruction_cases():
 
 def test_rationality_on_random_unimodular_charpolys():
     rng = random.Random(101)
-    from threefold.polynomials import int_matrix_det
+    from threefold.bareiss import int_matrix_det
 
     checked = 0
     while checked < 150:
@@ -358,6 +361,209 @@ def test_eigenclass_rejects_bad_tolerance():
     for tolerance in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValidationError, match="^tolerance must be finite and positive$"):
             eigenclass_constraints(x2, [[1, 0], [0, 1]], tolerance=tolerance)
+
+
+def block_sum(blocks):
+    n = sum(map(len, blocks))
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            m[at + i][at : at + len(row)] = row
+        at += len(block)
+    return m
+
+
+SALEM_QUARTIC_SQUARED = [int(c) for c in poly_mul(SALEM_QUARTIC, SALEM_QUARTIC)]
+
+# monic integer polynomials with constant term +-1: Salem, reciprocal
+# quadratic, Pisot, and reversed Pisot (the inverse's roots)
+SALEM_AND_PISOT = (
+    SALEM_QUARTIC,
+    [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1],  # Lehmer, lambda ~ 1.1763
+    [1, -1, -1, -1, 1],
+    [1, 0, -1, -1, -1, 0, 1],
+    [1, -3, 1],
+    [1, -4, 1],
+    [-1, -1, 1],  # golden ratio
+    PLASTIC,
+    [-1, -1, -1, 1],
+    [1, 0, -3, 1],
+    [-1, 1, 1, 1],
+    [1, -3, 0, 1],
+)
+
+
+@functools.lru_cache(maxsize=None)
+def invariant_forms(picks):
+    """A basis of the symmetric integer forms Q with C^T Q C = Q, for C the
+    block sum of the companion matrices of SALEM_AND_PISOT[i], i in picks."""
+    import sympy
+
+    C = sympy.Matrix(block_sum([companion(SALEM_AND_PISOT[i]) for i in picks]))
+    r = C.rows
+    slots = [(i, j) for i in range(r) for j in range(i, r)]
+    unknowns = sympy.symbols(f"q0:{len(slots)}")
+    form = sympy.zeros(r, r)
+    for q, (i, j) in zip(unknowns, slots):
+        form[i, j] = form[j, i] = q
+    system = sympy.Matrix([[e.coeff(q) for q in unknowns] for e in C.T * form * C - form])
+    forms = []
+    for v in system.nullspace():
+        scale = sympy.ilcm(*(sympy.fraction(x)[1] for x in v))
+        F = [[0] * r for _ in range(r)]
+        for x, (i, j) in zip(v, slots):
+            F[i][j] = F[j][i] = int(x * scale)
+        forms.append(F)
+    return forms
+
+
+def quadratic_model(form, c1, c2):
+    """d_1..d_r, f with the cubic form x_f^3 + x_f Q(x_d) for the symmetric
+    integer matrix Q = form, identity pairing, c1 = c1 f and c2 = c2 g."""
+    r = len(form)
+    divisors = [f"d{i}" for i in range(r)] + ["f"]
+    curves = [f"c{i}" for i in range(r)] + ["g"]
+    mul = {("f", "f"): {"g": 1}}
+    for i in range(r):
+        mul[("f", divisors[i])] = {curves[j]: form[i][j] for j in range(r)}
+        for j in range(i, r):
+            mul[(divisors[i], divisors[j])] = {"g": form[i][j]}
+    return make_custom_base(
+        label="quadratic",
+        divisor_names=divisors,
+        curve_names=curves,
+        mul2=mul,
+        pairing={(d, c): 1 for d, c in zip(divisors, curves)},
+        c1={"f": c1},
+        c2={"g": c2},
+        euler=4,
+    )
+
+
+@st.composite
+def quadratic_actions(draw):
+    """C (+) 1 on a quadratic_model whose form C preserves, C the block sum
+    of one or two companion matrices of SALEM_AND_PISOT.  Two blocks stay
+    within rank 8: above it, a degree carried by a complex pair is refused
+    (Lehmer's block beside a tribonacci block, say)."""
+    index = st.integers(0, len(SALEM_AND_PISOT) - 1)
+    picks = tuple(draw(st.lists(index, min_size=1, max_size=2, unique=True)))
+    r = sum(len(SALEM_AND_PISOT[i]) - 1 for i in picks)
+    if r > 8:
+        picks = picks[:1]
+        r = len(SALEM_AND_PISOT[picks[0]]) - 1
+    forms = invariant_forms(picks)
+    weights = draw(st.lists(st.integers(-2, 2), min_size=len(forms), max_size=len(forms)))
+    form = [[sum(w * F[i][j] for w, F in zip(weights, forms)) for j in range(r)] for i in range(r)]
+    model = quadratic_model(form, draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    return model, block_plus_fixed(block_sum([companion(SALEM_AND_PISOT[i]) for i in picks]))
+
+
+def assert_matches_reference(model, A):
+    """The exact report against the floating-point reference: the same
+    status, detail and verdicts, each residual exactly 0 where the reference
+    reads below 1e-25 and the same to four digits elsewhere, and the same
+    eigenvector up to sign."""
+    got = eigenclass_constraints(model, A)
+    if got.detail == "lambda1 is not an eigenvalue of A":
+        with pytest.raises(IndexError):
+            reference_eigenclass_constraints(model, A)
+        return got
+    ref = reference_eigenclass_constraints(model, A)
+    assert (got.status, got.detail) == (ref.status, ref.detail)
+    assert got.includes_lambda_neq_constraints == ref.includes_lambda_neq_constraints
+    assert got.within_tolerance == ref.within_tolerance
+    assert list(got.residuals) == list(ref.residuals)
+    for key, value in ref.residuals.items():
+        if value < 1e-25:
+            assert got.residuals[key] == 0.0, key
+        else:
+            assert f"{got.residuals[key]:.3e}" == f"{value:.3e}", key
+    if got.eigenvector:
+        sign = 1 if max(got.eigenvector, key=abs) == max(ref.eigenvector, key=abs) else -1
+        assert max(abs(a - sign * b) for a, b in zip(got.eigenvector, ref.eigenvector)) < 1e-14
+    return got
+
+
+def test_eigenclass_lambda1_not_an_eigenvalue():
+    # chi = x^3 + x + 1: a complex pair carries lambda1; x^2 + 3x + 1: only
+    # -lambda1 is an eigenvalue.  Neither preserves a nef cone, and the
+    # minimal polynomial of lambda1 does not divide chi_A
+    for block in ([[0, 0, -1], [1, 0, -1], [0, 1, 0]], [[0, -1], [1, -3]]):
+        A = block_plus_fixed(block)
+        rep = eigenclass_constraints(zero_product_model(len(A)), A)
+        assert rep.status == "eigenvector-not-certified"
+        assert rep.detail == "lambda1 is not an eigenvalue of A"
+        assert rep.residuals == {} and rep.eigenvector == ()
+
+
+@pytest.mark.parametrize(
+    "polys, detail",
+    [
+        ([SALEM_QUARTIC_SQUARED], "algebraic multiplicity 2, numeric nullity 1"),
+        ([SALEM_QUARTIC_SQUARED, SALEM_QUARTIC], "algebraic multiplicity 3, numeric nullity 2"),
+    ],
+    ids=["one-block", "blocks-2-and-1"],
+)
+def test_eigenclass_defect_reports_the_exact_geometric_multiplicity(polys, detail):
+    # Jordan blocks at lambda1 of the sizes the ids name
+    A = block_plus_fixed(block_sum([companion(p) for p in polys]))
+    model = zero_product_model(len(A), c1={"f": 0}, c2={"g": 0})
+    assert assert_matches_reference(model, A).detail == "leading eigenspace defective: " + detail
+
+
+def test_eigenclass_semisimple_repeated_root_is_ok():
+    # companion(m) twice: multiplicity 2, not defective
+    A = block_plus_fixed(block_sum([companion(SALEM_QUARTIC)] * 2))
+    rep = eigenclass_constraints(zero_product_model(9), A)
+    assert rep.status == "ok"
+    assert set(rep.residuals.values()) == {0.0}
+    zeta = rep.eigenvector
+    for row, z in zip(A, zeta):
+        assert abs(sum(a * y for a, y in zip(row, zeta)) - rep.lambda1 * z) < 1e-9
+
+
+@pytest.mark.parametrize("poly", [SALEM_QUARTIC, PLASTIC, [-1, -1, 1]], ids=["salem", "plastic", "golden"])
+def test_eigenclass_matches_reference_on_zero_product_blocks(poly):
+    A = block_plus_fixed(companion(poly))
+    assert assert_matches_reference(zero_product_model(len(A)), A).status == "ok"
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratic_actions())
+@example((quadratic_model(invariant_forms((0,))[0], 2, 3), block_plus_fixed(companion(SALEM_QUARTIC))))
+def test_eigenclass_matches_reference_on_quadratic_models(action):
+    model, A = action
+    assert validate_action(model, A).ok
+    assert_matches_reference(model, A)
+
+
+def test_eigenclass_residuals_are_exactly_zero_where_the_reference_read_noise():
+    # x_f^3 + x_f Q(x_d) with Q preserved by the Salem block: zeta^2 = Q(zeta) g
+    # vanishes exactly; the reference read 2.889e-35 and 5.778e-35
+    form = [[sum(F[i][j] for F in invariant_forms((0,))) for j in range(4)] for i in range(4)]
+    model = quadratic_model(form, 2, 3)
+    A = block_plus_fixed(companion(SALEM_QUARTIC))
+    ref = reference_eigenclass_constraints(model, A)
+    assert 0 < ref.residuals["zeta2_components_max"] < 1e-25
+    rep = eigenclass_constraints(model, A)
+    assert set(rep.residuals.values()) == {0.0}
+
+
+def test_eigenclass_reports_a_non_vanishing_residual():
+    # (phi^2 block (+) reversed x^3 - 3x^2 + 1 block) (+) 1: lambda2 > lambda1,
+    # and zeta.c1 = 2 zeta.f = 2 sum_j (Q zeta)_j c_j is not 0, since Q pairs
+    # the phi^2 eigenvector with the 1/phi^2 one
+    picks = (SALEM_AND_PISOT.index([1, -3, 1]), SALEM_AND_PISOT.index([1, -3, 0, 1]))
+    (form,) = invariant_forms(picks)
+    model = quadratic_model(form, 2, 3)
+    A = block_plus_fixed(block_sum([companion(SALEM_AND_PISOT[i]) for i in picks]))
+    rep = assert_matches_reference(model, A)
+    assert rep.includes_lambda_neq_constraints
+    assert f"{rep.residuals['zeta_c1_components_max']:.3e}" == "4.472e+00"
+    assert rep.within_tolerance["zeta_c1_components_max"] is False
+    assert [v for k, v in rep.residuals.items() if k != "zeta_c1_components_max"] == [0.0] * 5
 
 
 def test_square_dominance_on_salem_model_action():

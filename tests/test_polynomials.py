@@ -15,6 +15,7 @@ from radius_reference import (
 )
 from test_intersection_ring import _leibniz_det
 from threefold import polynomials
+from threefold.bareiss import bareiss_rank, bareiss_solve, int_matrix_det
 from threefold.lattice_dynamics import dynamical_degrees
 from threefold.polynomials import (
     CERTIFIED_WIDTH,
@@ -28,15 +29,12 @@ from threefold.polynomials import (
     _fraction_sqrt_bounds,
     _irreducible_factors_int,
     _symmetric_square,
-    bareiss_solve,
     berkowitz_charpoly,
     cauchy_root_bound,
     certified_radius_from_charpoly,
-    certified_spectral_radius,
     count_real_roots,
     disk_root_count,
     disk_root_count_robust,
-    int_matrix_det,
     isolate_real_roots,
     minimal_polynomial_of_root,
     poly_compose_square,
@@ -186,6 +184,26 @@ def test_singular_input_raises(m, data):
         matrix_adjugate_unimodular(m)
 
 
+@st.composite
+def _low_rank(draw, elements, max_n=6):
+    """L R for n x r and r x n matrices L and R, r <= n: rank at most r."""
+    n = draw(st.integers(0, max_n))
+    r = draw(st.integers(0, n))
+    L = draw(st.lists(st.lists(elements, min_size=r, max_size=r), min_size=n, max_size=n))
+    R = draw(st.lists(st.lists(elements, min_size=n, max_size=n), min_size=r, max_size=r))
+    return [[sum((L[i][t] * R[t][j] for t in range(r)), 0) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_low_rank(_INTS), _low_rank(_RATIONALS), _square(_INTS, 6)))
+def test_bareiss_rank_matches_sympy(m):
+    import sympy
+
+    rank = bareiss_rank(_sparse(m))
+    assert rank == (sympy.Matrix(m).rank() if m else 0)
+    assert (rank == len(m)) == (bareiss_solve(_sparse(m))[0] != 0)
+
+
 def test_real_root_isolation_matches_numpy():
     rng = random.Random(31)
     for _ in range(150):
@@ -274,7 +292,7 @@ def test_minimal_polynomial_selection():
 
 
 def test_spectral_radius_golden_ratio():
-    a = certified_spectral_radius([[0, 1], [1, 1]])
+    a = certified_radius_from_charpoly(berkowitz_charpoly([[0, 1], [1, 1]]))
     assert a.minpoly == (-1, -1, 1)
     assert a.width <= Q(1, 10**10)
     assert abs(float(a) - (1 + 5**0.5) / 2) < 1e-9
@@ -282,25 +300,26 @@ def test_spectral_radius_golden_ratio():
 
 def test_spectral_radius_negative_dominant_root():
     # companion of x^2 + x - 1 has spectral radius phi carried by -phi
-    a = certified_spectral_radius([[0, 1], [1, -1]])
+    a = certified_radius_from_charpoly(berkowitz_charpoly([[0, 1], [1, -1]]))
     assert a.minpoly == (-1, -1, 1)
     assert abs(float(a) - (1 + 5**0.5) / 2) < 1e-9
 
 
 def test_spectral_radius_roots_of_unity():
-    assert certified_spectral_radius([[0, -1], [1, 0]]).is_one()
-    assert certified_spectral_radius([[1, 0], [0, 1]]).is_one()
-    assert float(certified_spectral_radius([[0, -1], [1, -1]])) == 1.0  # order 3
+    assert certified_radius_from_charpoly(berkowitz_charpoly([[0, -1], [1, 0]])).is_one()
+    assert certified_radius_from_charpoly(berkowitz_charpoly([[1, 0], [0, 1]])).is_one()
+    order3 = certified_radius_from_charpoly(berkowitz_charpoly([[0, -1], [1, -1]]))
+    assert float(order3) == 1.0
 
 
 def test_spectral_radius_complex_dominant():
     # [[0,-2],[1,0]] has eigenvalues +-i sqrt 2
-    a = certified_spectral_radius([[0, -2], [1, 0]])
+    a = certified_radius_from_charpoly(berkowitz_charpoly([[0, -2], [1, 0]]))
     assert a.minpoly == (-2, 0, 1)
     assert abs(float(a) - 2**0.5) < 1e-9
     # pad with an identity block: same radius, real eigenvalue 1 present
     m4 = [[0, -2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-    b = certified_spectral_radius(m4)
+    b = certified_radius_from_charpoly(berkowitz_charpoly(m4))
     assert b.minpoly == (-2, 0, 1)
 
 
@@ -318,7 +337,7 @@ def test_spectral_radius_tied_moduli():
         ),  # real 2 dominating a +-i sqrt2 pair and a fixed direction
     ]
     for m, minpoly, value in cases:
-        r = certified_spectral_radius(m)
+        r = certified_radius_from_charpoly(berkowitz_charpoly(m))
         assert r.minpoly == minpoly, m
         assert abs(float(r) - value) < 1e-9, m
 
@@ -330,7 +349,7 @@ def test_spectral_radius_matches_numpy_random():
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         if int_matrix_det(m) == 0:
             continue
-        got = certified_spectral_radius(m)
+        got = certified_radius_from_charpoly(berkowitz_charpoly(m))
         want = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
         # the float oracle itself is only good to ~eps^(1/multiplicity) for
         # defective eigenvalues, so compare loosely; the exact side is tight
