@@ -32,13 +32,13 @@ Chern classes, Euler and Picard numbers.  The new model reads the store
 through prefix views, so nothing of the tables is copied, unless a model
 that already has a child is blown up again: then its prefix is copied once.
 
-A curve step costs work on the center's support only: intersection_ring
-.meets reads the pairing columns of the center's non-zero coordinates and
-gives e_i.C for every divisor generator that C meets; c1.C (hence gamma)
-and S.C for surface_data are sums over those e_i.C (_center_numbers, which
-the checkers call too); F.F and the c2 update touch only the support of C.  What is still O(rho) runs in C: the scan for
-the support, and the copies of the bases and of the inherited Chern
-coefficients, which are already Fractions and are not converted again.
+A curve step costs work on the center's support only: a class is its
+non-zero int numerators over one denominator, and intersection_ring
+._meets_on gives e_i.C in ints for every divisor generator that C meets;
+c1.C (hence gamma) and S.C are int sums over those (_center_numbers, which
+the checkers call too), and F.F, c1 and c2 change only on the support of C.
+What is still O(rho) runs in C: the copies of the bases and of the Chern
+classes' numerator maps, and their order and gcd checks.
 
 No history is stored: a model is a blowup exactly when its last divisor
 generator is exceptional, the step of that generator numbers the next one,
@@ -51,24 +51,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .intersection_ring import (
     CURVE,
     DIVISOR,
     MINUS_ONE,
-    ZERO,
     BasisElement,
     CurveClass,
     DivisorClass,
     MulTable,
     ThreefoldModel,
     ValidationError,
+    _dot,
     _meets_on,
+    _of,
+    _prefix,
+    _reduced,
     _require_int,
     _require_line_text,
-    _scaled_to_integers,
-    _support,
     _Tables,
 )
 
@@ -187,24 +187,25 @@ def _exceptional_model(
     stems: tuple[str, str],
     label: str,
     products: MulTable,
-    c1_exceptional: Fraction,
-    c2: tuple[Fraction, ...],
+    c1_exceptional: int,
+    c2: CurveClass,
     euler_change: int,
 ) -> ThreefoldModel:
     """The blowup of model whose exceptional divisor and curve take the
     first fresh names on the two stems and pair to -1.
 
     products holds the new mul2 entries, those with the exceptional index
-    n = rho; c1 gains c1_exceptional on the new divisor, c2 is the whole
-    new second Chern class, and label ("C<step>" when empty) is appended
-    to the model's.  The entries go to model's store when model is the
-    newest model of its line, else to a copy of model's prefix.
+    n = rho; c1 gains the int c1_exceptional on the new divisor, c2 is the
+    whole new second Chern class, and label ("C<step>" when empty) is
+    appended to the model's.  The entries go to model's store when model is
+    the newest model of its line, else to a copy of model's prefix.
     """
     step = _next_step_index(model)
-    c1 = DivisorClass(model.c1.coeffs + (c1_exceptional,))
-    c2 = CurveClass(c2)
+    n, c1 = len(model.divisor_basis), model.c1
+    # an int times the denominator keeps c1 in lowest terms
+    c1 = _of(DivisorClass, n + 1, c1.den, {**c1.num, n: c1_exceptional * c1.den})
     tables = model._tables
-    if tables.rho != len(model.divisor_basis):
+    if tables.rho != n:
         tables = _Tables(model)
     d_name, c_name = tables.append(products, stems)
     mul2, pairing = tables.views()
@@ -228,33 +229,21 @@ def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
     """Blow up a point: basis gains E (divisor) and L (line in E)."""
     n = len(model.divisor_basis)
     # pi*(a).E = 0 and pair(E, pi^! c) = 0 need no entry: E.E = -L
-    return _exceptional_model(
-        model, ("E", "L"), "pt", {(n, n): {n: MINUS_ONE}}, QQ(-2), model.c2.coeffs + (ZERO,), 2
-    )
+    return _exceptional_model(model, ("E", "L"), "pt", {(n, n): {n: MINUS_ONE}}, -2, _pullback(model.c2), 2)
 
 
 def _center_numbers(model: ThreefoldModel, center: CurveCenterSpec):
-    """(c1.C, S.C or None without surface_data, on_c, met) for a center C:
-    on_c maps C's support to its coordinates and met holds e_i.C for each
-    divisor generator e_i that C meets.  model is the model C is blown up
-    on or any later model of its tower, where the numbers are the same: a
-    blowup keeps c1's old coordinates and pairs its new generators only with
-    each other, so pi*D . pi^!C = D.C and E . pi^!C = 0."""
-    cvec = center.curve_class.coeffs
-    if len(cvec) > len(model.curve_basis):
+    """(c1.C, S.C or None without surface_data, den, met) for a center C,
+    met = {i: int den * e_i.C} for the e_i that C meets, on the model C is
+    blown up on or any later model of its tower: a blowup keeps c1's old
+    coordinates and pairs its new generators only with each other
+    (pi*D . pi^!C = D.C and E . pi^!C = 0)."""
+    if center.curve_class.size > len(model.curve_basis):
         raise ValidationError("center class not dimensioned for this model")
-    on_c = {a: cvec[a] for a in _support(cvec)}
-    met = _meets_on(model, on_c)
-    # both numbers are int sums over one denominator, one Fraction each
-    sm, mv = _scaled_to_integers(list(met.values()))
-
-    def dot(coeffs):
-        s, xv = _scaled_to_integers([coeffs[i] for i in met])
-        return QQ(sum(map(mul, xv, mv)), s * sm)
-
+    den, met = _meets_on(model, center.curve_class)
     sd = center.surface_data
-    kappa = None if sd is None else dot(sd.surface.coeffs)
-    return dot(model.c1.coeffs), kappa, on_c, met
+    kappa = None if sd is None else _dot(sd.surface, den, met)
+    return _dot(model.c1, den, met), kappa, den, met
 
 
 def gamma(model: ThreefoldModel, center: CurveCenterSpec) -> Fraction:
@@ -272,32 +261,30 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
     sd = center.surface_data
     if sd is not None and len(sd.surface) != n:
         raise ValidationError("surface class not dimensioned for this model")
-    c1_dot_c, kappa, on_c, met = _center_numbers(model, center)
+    c1_dot_c, kappa, den, met = _center_numbers(model, center)
     if sd is not None and sd.kappa is not None and sd.kappa != kappa:
         raise ValidationError(f"surface_data kappa={sd.kappa} but S.C={kappa}")
     g = c1_dot_c + (2 * center.genus - 2)  # gamma(model, center)
 
     # pi*(e_i) . F = (e_i . C) M
-    products = {(i, n): {n: coeff} for i, coeff in met.items() if coeff}
-    # F.F = -pi^!(C) + gamma M
-    ff = {a: -c for a, c in on_c.items()}
-    if g:
-        ff[n] = g
-    products[(n, n)] = ff
-
-    # c1 -> pi*(c1) - F, c2 -> pi^!(c2 + C) - (c1.C) M; C touches only its support
-    c2 = list(model.c2.coeffs)
-    for a, c in on_c.items():
-        c2[a] += c
-    c2.append(-c1_dot_c)
-    return _exceptional_model(
-        model, ("F", "M"), center.label, products, MINUS_ONE, tuple(c2), 2 - 2 * center.genus
-    )
+    products = {(i, n): {n: QQ(v, den)} for i, v in met.items() if v}
+    # F.F = -pi^!(C) + gamma M, in C's (ascending) index order
+    c = center.curve_class
+    ff = {a: QQ(-v, c.den) for a, v in c.num.items()}
+    products[(n, n)] = {**ff, n: g} if g else ff
+    # c1 -> pi*(c1) - F, c2 -> pi^!(c2 + C) - (c1.C) M
+    c2 = _pullback(model.c2 + c) - _reduced(CurveClass, n + 1, c1_dot_c.denominator, {n: c1_dot_c.numerator})
+    return _exceptional_model(model, ("F", "M"), center.label, products, -1, c2, 2 - 2 * center.genus)
 
 
 # ---------------------------------------------------------------------------
 # pullback / pushforward between a model and its blowup
 # ---------------------------------------------------------------------------
+
+
+def _pullback(c):
+    # pi* or pi^!: the same numerators on the basis one longer (the map is shared)
+    return _of(type(c), c.size + 1, c.den, c.num)
 
 
 def _check_step_pair(model_after: ThreefoldModel) -> None:
@@ -313,7 +300,7 @@ def pullback_divisor(model_after: ThreefoldModel, d: DivisorClass) -> DivisorCla
     _check_step_pair(model_after)
     if len(d) != len(model_after.divisor_basis) - 1:
         raise ValidationError("class not dimensioned for the parent model")
-    return DivisorClass(d.coeffs + (ZERO,))
+    return _pullback(d)
 
 
 def pushforward_divisor(model_after: ThreefoldModel, d: DivisorClass) -> DivisorClass:
@@ -321,7 +308,7 @@ def pushforward_divisor(model_after: ThreefoldModel, d: DivisorClass) -> Divisor
     _check_step_pair(model_after)
     if len(d) != len(model_after.divisor_basis):
         raise ValidationError("class not dimensioned for this model")
-    return DivisorClass(d.coeffs[:-1])
+    return _prefix(d, d.size - 1)
 
 
 def pullback_curve(model_after: ThreefoldModel, c: CurveClass) -> CurveClass:
@@ -329,7 +316,7 @@ def pullback_curve(model_after: ThreefoldModel, c: CurveClass) -> CurveClass:
     _check_step_pair(model_after)
     if len(c) != len(model_after.curve_basis) - 1:
         raise ValidationError("class not dimensioned for the parent model")
-    return CurveClass(c.coeffs + (ZERO,))
+    return _pullback(c)
 
 
 def pushforward_curve(model_after: ThreefoldModel, c: CurveClass) -> CurveClass:
@@ -337,7 +324,7 @@ def pushforward_curve(model_after: ThreefoldModel, c: CurveClass) -> CurveClass:
     _check_step_pair(model_after)
     if len(c) != len(model_after.curve_basis):
         raise ValidationError("class not dimensioned for this model")
-    return CurveClass(c.coeffs[:-1])
+    return _prefix(c, c.size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +351,9 @@ def line_strict_transform(
     _require_int(degree, "degree")
     if degree < 1:
         raise ValidationError("degree must be positive")
-    coeffs = {"l": Fraction(degree)}
+    coeffs = {"l": degree}
     for i in idx:
-        coeffs[f"L{i}"] = MINUS_ONE
+        coeffs[f"L{i}"] = -1
     cls = model.curve(coeffs)
     return CurveCenterSpec(
         curve_class=cls,

@@ -6,15 +6,17 @@ values in the curve lattice) and the divisor/curve pairing, both sparse (see
 ThreefoldModel), the first and second Chern classes, the topological Euler
 characteristic and the Picard number.
 
-This module is the one reader of the sparse tables: meets gives every
-e_i.c from the pairing columns of c's support, and pair, the blowups and
-the nef conditions build on it; triple_products reads the same columns;
-pairing_rows serves both pairing-matrix solves and `ring show`'s records.
-The tables of a line of blowups live in one append-only store (_Tables),
-which every model of the line reads through prefix views.
+This module is the one reader of the sparse tables: _meets_on gives every
+e_i.c from the pairing columns of c's support, and meets, pair, the
+blowups and the nef conditions build on it; triple_products reads the same
+columns; pairing_rows serves both pairing-matrix solves and `ring show`'s
+records.  The tables of a line of blowups live in one append-only store
+(_Tables), which every model of the line reads through prefix views.
 
-All scalars are exact rationals.  Floating point never enters this module;
-the dynamics code converts on its own side when it needs numerics.
+All scalars are exact rationals, and the engine sums them fraction free: a
+class is its non-zero int numerators over one denominator (_LatticeClass),
+and the pairing columns are ints over the pairing's one denominator.
+Floating point never enters this module.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice, repeat
-from math import lcm
-from operator import is_not
+from itertools import islice
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .bareiss import bareiss_solve
@@ -57,9 +58,7 @@ class ValidationError(ValueError):
 def _to_q(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise ValidationError(f"not an exact rational: {x!r}")
 
@@ -78,22 +77,6 @@ def _require_line_text(text: str, what: str) -> None:
             f"{what} {text!r} cannot be written to a tower file: no '#', line break, "
             "or leading or trailing whitespace"
         )
-
-
-_FRACTION_ONLY = frozenset({Fraction})
-
-
-def _tuple_q(coeffs: Iterable) -> tuple[Fraction, ...]:
-    # a tuple of exact Fractions is returned as it is (the type check runs in C)
-    if type(coeffs) is tuple and _FRACTION_ONLY.issuperset(map(type, coeffs)):
-        return coeffs
-    return tuple(_to_q(c) for c in coeffs)
-
-
-def _scaled_to_integers(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(s, [s*c for c in coeffs]) with s the lcm of the denominators."""
-    s = lcm(*(c.denominator for c in coeffs))
-    return s, [c.numerator * (s // c.denominator) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -117,64 +100,121 @@ class BasisElement:
             raise ValidationError(f"bad basis kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
 class _LatticeClass:
-    """Rational coefficients over one of a model's two bases; the arithmetic
-    keeps the subclass, and classes of different subclasses are never equal."""
+    """A rational class over one of a model's two bases, fraction free: the
+    basis size, one positive denominator den and num = {index: non-zero int
+    numerator} with ascending keys, in lowest terms, so two classes are
+    equal exactly when their fields are.  coeffs is the dense tuple of
+    Fractions, built on each read, for printers.  The arithmetic keeps the
+    subclass, and classes of different subclasses are never equal."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("size", "den", "num")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _tuple_q(self.coeffs))
+    def __new__(cls, coeffs: Iterable):
+        items = list(enumerate(coeffs))
+        return _over_lcm(cls, len(items), items)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):  # pickle and copy through the public constructor
+        return type(self), (self.coeffs,)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(QQ(self.num[a], self.den) if a in self.num else ZERO for a in range(self.size))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.size, self.den, self.num) == (other.size, other.den, other.num)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.den, tuple(self.num.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
 
     def __add__(self, other):
-        _same_len(self, other)
-        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.size != other.size:
+            raise ValidationError(f"dimension mismatch: {self.size} vs {other.size}")
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        acc = dict(self.num) if s == 1 else {a: s * v for a, v in self.num.items()}
+        for a, v in other.num.items():
+            acc[a] = acc.get(a, 0) + t * v
+        return _reduced(type(self), self.size, den, acc)
 
     def __sub__(self, other):
-        _same_len(self, other)
-        return type(self)(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self):
-        return type(self)(tuple(-a for a in self.coeffs))
+        return _of(type(self), self.size, self.den, {a: -v for a, v in self.num.items()})
 
     def scale(self, a):
-        a = _to_q(a)
-        return type(self)(tuple(a * c for c in self.coeffs))
+        k, d = _to_q(a).as_integer_ratio()
+        return _reduced(type(self), self.size, self.den * d, {i: k * v for i, v in self.num.items()})
 
     __rmul__ = scale
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.num
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return self.size
 
 
 class DivisorClass(_LatticeClass):
-    """A rational divisor class, as coefficients over a model's divisor basis."""
+    """A rational divisor class over a model's divisor basis."""
+
+    __slots__ = ()
 
 
 class CurveClass(_LatticeClass):
-    """A rational curve class, as coefficients over a model's curve basis."""
+    """A rational curve class over a model's curve basis."""
+
+    __slots__ = ()
 
 
-def _same_len(a, b):
-    if len(a.coeffs) != len(b.coeffs):
-        raise ValidationError(
-            f"dimension mismatch: {len(a.coeffs)} vs {len(b.coeffs)}"
-        )
+def _of(cls, size: int, den: int, num: dict[int, int]):
+    """The class of cls with these fields, which must be in the canonical
+    form already; num is kept, not copied, and must never be mutated."""
+    c = object.__new__(cls)
+    object.__setattr__(c, "size", size)
+    object.__setattr__(c, "den", den)
+    object.__setattr__(c, "num", num)
+    return c
+
+
+def _reduced(cls, size: int, den: int, acc: dict[int, int]):
+    """The class of cls with coordinates acc[a] / den (den > 0, acc may be
+    kept): zeros dropped, keys ascending, lowest terms.  Each check is a pass
+    in C; Python passes run only to drop a zero or divide by a gcd above 1."""
+    if 0 in acc.values():
+        acc = {a: v for a, v in acc.items() if v}
+    if list(acc) != sorted(acc):
+        acc = dict(sorted(acc.items()))
+    if den != 1:
+        g = gcd(den, *acc.values())
+        if g != 1:
+            den //= g
+            acc = {a: v // g for a, v in acc.items()}
+    return _of(cls, size, den, acc)
+
+
+def _over_lcm(cls, size: int, items: list):
+    """The class with coordinate q at a for the (a, q) in items, an int q read as a
+    Fraction; over the lcm of lowest terms denominators, no factor is left."""
+    items = [(a, q if type(q) is int else _to_q(q)) for a, q in items]
+    den = lcm(*(q.denominator for _, q in items))
+    return _reduced(cls, size, den, {a: q.numerator * (den // q.denominator) for a, q in items})
+
+
+def _prefix(c, size: int):
+    """c's first size coordinates, as a class of the same kind."""
+    return _reduced(type(c), size, c.den, {a: v for a, v in c.num.items() if a < size})
 
 
 MulTable = Mapping[tuple[int, int], dict[int, Fraction]]
 PairTable = Mapping[tuple[int, int], Fraction]
-
-
-def _support(coeffs: Sequence[Fraction]) -> list[int]:
-    """Indices of the non-zero coefficients, ascending.  The scan runs in C,
-    comparing each coefficient's identity with the shared ZERO; each hit is
-    then confirmed, since a zero that is another Fraction object is a hit."""
-    return [a for a in compress(range(len(coeffs)), map(is_not, coeffs, repeat(ZERO))) if coeffs[a]]
 
 
 class _TableView(Mapping):
@@ -227,33 +267,32 @@ class _Tables:
     """The append-only tables that one line of blowups shares.
 
     A blowup of a model with rho generators adds only entries that carry
-    the new index rho: mul2 keys (i, rho), the pairing key (rho, rho) and
-    the names of the two new generators.  So the model after k blowups has
-    the first entries of the store, and each model of the line reads
-    _TableView prefixes of the same dicts, which later blowups never change.
-    Only the newest model of the line (its rho equal to the store's) appends
-    in place; blowing up an older model again copies that model's prefix
-    into a new store first.
+    the new index rho: mul2 keys (i, rho), the pairing key (rho, rho) = -1
+    and the names of the two new generators.  So each model of the line
+    reads _TableView prefixes of the same dicts, which later blowups never
+    change.  Only the newest model of the line (its rho equal to the
+    store's) appends in place; blowing up an older model again copies that
+    model's prefix into a new store first.
 
     columns indexes the pairing by curve: columns[a] lists (position, i,
-    pair(e_i, f_a)) in the pairing's order, so that meets walks only the
-    columns of a class's support and still meets the divisors in the order
-    of one walk of the whole pairing.  A blowup adds only the pairing entry
-    (rho, rho), so a column is complete once it exists, and an older model
-    finds no later divisor in its columns.  names maps each kind's generator
-    names to their indices, and counters holds each name stem's next
-    candidate number: every smaller number is taken, so a fresh name is the
-    first free one, as a scan from 1 would find it.
+    den * pair(e_i, f_a)) in the pairing's order, with den the lcm of the
+    pairing's denominators (fixed at the base, as blowups add only -1), so
+    that meets walks only the columns of a class's support, in the order of
+    one walk of the whole pairing.  A column is complete once it exists.
+    names maps each kind's generator names to their indices, and counters
+    holds each name stem's next candidate number: every smaller number is
+    taken, so a fresh name is the first free one.
     """
 
-    __slots__ = ("mul2", "pairing", "columns", "names", "counters", "rho")
+    __slots__ = ("mul2", "pairing", "den", "columns", "names", "counters", "rho")
 
     def __init__(self, model: "ThreefoldModel"):
         self.mul2 = dict(model.mul2.items())
         self.pairing = dict(model.pairing.items())
-        self.columns: dict[int, list[tuple[int, int, Fraction]]] = {}
+        self.den = den = lcm(*(v.denominator for v in self.pairing.values()))
+        self.columns: dict[int, list[tuple[int, int, int]]] = {}
         for pos, ((i, a), v) in enumerate(self.pairing.items()):
-            self.columns.setdefault(a, []).append((pos, i, v))
+            self.columns.setdefault(a, []).append((pos, i, v.numerator * (den // v.denominator)))
         self.names = {DIVISOR: _first_index(model.divisor_basis), CURVE: _first_index(model.curve_basis)}
         self.counters: dict[str, int] = {}
         self.rho = len(model.divisor_basis)
@@ -275,7 +314,7 @@ class _Tables:
         n = self.rho
         self.mul2.update(products)
         self.pairing[(n, n)] = MINUS_ONE
-        self.columns[n] = [(len(self.pairing) - 1, n, MINUS_ONE)]
+        self.columns[n] = [(len(self.pairing) - 1, n, -self.den)]
         names = self._new_name(DIVISOR, stems[0]), self._new_name(CURVE, stems[1])
         self.rho = n + 1
         return names
@@ -349,7 +388,7 @@ class ThreefoldModel:
         return _class_over(self._tables.names[CURVE], len(self.curve_basis), CURVE, coeffs, self.label)
 
     def zero_curve(self) -> CurveClass:
-        return CurveClass((ZERO,) * len(self.curve_basis))
+        return _of(CurveClass, len(self.curve_basis), 1, {})
 
     def divisor_names(self) -> list[str]:
         return [e.name for e in self.divisor_basis]
@@ -371,15 +410,12 @@ def _class_over(names: Mapping[str, int], size: int, kind: str, coeffs, label: s
     size, from a name->coefficient mapping (names gives each generator's
     index) or a full vector; label names the model in errors."""
     cls = DivisorClass if kind == DIVISOR else CurveClass
-    if isinstance(coeffs, Mapping):
-        vec = [ZERO] * size
-        for name, c in coeffs.items():
-            vec[_index_of(names, size, kind, name, label)] = _to_q(c)
-        return cls(tuple(vec))
-    vec = _tuple_q(coeffs)
-    if len(vec) != size:
-        raise ValidationError(f"{kind} vector has wrong length")
-    return cls(vec)
+    if not isinstance(coeffs, Mapping):
+        found = cls(coeffs)
+        if found.size != size:
+            raise ValidationError(f"{kind} vector has wrong length")
+        return found
+    return _over_lcm(cls, size, [(_index_of(names, size, kind, name, label), c) for name, c in coeffs.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +427,16 @@ def multiply_divisors(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass)
     """Bilinear extension of the divisor product table; returns a curve class.
 
     One walk over the stored products: the entry (i, j) with i < j counts
-    for both orders, d1_i d2_j + d1_j d2_i.  Fraction-free: both classes
-    and the entries they meet are scaled to integers by the lcm of their
-    denominators, the sums run in int, and each output coefficient is one
-    Fraction.
+    for both orders, d1_i d2_j + d1_j d2_i.  The sums run in int over the
+    classes' numerators and the entries scaled to their lcm denominator.
     """
     n = len(model.divisor_basis)
-    if len(d1) != n or len(d2) != n:
+    if d1.size != n or d2.size != n:
         raise ValidationError("divisor class not dimensioned for this model")
-    sx, x = _scaled_to_integers(d1.coeffs)
-    sy, y = _scaled_to_integers(d2.coeffs)
+    x, y = d1.num, d2.num
     met: list[tuple[int, dict[int, Fraction]]] = []
     for (i, j), entry in model.mul2.items():
-        f = x[i] * y[j] if i == j else x[i] * y[j] + x[j] * y[i]
+        f = x.get(i, 0) * y.get(j, 0) if i == j else x.get(i, 0) * y.get(j, 0) + x.get(j, 0) * y.get(i, 0)
         if f:
             met.append((f, entry))
     st = lcm(*(v.denominator for _, entry in met for v in entry.values()))
@@ -411,49 +444,49 @@ def multiply_divisors(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass)
     for f, entry in met:
         for k, v in entry.items():
             acc[k] = acc.get(k, 0) + f * v.numerator * (st // v.denominator)
-    den = sx * sy * st
-    return CurveClass(
-        tuple(QQ(acc[k], den) if k in acc else ZERO for k in range(len(model.curve_basis)))
-    )
+    return _reduced(CurveClass, len(model.curve_basis), d1.den * d2.den * st, acc)
 
 
 def meets(model: ThreefoldModel, c: CurveClass) -> dict[int, Fraction]:
     """{i: e_i.c} for the divisor generators e_i that c meets (a sum that
     cancels is kept as a zero).
 
-    Only the pairing columns of c's support are read, and their entries are
-    summed in the pairing's order, so the keys come in the order that one
-    walk of the whole pairing would give them (blow_up_curve adds its
-    products in this order, and the eigenclass residuals sum over them).
+    The keys come in the order that one walk of the whole pairing would
+    give them (blow_up_curve adds its products in this order).
     """
-    cc = c.coeffs
-    if len(cc) != len(model.curve_basis):
+    if c.size != len(model.curve_basis):
         raise ValidationError("curve class not dimensioned for this model")
-    return _meets_on(model, {a: cc[a] for a in _support(cc)})
+    den, met = _meets_on(model, c)
+    return {i: QQ(v, den) for i, v in met.items()}
 
 
-def _meets_on(model: ThreefoldModel, on_c: dict[int, Fraction]) -> dict[int, Fraction]:
-    """meets for the class whose non-zero coordinates are on_c.  A pairing
-    of +-1 (every exceptional pair(E, L) is the shared MINUS_ONE) scales by
-    the coordinate itself, without a Fraction product."""
-    columns = model._tables.columns
+def _meets_on(model: ThreefoldModel, c: CurveClass) -> tuple[int, dict[int, int]]:
+    """(den, {i: den * e_i.c}) for a curve class c no longer than the
+    model, without Fractions: c's numerators times the int pairing columns
+    of its support, over den = c.den times the pairing's denominator."""
+    tables = model._tables
     terms = []
-    for a, ca in on_c.items():
-        for pos, i, v in columns.get(a, ()):
-            terms.append((pos, i, ca if v is ONE else -ca if v is MINUS_ONE else v * ca))
+    for a, ca in c.num.items():
+        for pos, i, v in tables.columns.get(a, ()):
+            terms.append((pos, i, v * ca))
     terms.sort()
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for _, i, t in terms:
-        out[i] = out[i] + t if i in out else t
-    return out
+        out[i] = out.get(i, 0) + t
+    return c.den * tables.den, out
+
+
+def _dot(d: DivisorClass, den: int, met: dict[int, int]) -> Fraction:
+    """d.c from _meets_on's (den, met) for c."""
+    x = d.num
+    return QQ(sum([x[i] * v for i, v in met.items() if i in x]), d.den * den)
 
 
 def pair(model: ThreefoldModel, d: DivisorClass, c: CurveClass) -> Fraction:
     """Intersection number of a divisor class with a curve class."""
-    if len(d) != len(model.divisor_basis) or len(c) != len(model.curve_basis):
+    if d.size != len(model.divisor_basis) or c.size != len(model.curve_basis):
         raise ValidationError("class not dimensioned for this model")
-    dc = d.coeffs
-    return sum((dc[i] * m for i, m in meets(model, c).items()), ZERO)
+    return _dot(d, *_meets_on(model, c))
 
 
 def triple(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass, d3: DivisorClass) -> Fraction:
@@ -464,13 +497,15 @@ def triple(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass, d3: Diviso
 def triple_products(model: ThreefoldModel) -> dict[tuple[int, int, int], Fraction]:
     """The non-zero basis triple products T(i, j; k) = pair(e_k, e_i.e_j),
     keyed (i, j, k) with i <= j as in mul2."""
-    columns = model._tables.columns
+    tables = model._tables
+    columns, den = tables.columns, tables.den
     out: dict[tuple[int, int, int], Fraction] = {}
     for (i, j), entry in model.mul2.items():
         for a, v in entry.items():
             for _, k, p in columns.get(a, ()):
                 out[(i, j, k)] = out.get((i, j, k), ZERO) + v * p
-    return {key: t for key, t in out.items() if t}
+    # the columns hold den * pair(e_k, f_a)
+    return {key: t / den for key, t in out.items() if t}
 
 
 # ---------------------------------------------------------------------------
@@ -563,44 +598,20 @@ def validate_model(model: ThreefoldModel) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int = 4) -> list[Fraction]:
-    out = [ZERO] * order
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= order:
-            continue
-        for j, bj in enumerate(b):
-            if i + j < order and bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a: list[Fraction], order: int = 4) -> list[Fraction]:
-    # invert a power series with unit constant term, truncated
-    assert a[0] == 1
-    out = [ONE] + [ZERO] * (order - 1)
-    for k in range(1, order):
-        s = ZERO
-        for i in range(1, k + 1):
-            if i < len(a):
-                s += a[i] * out[k - i]
-        out[k] = -s
-    return out
-
-
 def chern_series_ci(n: int, degrees: Sequence[int]) -> list[Fraction]:
     """Truncated total Chern series of a complete intersection threefold in P^n.
 
     Returns [1, c1, c2, c3] coefficients in powers of the hyperplane class,
     from (1+h)^(n+1) / prod_j (1 + d_j h) mod h^4.
     """
-    num = [ONE, ZERO, ZERO, ZERO]
-    step = [ONE, ONE, ZERO, ZERO]  # (1 + h)
-    for _ in range(n + 1):
-        num = _series_mul(num, step)
-    den = [ONE, ZERO, ZERO, ZERO]
-    for d in degrees:
-        den = _series_mul(den, [ONE, Fraction(d), ZERO, ZERO])
-    return _series_mul(num, _series_inv(den))
+    series = [ONE, ZERO, ZERO, ZERO]
+    for _ in range(n + 1):  # times 1 + h
+        series = [ONE] + [series[k] + series[k - 1] for k in (1, 2, 3)]
+    for d in degrees:  # over 1 + d h: q_k = p_k - d q_(k-1)
+        d = Fraction(d)
+        for k in (1, 2, 3):
+            series[k] -= d * series[k - 1]
+    return series
 
 
 def _model_p3() -> ThreefoldModel:

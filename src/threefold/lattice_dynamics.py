@@ -33,8 +33,9 @@ from .intersection_ring import (
     DivisorClass,
     ThreefoldModel,
     ValidationError,
+    _dot,
+    _meets_on,
     multiply_divisors,
-    pair,
     pairing_rows,
     triple_products,
 )
@@ -443,10 +444,10 @@ def eigenclass_constraints(
     # w_0 of m(A) u = 0, since m(x) / (x - lambda1) = sum_t lambda1^t q_t(x)
     # with q_{d-1} = 1 and q_t = x q_{t+1} + m_{t+1}
     u = next(v for v in (_horner(rows, P, e)[-1] for e in units) if any(v))
-    ws = [DivisorClass(w) for w in reversed(_horner(rows, m, u)[:-1])]
+    ws = [DivisorClass(w) for w in _horner(rows, m, u)[-2::-1]]
     narrow = l1.refined(QQ(1, 2**128))
     lam = (narrow.lo + narrow.hi) / 2
-    zeta = [poly_eval([w.coeffs[i] for w in ws], lam) for i in range(n)]
+    zeta = [poly_eval([w.num.get(i, 0) for w in ws], lam) for i in range(n)]  # each w.den is 1
     norm = max(map(abs, zeta))
 
     def size(q, degree: int) -> float:
@@ -456,15 +457,17 @@ def eigenclass_constraints(
         return float(abs(poly_eval(q, lam)) / norm**degree)
 
     def largest(classes, degree: int) -> float:
-        # the largest size of a coordinate of sum_p lambda1^p classes[p]
-        return max(size([c.coeffs[a] for c in classes], degree) for a in range(len(classes[0])))
+        # the largest size of a coordinate of sum_p lambda1^p classes[p] (0 off their supports)
+        support = set().union(*(c.num for c in classes))
+        return max((size([QQ(c.num.get(a, 0), c.den) for c in classes], degree) for a in support), default=0.0)
 
     def paired(divisors, curves):
-        # coefficients of sum_{s, t} lambda1^(s + t) pair(divisors[s], curves[t])
+        # coefficients of sum_{s, t} lambda1^(s + t) divisors[s].curves[t], one walk per curve
         out = [ZERO] * (len(divisors) + len(curves) - 1)
-        for s, x in enumerate(divisors):
-            for t, y in enumerate(curves):
-                out[s + t] += pair(model, x, y)
+        for t, y in enumerate(curves):
+            den, met = _meets_on(model, y)
+            for s, x in enumerate(divisors):
+                out[s + t] += _dot(x, den, met)
         return out
 
     zeta2 = [model.zero_curve()] * (2 * len(ws) - 1)

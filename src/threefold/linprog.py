@@ -28,7 +28,6 @@ from math import gcd, lcm
 QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_FRACTION_ONLY = frozenset({Fraction})
 # an eliminated row is reduced by its gcd once its denominator passes this
 _WORD = 1 << 62
 
@@ -48,7 +47,7 @@ class LinearForm:
     def __post_init__(self):
         # exact conversion (floats included), skipped for what is already Fractions
         coeffs = self.coeffs
-        if type(coeffs) is not tuple or not _FRACTION_ONLY.issuperset(map(type, coeffs)):
+        if type(coeffs) is not tuple or not {Fraction}.issuperset(map(type, coeffs)):
             object.__setattr__(self, "coeffs", tuple(QQ(c) for c in coeffs))
         if type(self.constant) is not Fraction:
             object.__setattr__(self, "constant", QQ(self.constant))

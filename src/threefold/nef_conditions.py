@@ -48,8 +48,8 @@ from .intersection_ring import (
     ZERO,
     ThreefoldModel,
     ValidationError,
+    _prefix,
     _require_int,
-    _scaled_to_integers,
     make_base,
     meets,
     multiply_divisors,
@@ -272,7 +272,7 @@ def check_picard1(tower: BlowupTower) -> Picard1Report:
 
     base = tower.base
     n_base_curves = len(base.curve_basis)
-    H = base.divisor([ONE] + [ZERO] * (len(base.divisor_basis) - 1))
+    H = base.divisor({base.divisor_basis[0].name: 1})
     alphas: list[Fraction] = []
     entries: list[TraceEntry] = [TraceEntry(0, "T3", "picard-rank-1-base")]
     for k, step in enumerate(tower.steps):
@@ -287,7 +287,7 @@ def check_picard1(tower: BlowupTower) -> Picard1Report:
             )
             continue
         center = step.center
-        pushed = base.curve(center.curve_class.coeffs[:n_base_curves])
+        pushed = _prefix(center.curve_class, n_base_curves)
         h_dot_c = pair(base, H, pushed)
         if h_dot_c <= 0:
             raise ValidationError(
@@ -455,16 +455,16 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
 
     # xi . D for xi = deg_u * h - sum beta_l E_l and D = k_0 l + sum k_i L_i
     # on X1, one row per (combo, label) with combo {i: k_i}: meets is linear
-    # in D, so it runs once per curve generator, every row is an integer
-    # combination of those rows over their common denominator, and one
-    # Fraction is made per distinct value
+    # in D, so it runs once per curve generator (whose rows are ints over
+    # the pairing's denominator), every row is an integer combination of
+    # those rows, and one Fraction is made per distinct value
     def nef_rows(combos):
-        by_gen = [point_coeffs(meets(x1, x1.curve({g: ONE})))
-                  for g in ["l"] + [f"L{l}" for l in range(1, n + 1)]]
-        den, flat = _scaled_to_integers([c for row in by_gen for c in row])
-        width = n + 1
-        by_gen = [{j: v for j, v in enumerate(flat[k:k + width]) if v}
-                  for k in range(0, len(flat), width)]
+        width, den = n + 1, x1._tables.den
+        by_gen = []
+        for g in ["l"] + [f"L{l}" for l in range(1, n + 1)]:
+            met = meets(x1, x1.curve({g: 1}))
+            by_gen.append({j: (1 if j == 0 else -1) * v.numerator * (den // v.denominator)
+                           for j, v in met.items() if v})
         fractions: dict[int, Fraction] = {}
         for combo, label in combos:
             acc = [0] * width

@@ -1,11 +1,15 @@
+import copy
 import dataclasses
 import itertools
+import math
+import pickle
 import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
-from strategies import blowup_towers, models_of
+from hypothesis import strategies as st
+from strategies import blowup_towers, classes, fractional_c1_bases, models_of, rationals
 from towerfile_reference import dense_row
 
 from threefold import (
@@ -456,7 +460,7 @@ def test_pairing_determinant_matches_leibniz_on_sparse_pairings():
 
 def test_class_coefficients_are_exact_and_fraction_tuples_are_kept():
     coeffs = (Q(1, 2), Q(-3))
-    assert DivisorClass(coeffs).coeffs is coeffs
+    assert DivisorClass(coeffs).coeffs == coeffs
     # anything else is converted one entry at a time, and a float still refused
     assert DivisorClass([Q(1, 2), 3, "2/3"]).coeffs == (Q(1, 2), Q(3), Q(2, 3))
     assert all(type(c) is Q for c in CurveClass((1, Q(1))).coeffs)
@@ -507,3 +511,64 @@ def test_triple_products_read_the_stored_pairing_columns(tower):
     for model in models_of(tower):
         got = triple_products(model)
         assert list(got.items()) == list(_triple_products_by_fresh_index(model).items())
+
+
+def _assert_canonical(c, size):
+    """The stored form of a class: a positive denominator, non-zero int
+    numerators in lowest terms with it, and ascending keys in range."""
+    assert len(c) == c.size == size
+    assert type(c.den) is int and c.den > 0
+    assert all(type(v) is int and v for v in c.num.values())
+    assert math.gcd(c.den, *c.num.values()) == 1
+    assert list(c.num) == sorted(c.num) and all(0 <= a < size for a in c.num)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda rho: st.tuples(classes(rho, max_den=7), classes(rho, max_den=7))),
+       rationals(max_den=7), st.sampled_from([DivisorClass, CurveClass]))
+def test_classes_match_fraction_tuples(pair_of_tuples, q, cls):
+    # the class against the plain Fraction tuples it stands for
+    a, b = pair_of_tuples
+    x, y = cls(a), cls(b)
+    rho = len(a)
+    expected = {
+        "add": tuple(u + v for u, v in zip(a, b)),
+        "sub": tuple(u - v for u, v in zip(a, b)),
+        "neg": tuple(-u for u in a),
+        "scale": tuple(q * u for u in a),
+        "zero": tuple(Q(0) for _ in a),
+    }
+    got = {"add": x + y, "sub": x - y, "neg": -x, "scale": x.scale(q), "zero": x.scale(0)}
+    assert (q * x) == got["scale"]
+    for key, c in got.items():
+        want = expected[key]
+        assert type(c) is cls
+        _assert_canonical(c, rho)
+        assert c.coeffs == want and all(type(v) is Q for v in c.coeffs)
+        # equal to the class built from the tuple, with the same hash
+        assert c == cls(want) and hash(c) == hash(cls(want))
+        assert repr(c) == f"{cls.__name__}(coeffs={want!r})"
+        assert c.is_zero() == (not any(want))
+    assert x.coeffs == a and len(x) == rho
+    _assert_canonical(x, rho)
+    assert pickle.loads(pickle.dumps(x)) == copy.deepcopy(x) == x
+    assert (x == y) == (a == b) and (x != y) == (a != b)
+    if a == b:
+        assert hash(x) == hash(y)
+    # the same class from ints and strings, and never equal to the other kind
+    assert cls([str(u) for u in a]) == x == cls(list(a))
+    other = CurveClass if cls is DivisorClass else DivisorClass
+    assert x != other(a) and hash(x) == hash(other(a))
+    for bad in (a[:-1] + (float(a[-1]),), (0.5,) * rho):
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            cls(bad)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        x + cls(a + (Q(1),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(blowup_towers(bases=fractional_c1_bases()))
+def test_chern_classes_stay_canonical_along_a_tower(tower):
+    for model in models_of(tower):
+        _assert_canonical(model.c1, model.picard)
+        _assert_canonical(model.c2, model.picard)

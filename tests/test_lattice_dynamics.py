@@ -23,6 +23,7 @@ from threefold import (
     triple,
     validate_action,
 )
+from threefold import intersection_ring, lattice_dynamics
 from threefold.lattice_dynamics import (
     ALGEBRAIC_ONE,
     algebraic_compare,
@@ -611,3 +612,26 @@ def test_validate_action_triple_check_matches_dense_loop():
             found = [s for s in validate_action(model, A).violations if s.startswith("triple")]
             expected = _first_broken_triple(model, A)
             assert found == ([expected] if expected else [])
+
+
+def test_eigenclass_walks_each_curve_class_once(monkeypatch):
+    # Lehmer's block with its invariant quadratic form, rank 11 and d = 10:
+    # the residuals pair the 2d - 1 coefficients of zeta^2 with zeta and with
+    # c1, and zeta with c1^2 and with c2, so 4d walks of the pairing columns,
+    # not one per (divisor, curve) pair
+    lehmer = SALEM_AND_PISOT.index([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    model = quadratic_model(invariant_forms((lehmer,))[0], 2, 3)
+    A = block_plus_fixed(companion(SALEM_AND_PISOT[lehmer]))
+    want = eigenclass_constraints(model, A)
+    assert want.status == "ok" and not want.includes_lambda_neq_constraints
+    calls = []
+    walk = intersection_ring._meets_on
+
+    def counting(m, c):
+        calls.append(c)
+        return walk(m, c)
+
+    monkeypatch.setattr(intersection_ring, "_meets_on", counting)
+    monkeypatch.setattr(lattice_dynamics, "_meets_on", counting, raising=False)
+    assert eigenclass_constraints(model, A) == want
+    assert len(calls) == 4 * 10

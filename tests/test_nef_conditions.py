@@ -20,10 +20,12 @@ from threefold import (
     make_base,
     make_custom_base,
     pair,
+    parse_tower,
     point_step,
     replay_certificate,
 )
 from threefold.blowup_calculus import _center_numbers
+from threefold.intersection_ring import CurveClass, DivisorClass
 from threefold.intersection_ring import meets
 from threefold.nef_conditions import (
     HOLDS,
@@ -648,3 +650,34 @@ def test_center_numbers_on_every_later_model_equal_the_pairing_below(tower):
         for later in models[k:]:
             assert _center_numbers(later, center)[:2] == want
 
+
+
+STOCK_LINES_TOWER = (
+    "base p3\n" + "blowup point\n" * 4
+    + "".join(f"blowup curve class = l - L{i} - L{j} genus = 0\n" for i, j in ((1, 2), (1, 3), (2, 4), (3, 4)))
+)
+
+
+def _stock_verdicts():
+    tower = parse_tower(STOCK_LINES_TOWER).tower
+    return (
+        check_p3_points_lines(16),
+        check_c2_positive_tower(tower, "A"),
+        check_c2_positive_tower(tower, "B"),
+        check_picard1(tower),
+        check_tower(tower, "A"),
+        check_tower(tower, "B"),
+    )
+
+
+def test_the_checkers_never_build_a_dense_class(monkeypatch):
+    # coeffs is the dense view for printers; the engine reads the numerators
+    want = _stock_verdicts()
+    assert want[0].forced and want[3].verdict_a.status == HOLDS
+
+    def dense(self):
+        raise AssertionError(f"dense view of a {type(self).__name__} built")
+
+    for cls in (DivisorClass, CurveClass):
+        monkeypatch.setattr(cls, "coeffs", property(dense), raising=False)
+    assert _stock_verdicts() == want

@@ -3,9 +3,9 @@ import time
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import blowup_towers, models_of
+from strategies import FRACTIONAL_BASE, blowup_towers, models_of
 from towerfile_reference import _reference_parse_tower, _reference_serialize_model
 
 from threefold import (
@@ -19,6 +19,7 @@ from threefold import (
     serialize_model,
 )
 from threefold.blowup_calculus import CurveCenterSpec
+from threefold.cli import main
 from threefold.intersection_ring import ValidationError
 from threefold.towerfile import TowerParseError
 
@@ -493,8 +494,77 @@ def tower_texts(draw):
     return "\n".join(head + aliases + steps) + "\n"
 
 
+# the fractional base blown up along a center whose terms come out of index order
+OUT_OF_ORDER_TOWER = serialize_model(FRACTIONAL_BASE) + "blowup curve class = 1*f2 + 1*f1 genus = 0\n"
+
+OUT_OF_ORDER_SERIALIZED = """base custom
+label fractional+C1
+divisor A
+divisor B
+divisor F1
+curve f1
+curve f2
+curve M1
+mul A A = 0
+mul A B = 1/2 f1
+mul A F1 = 1/3 M1
+mul B B = 3 f2
+mul B F1 = 2 M1
+mul F1 F1 = -f1 - f2 + 5/3 M1
+pair A f2 = 1/3
+pair B f1 = 2
+pair F1 M1 = -1
+c1 = 2 A + 3/2 B - F1
+c2 = 7/2 f1 + 4/3 f2 - 11/3 M1
+euler = 8
+picard = 3
+end
+"""
+
+OUT_OF_ORDER_RECORDS = """label=fractional+C1
+picard=3
+euler=8
+divisor_basis=A,B,F1
+curve_basis=f1,f2,M1
+mul.A.A=0
+mul.A.B=1/2 f1
+mul.A.F1=1/3 M1
+mul.B.B=3 f2
+mul.B.F1=2 M1
+mul.F1.F1=-f1 - f2 + 5/3 M1
+pair.A.f1=0
+pair.A.f2=1/3
+pair.A.M1=0
+pair.B.f1=2
+pair.B.f2=0
+pair.B.M1=0
+pair.F1.f1=0
+pair.F1.f2=0
+pair.F1.M1=-1
+c1=2 A + 3/2 B - F1
+c2=7/2 f1 + 4/3 f2 - 11/3 M1
+"""
+
+
+def test_a_center_written_out_of_index_order(tmp_path, capsys):
+    # F.F = -C + gamma M keeps C's terms in curve-index order, whatever order
+    # the center was written in, and the writer's bytes are unchanged
+    top = parse_tower(OUT_OF_ORDER_TOWER).top()
+    assert list(top.mul2.items()) == [
+        ((0, 1), {0: Q(1, 2)}), ((1, 1), {1: Q(3)}), ((0, 2), {2: Q(1, 3)}), ((1, 2), {2: Q(2)}),
+        ((2, 2), {0: Q(-1), 1: Q(-1), 2: Q(5, 3)}),
+    ]
+    assert [list(entry) for entry in top.mul2.values()][-1] == [0, 1, 2]
+    assert serialize_model(top) == OUT_OF_ORDER_SERIALIZED
+    path = tmp_path / "out_of_order.tower"
+    path.write_text(OUT_OF_ORDER_TOWER)
+    assert main(["ring", "show", str(path), "--format", "records"]) == 0
+    assert capsys.readouterr().out == OUT_OF_ORDER_RECORDS
+
+
 @settings(max_examples=80, deadline=None)
 @given(tower_texts())
+@example(OUT_OF_ORDER_TOWER)
 def test_sparse_format_matches_the_dense_reference(text):
     new = parse_tower(text).top()
     ref = _reference_parse_tower(text).top()
