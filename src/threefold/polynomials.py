@@ -19,13 +19,19 @@ integer polynomials.  The pieces:
   onto a half-plane and a fraction-free Routh table.  Used to certify that
   no complex root escapes past the leading real root.
 - minimal_polynomial_of_root: the irreducible factor over Z owning a root.
-  The factoriser intersects the factor-degree sets of the polynomial mod
-  a few primes (distinct-degree factorisation through the Berlekamp
-  matrix), which proves most inputs irreducible; the rest are split mod a
-  prime (Cantor-Zassenhaus), Hensel-lifted above a Mignotte bound and
-  recombined exhaustively with exact trial division.  Its cache is keyed
-  by the smaller of a squarefree part and its reversal, so the
-  characteristic polynomials of A and A^-1 are factored once.
+  An even polynomial m(x^2) or a reciprocal one x^e k(x +- 1/x) is
+  factored through m or k, and each factor of the half is proven to lift
+  to one irreducible factor by Capelli's theorem when an element of a
+  small number field is shown to be no square (a norm, then a quadratic
+  character mod a few primes).  Any other polynomial, and a factor left
+  unproven, goes to the general factoriser: it intersects the
+  factor-degree sets of the polynomial mod a few primes (distinct-degree
+  factorisation through the Berlekamp matrix), which proves most inputs
+  irreducible; the rest are split mod a prime (Cantor-Zassenhaus),
+  Hensel-lifted above a Mignotte bound and recombined exhaustively with
+  exact trial division.  Its cache is keyed by the smaller of a
+  squarefree part and its reversal, so the characteristic polynomials of
+  A and A^-1 are factored once.
 - certified_radius_from_charpoly: the largest root modulus of an integer
   characteristic polynomial as an exact algebraic number (minimal
   polynomial + isolating interval).  Each distinct primitive polynomial
@@ -38,7 +44,8 @@ integer polynomials.  The pieces:
   (the polynomial of its pairwise root products), which always carries
   it; that polynomial is built from power sums by Newton's identities in
   its two halves (Graeffe and exterior square), and only the half owning
-  the root is factored.
+  the root is factored.  An outer disk count below the degree proves
+  complex dominance at the first attempt.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import comb, gcd, isqrt, lcm
+
+from .bareiss import int_matrix_det
 
 QQ = Fraction
 ZERO = Fraction(0)
@@ -417,10 +426,14 @@ def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
     sf, the root lies in (lo, mid] exactly when sf(mid) = 0 or sf changes
     sign between lo and mid; when lo is another root of sf, the sign just
     right of it is that of sf'(lo).  An interval holding several roots is
-    bisected by Sturm counts towards its leftmost root.
+    bisected by Sturm counts towards its leftmost root.  A width <= 0 is
+    refused (no interval reaches it).
     """
+    width = QQ(width)
+    if width <= 0:
+        raise ValueError("refinement width must be positive")
     chain = _chain_for(p)
-    lo, hi, width = QQ(lo), QQ(hi), QQ(width)
+    lo, hi = QQ(lo), QQ(hi)
     den = lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     v_lo, v_hi = _variations(chain, a, den), _variations(chain, b, den)
@@ -597,9 +610,22 @@ class AlgebraicNumber:
 # invertible mod m.  The radius fallback's symmetric square is the product
 # of its two halves, so its degree sets never end the search early and it
 # would always be lifted and recombined: only the half that owns the
-# squared radius is factored.
+# squared radius is factored.  Degree sets cannot prove that half or the
+# square-root step's m(x^2) irreducible either: for a unimodular
+# characteristic polynomial their roots pair up as +-b and b, +-1/b, so
+# their factor degrees mod p pair up too.  _factor_squarefree therefore
+# factors an even or reciprocal polynomial through its half-degree
+# quotient and proves, by Capelli's theorem, that each factor of the
+# quotient gives one irreducible factor, through a non-square in a number
+# field (_nonsquare: a norm, then a quadratic character mod small primes);
+# only what stays unproven is lifted.
 
 GOOD_PRIMES = 3  # primes whose degree sets are intersected before lifting
+# good primes of _nonsquare's quadratic character: of the 480 non-squares
+# among the 505 distinct non-linear tests of dyn-sample seeds 1-5, 101 and
+# 5151, 12 primes prove 474 and 20 prove all; each of the 25 squares pays
+# all 12 before its lift
+NONSQUARE_PRIMES = 12
 
 
 def _mod_strip(a: list) -> list:
@@ -663,13 +689,29 @@ def _mod_gcdex(a, b, p) -> tuple[list, list]:
 
 
 def _mod_powmod(a, e: int, g, p) -> list:
-    out, a = [1], _mod_divmod(a, g, p)[1]
-    while e:
-        if e & 1:
-            out = _mod_divmod(_mod_mul(out, a, p), g, p)[1]
-        e >>= 1
-        if e:
-            a = _mod_divmod(_mod_mul(a, a, p), g, p)[1]
+    """a^e mod a monic g over F_p, left to right: a is the left factor of
+    every multiplication that is not a squaring, so a sparse a (such as x)
+    costs one slice per non-zero coefficient there."""
+    d, low = len(g) - 1, g[:-1]
+
+    def mulmod(x, y):
+        out, ly = [0] * (len(x) + len(y) - 1), len(y)
+        for i, c in enumerate(x):
+            if c:
+                out[i : i + ly] = [o + c * v for o, v in zip(out[i : i + ly], y)]
+        for k in range(len(out) - 1, d - 1, -1):
+            c = out[k] % p
+            if c:
+                out[k - d : k] = [o - c * v for o, v in zip(out[k - d : k], low)]
+        return _mod_strip([c % p for c in out[:d]])
+
+    a = out = _mod_divmod(a, g, p)[1]
+    if e == 0:
+        return [1]
+    for bit in bin(e)[3:]:
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(a, out)
     return out
 
 
@@ -826,31 +868,155 @@ def _recombine(f, modular, p, degrees_allowed: int) -> tuple:
     return tuple(found)
 
 
+def _good_reduction(f, p) -> list | None:
+    """f mod p made monic, or None when p divides lc(f) or disc(f), that
+    is when f is not squarefree of full degree mod p."""
+    if f[-1] % p == 0:
+        return None
+    fp = _mod_monic([c % p for c in f], p)
+    if len(_mod_gcd(fp, _mod_strip([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
+        return None
+    return fp
+
+
+def _monic_resultant(u, q) -> int:
+    """Res(u, q) for a monic integer u and an integer q: the product of q
+    over the roots of u, the determinant of multiplication by q on
+    Z[x]/(u).  It commutes with reduction mod any prime."""
+    du = len(u) - 1
+    col, cols = _pseudo_remainder(q, u), []
+    for _ in range(du):
+        col = col + [0] * (du - len(col))
+        cols.append(col)
+        col = _pseudo_remainder([0] + col, u)
+    return int_matrix_det(cols)
+
+
+def _nonsquare(q, u) -> bool:
+    """True only when u(t) is provably not a square in Q(t), for an
+    irreducible primitive q with lc > 0 and root t and a monic integer u.
+
+    Norm test: a square of Q(t) has a rational square as its norm
+    prod_i u(t_i) = (-1)^(deg q deg u) Res(u, q) / lc(q)^deg u.  For linear
+    q this decides.
+
+    Quadratic character: for an odd prime p dividing neither lc(q) nor
+    disc(q), each irreducible factor of degree d of q mod p belongs to an
+    unramified prime of Q(t) over p with residue field F_(p^d), where t is
+    integral.  With w = u^((p-1)/2) mod q, g = gcd(q, w + 1) mod p is the
+    product of the factors where u takes a value of F_p that is a
+    non-residue, which stays a non-square in F_(p^d) for odd d.  A square
+    of Q(t) that is a unit at such a prime reduces to a square, so u(t) is
+    no square when g has a root or an odd degree.  The roots are needed:
+    when the roots of q mod p pair up as t0 and 1/t0 (the exterior square
+    of a unimodular quartic with det 1), u = x has equal characters at
+    both, so deg g is even.
+    NONSQUARE_PRIMES good primes are tried."""
+    d, du, lc = len(q) - 1, len(u) - 1, q[-1]
+    norm = (-1) ** (d * du) * _monic_resultant(u, q) * lc**du
+    if norm < 0 or isqrt(norm) ** 2 != norm:
+        return True
+    if d == 1:
+        return False
+    tried = 0
+    for p in _odd_primes():
+        qp = _good_reduction(q, p)
+        if qp is None:
+            continue
+        w = _mod_powmod(_mod_strip([c % p for c in u]), (p - 1) // 2, qp, p)
+        g = _mod_gcd(qp, _mod_add(w, [1], p), p)
+        if len(g) % 2 == 0:
+            return True
+        if len(g) > 1:
+            # the roots of g in F_p: gcd(g, x^p - x)
+            frob = _mod_add(_mod_powmod([0, 1], p, g, p), [0, 1], p, -1)
+            if len(_mod_gcd(g, frob, p)) > 1:
+                return True
+        tried += 1
+        if tried == NONSQUARE_PRIMES:
+            return False
+
+
+def _reciprocal_sign(f) -> int:
+    """eps = +-1 with x^(2e) f(eps / x) = eps^e f(x) for deg f = 2e, else 0."""
+    n = len(f) - 1
+    if n % 2:
+        return 0
+    e = n // 2
+    for eps in (1, -1):
+        if all(f[n - j] == eps ** (e - j) * f[j] for j in range(e)):
+            return eps
+    return 0
+
+
+def _reciprocal_quotient(f, eps) -> list[int]:
+    """k of degree e with f = x^e k(x + eps/x), for f as in _reciprocal_sign:
+    x^-e f = f_e + sum_j f_(e+j) (x^j + (eps/x)^j), and x^j + (eps/x)^j is
+    the Dickson polynomial D_j(x + eps/x), D_j = y D_(j-1) - eps D_(j-2)."""
+    e = (len(f) - 1) // 2
+    k, d_prev, d = [f[e]] + [0] * e, [2], [0, 1]
+    for j in range(1, e + 1):
+        for i, c in enumerate(d):
+            k[i] += f[e + j] * c
+        d_prev, d = d, [a - eps * b for a, b in zip_longest([0] + d, d_prev, fillvalue=0)]
+    return k
+
+
+def _unfold(q, eps) -> tuple:
+    """x^(deg q) q(x + eps/x) = sum_j q_j (x^2 + eps)^j x^(deg q - j)."""
+    d, out, power = len(q) - 1, [0] * (2 * len(q) - 1), [1]
+    for j, c in enumerate(q):
+        for i, v in enumerate(power):
+            out[d - j + i] += c * v
+        power = poly_mul(power, [eps, 0, 1])
+    return tuple(out)
+
+
+def _unfold_square(h) -> tuple:
+    """h(x^2)."""
+    h2 = [0] * (2 * len(h) - 1)
+    h2[::2] = h
+    return tuple(h2)
+
+
 @lru_cache(maxsize=2048)
 def _factor_squarefree(f: tuple) -> tuple:
     """Irreducible factors over Z of a primitive squarefree f with lc > 0,
     f(0) != 0 and degree >= 1, each primitive with lc > 0.
 
-    An even f is m(x^2), and each irreducible factor h of m gives h(x^2),
-    which is irreducible unless a root b of h is a square in Q(b)
-    (Capelli); then the norm (-1)^deg(h) h(0) / lc(h) of b is a rational
-    square.  So h(x^2) is factored only when that norm is a square."""
+    Two symmetries halve the degree first, and Capelli's theorem (Schinzel,
+    Polynomials with special regard to reducibility, 2000, section 2.1)
+    says when a factor of the half lifts to an irreducible factor of f:
+    - an even f is m(x^2); an irreducible factor h of m with root b gives
+      h(x^2), irreducible unless b is a square in Q(b);
+    - a reciprocal f, x^(2e) f(eps/x) = eps^e f(x) with eps = +-1, is
+      x^e k(x + eps/x); an irreducible factor q of k with root y gives
+      x^(deg q) q(x + eps/x), whose roots solve t^2 - y t + eps = 0, so it
+      is irreducible unless y^2 - 4 eps is a square in Q(y).  The factor x
+      of k (when k(0) = 0) gives x^2 + eps.
+    _nonsquare proves the non-squares; a factor it leaves unproven, and
+    every other f, is factored by _factor_by_primes."""
     if len(f) > 3 and not any(f[1::2]):
-        out = []
-        for h in _factor_squarefree(f[::2]):
-            h2 = [0] * (2 * len(h) - 1)
-            h2[::2] = h
-            norm = (-1) ** (len(h) - 1) * h[0] * h[-1]
-            if norm < 0 or isqrt(norm) ** 2 != norm:
-                out.append(tuple(h2))
-            else:
-                out.extend(_factor_by_primes(tuple(h2)))
-        return tuple(out)
-    return _factor_by_primes(f)
+        u = (0, 1)
+        pieces = [(h, _unfold_square(h)) for h in _factor_squarefree(f[::2])]
+    elif len(f) > 3 and (eps := _reciprocal_sign(f)):
+        u, k = (-4 * eps, 0, 1), _reciprocal_quotient(f, eps)
+        head = ((0, 1),) if k[0] == 0 else ()
+        factors = head + _factor_squarefree(tuple(k[len(head):]))
+        pieces = [(q, _unfold(q, eps)) for q in factors]
+    else:
+        return _factor_by_primes(f)
+    out = []
+    for q, g in pieces:
+        if _nonsquare(q, u):
+            out.append(g)
+        else:
+            out.extend(_factor_by_primes(g))
+    return tuple(out)
 
 
 def _factor_by_primes(f: tuple) -> tuple:
-    """_factor_squarefree without the even case.
+    """Irreducible factors over Z of f as in _factor_squarefree, from f alone.
 
     The degree set of f mod p (the sums of sub-multisets of its factor
     degrees) contains the degree of every factor over Z; once the
@@ -860,11 +1026,9 @@ def _factor_by_primes(f: tuple) -> tuple:
     n = len(f) - 1
     allowed, best, tried = (1 << (n + 1)) - 1, None, 0
     for p in _odd_primes():
-        if f[-1] % p == 0:
+        fp = _good_reduction(f, p)
+        if fp is None:
             continue
-        fp = _mod_monic([c % p for c in f], p)
-        if len(_mod_gcd(fp, _mod_strip([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
-            continue  # not squarefree mod p
         rows = _berlekamp_rows(fp, p)
         ddf = _distinct_degree_factors(fp, rows, p)
         sums, count = 1, 0
@@ -1091,23 +1255,27 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
         for _attempt in range(3):
             a_lo, a_hi = _abs_interval(lo, hi)
             ring = _verified_radius_interval(sf, n, a_lo, a_hi, hi - lo)
-            if ring is not None:
-                r_in, r_out, inner = ring
-                annulus = n - inner
-                reals_in_annulus = count_real_roots(sf, r_in, r_out) + count_real_roots(
-                    sf, -r_out, -r_in
-                )
-                if annulus == reals_in_annulus:
-                    # the dominant modulus is carried by a real root
-                    if hi <= 0:
-                        mp = poly_primitive_int(
-                            poly_negate_variable(minimal_polynomial_of_root(sf, lo, hi))
-                        )
-                        return AlgebraicNumber(tuple(mp), -hi, -lo)
-                    mp = minimal_polynomial_of_root(sf, lo, hi)
-                    return AlgebraicNumber(tuple(mp), lo, hi)
-            # a complex modulus sits too close: tighten and retry before
-            # concluding complex dominance
+            if ring is None:
+                # a root outside the outer disk is a non-real root of larger
+                # modulus than every real one, which no refinement undoes
+                # (the inner count never reaches n: the champion is outside)
+                break
+            r_in, r_out, inner = ring
+            annulus = n - inner
+            reals_in_annulus = count_real_roots(sf, r_in, r_out) + count_real_roots(
+                sf, -r_out, -r_in
+            )
+            if annulus == reals_in_annulus:
+                # the dominant modulus is carried by a real root
+                if hi <= 0:
+                    mp = poly_primitive_int(
+                        poly_negate_variable(minimal_polynomial_of_root(sf, lo, hi))
+                    )
+                    return AlgebraicNumber(tuple(mp), -hi, -lo)
+                mp = minimal_polynomial_of_root(sf, lo, hi)
+                return AlgebraicNumber(tuple(mp), lo, hi)
+            # a complex root in the annulus may lie just inside |r|: tighten
+            # and retry before concluding complex dominance
             lo, hi = refine_root_interval(sf, lo, hi, (hi - lo) / 2**10)
 
     # Complex-dominant or tied moduli.  The squared radius is always the
@@ -1137,9 +1305,7 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
     half = graeffe if count_real_roots(graeffe, lam_lo, lam_hi) else wedge
     m_lam = minimal_polynomial_of_root(half, lam_lo, lam_hi)
     s = AlgebraicNumber(tuple(m_lam), lam_lo, lam_hi)
-    m2 = [0] * (2 * len(s.minpoly) - 1)
-    for i, c in enumerate(s.minpoly):
-        m2[2 * i] = c
+    m2 = _unfold_square(s.minpoly)
     for _round in range(80):
         lo = _fraction_sqrt_bounds(s.lo, CERTIFIED_WIDTH / 2)[0]
         hi = _fraction_sqrt_bounds(s.hi, CERTIFIED_WIDTH / 2)[1]

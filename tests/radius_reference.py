@@ -1,11 +1,14 @@
-"""The complex-dominant radius route that the split symmetric square replaced.
+"""The complex-dominant radius route that the split symmetric square replaced,
+and the factoriser without its symmetry front end.
 
-Kept only as the reference of differential tests: the whole symmetric
+Kept only as the references of differential tests: the whole symmetric
 square W of degree n(n+1)/2 is built from power sums in one piece, and the
 minimal polynomial of its largest real root is read from the irreducible
 factors of W's squarefree part; the square-root bounds find their scale by
 a loop.  threefold.polynomials must agree with it on every input that
-reaches the fallback.
+reaches the fallback.  The factoriser's lift-only route factors every
+polynomial by degree sets mod primes, Hensel lifting and recombination,
+never through an even or reciprocal polynomial's half.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from math import isqrt
 from threefold.polynomials import (
     CERTIFIED_WIDTH,
     AlgebraicNumber,
+    _factor_by_primes,
     _verified_radius_interval,
     count_real_roots,
     isolate_real_roots,
@@ -47,6 +51,12 @@ def reference_symmetric_square(sf) -> list[int]:
     for k in range(1, m + 1):
         h.append(-sum(h[i] * sums[k - i] for i in range(k)) // k)
     return [c * a ** (2 * j) for j, c in enumerate(reversed(h))]
+
+
+def reference_factor_squarefree(f) -> list[tuple]:
+    """The irreducible factors of a primitive squarefree f (lc > 0,
+    f(0) != 0), sorted, from f itself by the lift-only route."""
+    return sorted(_factor_by_primes(tuple(f)))
 
 
 def reference_sqrt_bounds(x: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as Q
+from itertools import zip_longest
 from unittest.mock import patch
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from radius_reference import (
+    reference_factor_squarefree,
     reference_fallback_radius,
     reference_sqrt_bounds,
     reference_symmetric_square,
@@ -28,6 +30,12 @@ from threefold.polynomials import (
     _factor_squarefree,
     _fraction_sqrt_bounds,
     _irreducible_factors_int,
+    _mod_divmod,
+    _mod_mul,
+    _mod_powmod,
+    _nonsquare,
+    _reciprocal_quotient,
+    _reciprocal_sign,
     _symmetric_square,
     berkowitz_charpoly,
     cauchy_root_bound,
@@ -378,6 +386,15 @@ def test_algebraic_number_refined():
     b = a.refined(Q(1, 10**6))
     assert b.width <= Q(1, 10**6)
     assert b.lo >= a.lo and b.hi <= a.hi
+
+
+@pytest.mark.parametrize("width", [0, Q(0), Q(-1, 3), -2])
+def test_refinement_refuses_a_non_positive_width(width):
+    # no interval is that narrow: the bisection count never settled
+    with pytest.raises(ValueError, match="width must be positive"):
+        AlgebraicNumber((-2, 0, 1), Q(1), Q(2)).refined(width)
+    with pytest.raises(ValueError, match="width must be positive"):
+        refine_root_interval([-2, 0, 1], Q(1), Q(2), width)
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +839,142 @@ def test_factorisation_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# the symmetry front end (even and reciprocal polynomials, Capelli) against
+# the lift-only route
+# ---------------------------------------------------------------------------
+
+_MONIC = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(lambda low: low + [1])
+
+
+def _front_end_input(p):
+    """The squarefree part of p as _factor_squarefree takes it, or None
+    when p has the root 0."""
+    sf = tuple(poly_squarefree(p))
+    return None if sf[0] == 0 or len(sf) < 2 else sf
+
+
+def _check_front_end(p):
+    f = _front_end_input(p)
+    if f is None:
+        return
+    got = sorted(_factor_squarefree(f))
+    assert got == reference_factor_squarefree(f)
+    event(f"{len(got)} factor(s)")
+
+
+def _even(h):
+    h2 = [0] * (2 * len(h) - 1)
+    h2[::2] = h
+    return h2
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_MONIC, min_size=1, max_size=2))
+def test_even_graeffe_polynomials_factor_as_without_the_front_end(gs):
+    # h(x^2) = +-g(x) g(-x) for the Graeffe transform h of g: reducible by
+    # construction, so every root of h is a square in its own field
+    g = [1]
+    for f in gs:
+        g = poly_mul(g, f)
+    _check_front_end(_even(poly_compose_square(g)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _MONIC,
+    st.one_of(
+        st.just([1]),
+        _MONIC.map(poly_compose_square),
+        st.integers(1, 4).map(lambda s: [-s * s, 1]),
+    ),
+)
+def test_even_monic_polynomials_factor_as_without_the_front_end(h, square):
+    # a random monic h, times a factor whose roots are squares (a Graeffe
+    # transform, or x - s^2) or not
+    _check_front_end(_even(poly_mul(h, square)))
+
+
+def _reciprocal(k, eps):
+    """x^e k(x + eps/x) for k of degree e, from (x^2 + eps)^j x^(e - j)."""
+    e, out = len(k) - 1, [0]
+    for j, c in enumerate(k):
+        term = [c]
+        for _ in range(j):
+            term = poly_mul(term, [eps, 0, 1])
+        out = [a + b for a, b in zip_longest(out, [0] * (e - j) + term, fillvalue=0)]
+    return poly_trim(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_MONIC, min_size=1, max_size=3),
+    st.sampled_from([1, -1]),
+    st.booleans(),
+)
+@example([[-2, 1]], 1, False)  # x^2 - 2x + 1 = (x - 1)^2: squarefree part x - 1
+@example([[0, 1]], -1, True)  # k = x^2: the factor x twice
+@example([[1, 1], [-3, 0, 1]], -1, True)  # k(0) = 0, and x^2 - 1 splits
+@example([[3, 1], [0, 0, 1]], 1, False)  # k(0) = 0 through a square
+def test_reciprocal_polynomials_factor_as_without_the_front_end(ks, eps, times_x):
+    k = [0, 1] if times_x else [1]
+    for f in ks:
+        k = poly_mul(k, f)
+    if len(k) - 1 > 8:
+        return
+    p = _reciprocal(k, eps)
+    # the quotient by the symmetry is k again
+    assert _reciprocal_sign(p) != 0
+    assert _reciprocal_quotient(p, eps) == k
+    _check_front_end(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MONIC, st.sampled_from([1, -1]))
+@example([-2, 0, 1], 1)  # (x^2 - 2)(2x^2 - 1), k = 2y^2 - 9 irreducible mod 5
+def test_reciprocal_products_factor_as_without_the_front_end(r, eps):
+    # r(x) times x^deg r r(eps / x) is reciprocal and reducible by
+    # construction: y^2 - 4 eps = (t - eps / t)^2 is a square in Q(y)
+    _check_front_end(poly_mul(r, [c * eps**i for i, c in enumerate(r)][::-1]))
+
+
+def test_nonsquare_on_known_fields():
+    lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+    # Lehmer's root is no square in its field (norm 1, a quadratic
+    # character proves it); phi^2 = (3 + sqrt 5) / 2 is the square of phi
+    assert _nonsquare(lehmer, (0, 1))
+    assert not _nonsquare((1, -3, 1), (0, 1))
+    # the norm decides: sqrt 2 has norm -2, so x^4 - 2 is irreducible
+    assert _nonsquare((-2, 0, 1), (0, 1))
+    # linear q: u(t) is rational, and the norm decides both ways (-4 is
+    # no square: x^2 + 4 is irreducible)
+    assert not _nonsquare((-9, 1), (0, 1)) and _nonsquare((-8, 1), (0, 1))
+    assert _nonsquare((4, 1), (0, 1))
+    # y^2 - 4 eps at the roots of k for a reciprocal x^2 k(x + eps / x):
+    # x^4 - x^3 - x^2 - x + 1 (k = y^2 - y - 3) is irreducible
+    assert _nonsquare((-3, -1, 1), (-4, 0, 1))
+    # x^4 - 3x^2 + 1 = (x^2 - x - 1)(x^2 + x - 1), k = y^2 - 5: y^2 - 4 = 1
+    assert not _nonsquare((-5, 0, 1), (-4, 0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 101]),
+    st.lists(st.integers(0, 200), min_size=1, max_size=6),
+    st.lists(st.integers(0, 200), min_size=1, max_size=8),
+    st.integers(0, 300),
+)
+def test_powmod_matches_repeated_multiplication(p, low, a, e):
+    g = [c % p for c in low] + [1]
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    ref = [1]
+    for _ in range(e):
+        ref = _mod_divmod(_mod_mul(ref, a, p), g, p)[1]
+    assert _mod_powmod(a, e, g, p) == _mod_divmod(ref, g, p)[1]
+
+
+# ---------------------------------------------------------------------------
 # one certificate per distinct polynomial, and contenders-only refinement
 # ---------------------------------------------------------------------------
 
@@ -927,6 +1080,29 @@ def test_fallback_never_factors_the_whole_symmetric_square(p):
         n = len(poly_squarefree(q)) - 1
         assert all(len(f) - 1 != n * (n + 1) // 2 or not any(f[1::2]) for f in factored)
     assert reached == 1
+
+
+@pytest.mark.parametrize("p", _FALLBACK_TAIL[:3])
+def test_fallback_quartics_take_four_disk_counts_and_lift_no_half(p):
+    # the outer disk count below n proves complex dominance at once; the
+    # exterior square (degree 6) and m(x^2) (degree 12) are proven
+    # irreducible through their symmetry, never lifted
+    real, lifted = polynomials._recombine, []
+
+    def spy(f, *args):
+        lifted.append(len(f) - 1)
+        return real(f, *args)
+
+    _factor_squarefree.cache_clear()
+    with patch.object(
+        polynomials, "disk_root_count_robust", wraps=disk_root_count_robust
+    ) as counts, patch.object(polynomials, "_recombine", spy), patch.object(
+        polynomials, "_symmetric_square", wraps=_symmetric_square
+    ) as split:
+        got = _certified_radius_int.__wrapped__(p)
+    assert split.called and len(got.minpoly) == 13
+    assert counts.call_count == 4
+    assert not {6, 12} & set(lifted)
 
 
 _WIDTHS = st.fractions(Q(1, 10**15), 4, max_denominator=10**15).filter(lambda w: w > 0)
