@@ -32,13 +32,13 @@ Chern classes, Euler and Picard numbers.  The new model reads the store
 through prefix views, so nothing of the tables is copied, unless a model
 that already has a child is blown up again: then its prefix is copied once.
 
-A curve step costs work on the center's support only: a class is its
-non-zero int numerators over one denominator, and intersection_ring
-._meets_on gives e_i.C in ints for every divisor generator that C meets;
-c1.C (hence gamma) and S.C are int sums over those (_center_numbers, which
-the checkers call too), and F.F, c1 and c2 change only on the support of C.
-What is still O(rho) runs in C: the copies of the bases and of the Chern
-classes' numerator maps, and their order and gcd checks.
+A curve step costs work on the center's support only and makes no
+Fraction: intersection_ring._meets_on gives e_i.C in ints for every e_i
+that C meets, c1.C (hence gamma) and S.C are int sums over one denominator
+(_center_ints), e_i.F and F.F are stored as ints, and c2 is summed in one
+pass.  F.F, c1 and c2 change only on the support of C.  What is still
+O(rho) runs in C: the copies of the bases and of the Chern classes'
+numerator maps, and their order and gcd checks.
 
 No history is stored: a model is a blowup exactly when its last divisor
 generator is exceptional, the step of that generator numbers the next one,
@@ -51,18 +51,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .intersection_ring import (
     CURVE,
     DIVISOR,
-    MINUS_ONE,
     BasisElement,
     CurveClass,
     DivisorClass,
-    MulTable,
+    IntEntry,
     ThreefoldModel,
     ValidationError,
-    _dot,
+    _dot_num,
     _meets_on,
     _of,
     _prefix,
@@ -186,7 +186,7 @@ def _exceptional_model(
     model: ThreefoldModel,
     stems: tuple[str, str],
     label: str,
-    products: MulTable,
+    products: dict[tuple[int, int], IntEntry],
     c1_exceptional: int,
     c2: CurveClass,
     euler_change: int,
@@ -194,11 +194,11 @@ def _exceptional_model(
     """The blowup of model whose exceptional divisor and curve take the
     first fresh names on the two stems and pair to -1.
 
-    products holds the new mul2 entries, those with the exceptional index
-    n = rho; c1 gains the int c1_exceptional on the new divisor, c2 is the
-    whole new second Chern class, and label ("C<step>" when empty) is
-    appended to the model's.  The entries go to model's store when model is
-    the newest model of its line, else to a copy of model's prefix.
+    products holds the new mul2 entries (IntEntry), those with the
+    exceptional index n = rho; c1 gains the int c1_exceptional on the new
+    divisor, c2 is the whole new second Chern class, and label ("C<step>"
+    when empty) is appended to the model's.  The entries go to model's store
+    when model is the newest model of its line, else to a copy of its prefix.
     """
     step = _next_step_index(model)
     n, c1 = len(model.divisor_basis), model.c1
@@ -229,21 +229,28 @@ def blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
     """Blow up a point: basis gains E (divisor) and L (line in E)."""
     n = len(model.divisor_basis)
     # pi*(a).E = 0 and pair(E, pi^! c) = 0 need no entry: E.E = -L
-    return _exceptional_model(model, ("E", "L"), "pt", {(n, n): {n: MINUS_ONE}}, -2, _pullback(model.c2), 2)
+    return _exceptional_model(model, ("E", "L"), "pt", {(n, n): (1, {n: -1})}, -2, _pullback(model.c2), 2)
 
 
-def _center_numbers(model: ThreefoldModel, center: CurveCenterSpec):
-    """(c1.C, S.C or None without surface_data, den, met) for a center C,
-    met = {i: int den * e_i.C} for the e_i that C meets, on the model C is
-    blown up on or any later model of its tower: a blowup keeps c1's old
-    coordinates and pairs its new generators only with each other
+def _center_ints(model: ThreefoldModel, center: CurveCenterSpec):
+    """(d, d * c1.C, d * S.C or None without surface_data, den, met) in ints
+    for a center C, met = {i: den * e_i.C} for the e_i that C meets, on the
+    model C is blown up on or any later model of its tower: a blowup keeps
+    c1's old coordinates and pairs its new generators only with each other
     (pi*D . pi^!C = D.C and E . pi^!C = 0)."""
     if center.curve_class.size > len(model.curve_basis):
         raise ValidationError("center class not dimensioned for this model")
     den, met = _meets_on(model, center.curve_class)
-    sd = center.surface_data
-    kappa = None if sd is None else _dot(sd.surface, den, met)
-    return _dot(model.c1, den, met), kappa, den, met
+    sd, c1 = center.surface_data, model.c1
+    k = 1 if sd is None else sd.surface.den
+    kappa = None if sd is None else _dot_num(sd.surface, met) * c1.den
+    return c1.den * k * den, _dot_num(c1, met) * k, kappa, den, met
+
+
+def _center_numbers(model: ThreefoldModel, center: CurveCenterSpec):
+    """(c1.C, S.C or None without surface_data) for a center C, as Fractions."""
+    d, c1_dot_c, kappa = _center_ints(model, center)[:3]
+    return QQ(c1_dot_c, d), None if kappa is None else QQ(kappa, d)
 
 
 def gamma(model: ThreefoldModel, center: CurveCenterSpec) -> Fraction:
@@ -261,19 +268,26 @@ def blow_up_curve(model: ThreefoldModel, center: CurveCenterSpec) -> ThreefoldMo
     sd = center.surface_data
     if sd is not None and len(sd.surface) != n:
         raise ValidationError("surface class not dimensioned for this model")
-    c1_dot_c, kappa, den, met = _center_numbers(model, center)
-    if sd is not None and sd.kappa is not None and sd.kappa != kappa:
-        raise ValidationError(f"surface_data kappa={sd.kappa} but S.C={kappa}")
-    g = c1_dot_c + (2 * center.genus - 2)  # gamma(model, center)
+    # c1.C, S.C and gamma(model, center) are these ints over d
+    d, c1_dot_c, kappa, den, met = _center_ints(model, center)
+    if sd is not None and sd.kappa is not None and sd.kappa != QQ(kappa, d):
+        raise ValidationError(f"surface_data kappa={sd.kappa} but S.C={QQ(kappa, d)}")
+    g = c1_dot_c + (2 * center.genus - 2) * d
 
     # pi*(e_i) . F = (e_i . C) M
-    products = {(i, n): {n: QQ(v, den)} for i, v in met.items() if v}
-    # F.F = -pi^!(C) + gamma M, in C's (ascending) index order
+    products = {(i, n): (den, {n: v}) for i, v in met.items() if v}
+    # F.F = -pi^!(C) + gamma M, in C's (ascending) index order (den, so c.den, divides d)
     c = center.curve_class
-    ff = {a: QQ(-v, c.den) for a, v in c.num.items()}
-    products[(n, n)] = {**ff, n: g} if g else ff
-    # c1 -> pi*(c1) - F, c2 -> pi^!(c2 + C) - (c1.C) M
-    c2 = _pullback(model.c2 + c) - _reduced(CurveClass, n + 1, c1_dot_c.denominator, {n: c1_dot_c.numerator})
+    ff = {a: -v * (d // c.den) for a, v in c.num.items()}
+    products[(n, n)] = (d, {**ff, n: g} if g else ff)
+    # c1 -> pi*(c1) - F, c2 -> pi^!(c2 + C) - (c1.C) M, in one pass over lcm(c2.den, d)
+    c2, cd = model.c2, lcm(model.c2.den, d)
+    acc = {a: v * (cd // c2.den) for a, v in c2.num.items()}
+    for a, v in c.num.items():
+        acc[a] = acc.get(a, 0) + v * (cd // c.den)
+    if c1_dot_c:
+        acc[n] = -c1_dot_c * (cd // d)
+    c2 = _reduced(CurveClass, n + 1, cd, acc)
     return _exceptional_model(model, ("F", "M"), center.label, products, -1, c2, 2 - 2 * center.genus)
 
 
@@ -351,10 +365,10 @@ def line_strict_transform(
     _require_int(degree, "degree")
     if degree < 1:
         raise ValidationError("degree must be positive")
-    coeffs = {"l": degree}
+    num = {model.curve_index("l"): degree}
     for i in idx:
-        coeffs[f"L{i}"] = -1
-    cls = model.curve(coeffs)
+        num[model.curve_index(f"L{i}")] = -1
+    cls = _reduced(CurveClass, len(model.curve_basis), 1, num)
     return CurveCenterSpec(
         curve_class=cls,
         genus=genus,

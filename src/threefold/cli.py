@@ -359,7 +359,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:  # parse, validation and LP errors are ValueErrors
+    except (OSError, ValueError) as e:  # parse, validation, LP errors and engine limits are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
 

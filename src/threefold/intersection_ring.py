@@ -7,16 +7,17 @@ ThreefoldModel), the first and second Chern classes, the topological Euler
 characteristic and the Picard number.
 
 This module is the one reader of the sparse tables: _meets_on gives every
-e_i.c from the pairing columns of c's support, and meets, pair, the
-blowups and the nef conditions build on it; triple_products reads the same
+e_i.c from the pairing columns of c's support, and pair, the blowups, the
+nef conditions and the dynamics build on it; triple_products reads the same
 columns; pairing_rows serves both pairing-matrix solves and `ring show`'s
 records.  The tables of a line of blowups live in one append-only store
 (_Tables), which every model of the line reads through prefix views.
 
 All scalars are exact rationals, and the engine sums them fraction free: a
 class is its non-zero int numerators over one denominator (_LatticeClass),
-and the pairing columns are ints over the pairing's one denominator.
-Floating point never enters this module.
+and each stored product and the pairing columns are ints over one
+denominator (mul2 reads a product as Fractions).  Floating point never
+enters this module.
 """
 
 from __future__ import annotations
@@ -215,6 +216,7 @@ def _prefix(c, size: int):
 
 MulTable = Mapping[tuple[int, int], dict[int, Fraction]]
 PairTable = Mapping[tuple[int, int], Fraction]
+IntEntry = tuple[int, dict[int, int]]  # a stored product: (den, {curve index: den * coefficient})
 
 
 class _TableView(Mapping):
@@ -258,6 +260,19 @@ class _ViewItems(ItemsView):
         return islice(view._table.items(), view._size)
 
 
+class _MulView(_TableView):
+    """A mul2 view: a read gives the stored IntEntry as {curve index: Fraction}."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        den, num = super().__getitem__(key)
+        return {a: QQ(v, den) for a, v in num.items()}
+
+    def items(self):
+        return ItemsView(self)
+
+
 def _first_index(basis: Sequence[BasisElement]) -> dict[str, int]:
     # the first index of each name, as a scan of the basis would find it
     return {e.name: i for i, e in reversed(tuple(enumerate(basis)))}
@@ -266,19 +281,20 @@ def _first_index(basis: Sequence[BasisElement]) -> dict[str, int]:
 class _Tables:
     """The append-only tables that one line of blowups shares.
 
-    A blowup of a model with rho generators adds only entries that carry
-    the new index rho: mul2 keys (i, rho), the pairing key (rho, rho) = -1
-    and the names of the two new generators.  So each model of the line
-    reads _TableView prefixes of the same dicts, which later blowups never
-    change.  Only the newest model of the line (its rho equal to the
-    store's) appends in place; blowing up an older model again copies that
-    model's prefix into a new store first.
+    mul2 stores each product as an IntEntry (ints over one denominator).  A
+    blowup of a model with rho generators adds only entries that carry the
+    new index rho: mul2 keys (i, rho), the pairing key (rho, rho) = -1 and
+    the names of the two new generators.  So each model of the line reads
+    prefix views of the same dicts, which later blowups never change.  Only
+    the newest model of the line (its rho equal to the store's) appends in
+    place; blowing up an older model again copies that model's prefix into
+    a new store first.
 
     columns indexes the pairing by curve: columns[a] lists (position, i,
     den * pair(e_i, f_a)) in the pairing's order, with den the lcm of the
     pairing's denominators (fixed at the base, as blowups add only -1), so
-    that meets walks only the columns of a class's support, in the order of
-    one walk of the whole pairing.  A column is complete once it exists.
+    that _meets_on walks only the columns of a class's support, in the
+    order of one walk of the whole pairing.  A column is complete once it exists.
     names maps each kind's generator names to their indices, and counters
     holds each name stem's next candidate number: every smaller number is
     taken, so a fresh name is the first free one.
@@ -287,7 +303,10 @@ class _Tables:
     __slots__ = ("mul2", "pairing", "den", "columns", "names", "counters", "rho")
 
     def __init__(self, model: "ThreefoldModel"):
-        self.mul2 = dict(model.mul2.items())
+        self.mul2: dict[tuple[int, int], IntEntry] = {}
+        for key, entry in model.mul2.items():
+            den = lcm(*(v.denominator for v in entry.values()))
+            self.mul2[key] = den, {a: v.numerator * (den // v.denominator) for a, v in entry.items()}
         self.pairing = dict(model.pairing.items())
         self.den = den = lcm(*(v.denominator for v in self.pairing.values()))
         self.columns: dict[int, list[tuple[int, int, int]]] = {}
@@ -307,7 +326,7 @@ class _Tables:
         taken[name] = self.rho
         return name
 
-    def append(self, products: MulTable, stems: tuple[str, str]) -> tuple[str, str]:
+    def append(self, products: dict[tuple[int, int], IntEntry], stems: tuple[str, str]) -> tuple[str, str]:
         """Add the blowup of the newest model: its new products, pair = -1
         between the exceptional divisor and curve, and their fresh names on
         the two stems (divisor, curve), which are returned."""
@@ -321,7 +340,7 @@ class _Tables:
 
     def views(self) -> tuple[_TableView, _TableView]:
         """mul2 and pairing of the newest model."""
-        return _TableView(self.mul2, self.rho), _TableView(self.pairing, self.rho)
+        return _MulView(self.mul2, self.rho), _TableView(self.pairing, self.rho)
 
 
 @dataclass(frozen=True)
@@ -341,11 +360,11 @@ class ThreefoldModel:
     exactly when the mappings compare equal.  A base model holds plain
     dicts.  A blown-up model holds read-only prefix views of the store its
     line of blowups appends to (see _Tables), so a blowup copies nothing
-    and adds only its new entries; the entry dicts are shared along the
-    tower and must never be mutated.  Blowups return new models and keep
-    no link to the one below.
+    and adds only its new entries; the store keeps each product as ints
+    over one denominator, which mul2 reads as a new dict of Fractions.
+    Blowups return new models and keep no link to the one below.
 
-    Name lookups and meets read the model's store, which is built from the
+    Name lookups and pairings read the model's store, which is built from the
     model's own tables on first use unless a blowup made the model.
     """
 
@@ -426,44 +445,42 @@ def _class_over(names: Mapping[str, int], size: int, kind: str, coeffs, label: s
 def multiply_divisors(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass) -> CurveClass:
     """Bilinear extension of the divisor product table; returns a curve class.
 
-    One walk over the stored products: the entry (i, j) with i < j counts
-    for both orders, d1_i d2_j + d1_j d2_i.  The sums run in int over the
-    classes' numerators and the entries scaled to their lcm denominator.
+    One walk over the stored products, or one lookup per support pair when
+    there are fewer: the entry (i, j) with i < j counts for both orders,
+    d1_i d2_j + d1_j d2_i.  The sums run in int over the classes' numerators
+    and the stored ints scaled to their lcm denominator.
     """
     n = len(model.divisor_basis)
     if d1.size != n or d2.size != n:
         raise ValidationError("divisor class not dimensioned for this model")
     x, y = d1.num, d2.num
-    met: list[tuple[int, dict[int, Fraction]]] = []
-    for (i, j), entry in model.mul2.items():
+    store, size = model._tables.mul2, len(model.mul2)
+    if len(x) * len(y) < size:
+        keys = {(a, b) if a <= b else (b, a) for a in x for b in y}
+        entries = [(key, store[key]) for key in keys if key in store]  # indices < rho: in the prefix
+    else:
+        entries = islice(store.items(), size)
+    met: list[tuple[int, int, dict[int, int]]] = []
+    for (i, j), (den, entry) in entries:
         f = x.get(i, 0) * y.get(j, 0) if i == j else x.get(i, 0) * y.get(j, 0) + x.get(j, 0) * y.get(i, 0)
         if f:
-            met.append((f, entry))
-    st = lcm(*(v.denominator for _, entry in met for v in entry.values()))
+            met.append((f, den, entry))
+    st = lcm(*(den for _, den, _ in met))
     acc: dict[int, int] = {}
-    for f, entry in met:
+    for f, den, entry in met:
+        f *= st // den
         for k, v in entry.items():
-            acc[k] = acc.get(k, 0) + f * v.numerator * (st // v.denominator)
+            acc[k] = acc.get(k, 0) + f * v
     return _reduced(CurveClass, len(model.curve_basis), d1.den * d2.den * st, acc)
 
 
-def meets(model: ThreefoldModel, c: CurveClass) -> dict[int, Fraction]:
-    """{i: e_i.c} for the divisor generators e_i that c meets (a sum that
-    cancels is kept as a zero).
-
-    The keys come in the order that one walk of the whole pairing would
-    give them (blow_up_curve adds its products in this order).
-    """
-    if c.size != len(model.curve_basis):
-        raise ValidationError("curve class not dimensioned for this model")
-    den, met = _meets_on(model, c)
-    return {i: QQ(v, den) for i, v in met.items()}
-
-
 def _meets_on(model: ThreefoldModel, c: CurveClass) -> tuple[int, dict[int, int]]:
-    """(den, {i: den * e_i.c}) for a curve class c no longer than the
-    model, without Fractions: c's numerators times the int pairing columns
-    of its support, over den = c.den times the pairing's denominator."""
+    """(den, {i: den * e_i.c}) for the divisor generators e_i that a curve
+    class c no longer than the model meets (a sum that cancels is kept as
+    a zero), without Fractions: c's numerators times the int pairing columns
+    of its support, over den = c.den times the pairing's denominator.  The
+    keys come in the order of one walk of the whole pairing (blow_up_curve
+    adds its products in this order)."""
     tables = model._tables
     terms = []
     for a, ca in c.num.items():
@@ -476,17 +493,18 @@ def _meets_on(model: ThreefoldModel, c: CurveClass) -> tuple[int, dict[int, int]
     return c.den * tables.den, out
 
 
-def _dot(d: DivisorClass, den: int, met: dict[int, int]) -> Fraction:
-    """d.c from _meets_on's (den, met) for c."""
+def _dot_num(d: DivisorClass, met: dict[int, int]) -> int:
+    """d.c times d.den * den, from _meets_on's (den, met) for c."""
     x = d.num
-    return QQ(sum([x[i] * v for i, v in met.items() if i in x]), d.den * den)
+    return sum([x[i] * v for i, v in met.items() if i in x])
 
 
 def pair(model: ThreefoldModel, d: DivisorClass, c: CurveClass) -> Fraction:
     """Intersection number of a divisor class with a curve class."""
     if d.size != len(model.divisor_basis) or c.size != len(model.curve_basis):
         raise ValidationError("class not dimensioned for this model")
-    return _dot(d, *_meets_on(model, c))
+    den, met = _meets_on(model, c)
+    return QQ(_dot_num(d, met), d.den * den)
 
 
 def triple(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass, d3: DivisorClass) -> Fraction:
@@ -500,12 +518,14 @@ def triple_products(model: ThreefoldModel) -> dict[tuple[int, int, int], Fractio
     tables = model._tables
     columns, den = tables.columns, tables.den
     out: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), entry in model.mul2.items():
+    for (i, j), (eden, entry) in islice(tables.mul2.items(), len(model.mul2)):
+        acc: dict[int, int] = {}
         for a, v in entry.items():
             for _, k, p in columns.get(a, ()):
-                out[(i, j, k)] = out.get((i, j, k), ZERO) + v * p
-    # the columns hold den * pair(e_k, f_a)
-    return {key: t / den for key, t in out.items() if t}
+                acc[k] = acc.get(k, 0) + v * p
+        # the columns hold den * pair(e_k, f_a), the entry eden * e_i.e_j
+        out.update({(i, j, k): QQ(t, eden * den) for k, t in acc.items() if t})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .intersection_ring import (
     DivisorClass,
     ThreefoldModel,
     ValidationError,
-    _dot,
+    _dot_num,
     _meets_on,
     multiply_divisors,
     pairing_rows,
@@ -42,6 +42,7 @@ from .intersection_ring import (
 from .polynomials import (
     CERTIFIED_WIDTH,
     AlgebraicNumber,
+    EngineLimit,
     _exact_quotient,
     berkowitz_charpoly,
     certified_radius_from_charpoly,
@@ -225,7 +226,7 @@ def algebraic_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         w = min(x.width, y.width) / 16
         x = x.refined(w)
         y = y.refined(w)
-    raise RuntimeError("algebraic comparison did not converge")
+    raise EngineLimit("algebraic_compare", "algebraic comparison did not converge")
 
 
 def algebraic_square(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -467,7 +468,7 @@ def eigenclass_constraints(
         for t, y in enumerate(curves):
             den, met = _meets_on(model, y)
             for s, x in enumerate(divisors):
-                out[s + t] += _dot(x, den, met)
+                out[s + t] += QQ(_dot_num(x, met), x.den * den)
         return out
 
     zeta2 = [model.zero_curve()] * (2 * len(ws) - 1)

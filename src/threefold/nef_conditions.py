@@ -48,10 +48,10 @@ from .intersection_ring import (
     ZERO,
     ThreefoldModel,
     ValidationError,
+    _meets_on,
     _prefix,
     _require_int,
     make_base,
-    meets,
     multiply_divisors,
     pair,
 )
@@ -419,26 +419,23 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
     variables = ["deg_u"] + [f"beta{l}" for l in range(1, n + 1)] + ["S"]
     nv = len(variables)
 
-    # zeta . c2(X2) and zeta . c1(X2)^2, coefficient per basis divisor
-    c2_by_basis = meets(x2, x2.c2)
-    c1sq_by_basis = meets(x2, multiply_divisors(x2, x2.c1, x2.c1))
-
-    def point_coeffs(by_basis):
-        # the deg_u and beta_l coefficients: h and -E_l paired with the class
-        return [by_basis.get(0, ZERO)] + [-by_basis.get(l, ZERO) for l in range(1, n + 1)]
-
-    def assemble(by_basis, label):
-        alpha_coeffs = {-by_basis.get(k, ZERO) for k in range(n + 1, nd)}
+    # zeta . c2(X2) and zeta . c1(X2)^2, coefficient per basis divisor: the
+    # deg_u and beta_l coefficients pair h and -E_l with the class, and S
+    # takes the one coefficient of -F_k; ints over one den until the form
+    def assemble(c, label):
+        den, by_basis = _meets_on(x2, c)
+        alpha_coeffs = {-by_basis.get(k, 0) for k in range(n + 1, nd)}
         if len(alpha_coeffs) > 1:
             raise ValidationError(
-                f"exceptional multiplier coefficients differ in {label}: {alpha_coeffs}"
+                f"exceptional multiplier coefficients differ in {label}: { {QQ(v, den) for v in alpha_coeffs} }"
             )
-        s_coeff = alpha_coeffs.pop() if alpha_coeffs else ZERO
-        return LinearForm(tuple(point_coeffs(by_basis) + [s_coeff]), label=label)
+        coeffs = [by_basis.get(0, 0)] + [-by_basis.get(l, 0) for l in range(1, n + 1)]
+        coeffs.append(alpha_coeffs.pop() if alpha_coeffs else 0)
+        return LinearForm(tuple(QQ(v, den) for v in coeffs), label=label)
 
     equalities = (
-        assemble(c2_by_basis, "zeta.c2(X2) = 0"),
-        assemble(c1sq_by_basis, "zeta.c1(X2)^2 = 0"),
+        assemble(x2.c2, "zeta.c2(X2) = 0"),
+        assemble(multiply_divisors(x2, x2.c1, x2.c1), "zeta.c1(X2)^2 = 0"),
     )
 
     ineqs: list[LinearForm] = []
@@ -454,20 +451,18 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
     sign_row(nv - 1, "S >= 0")
 
     # xi . D for xi = deg_u * h - sum beta_l E_l and D = k_0 l + sum k_i L_i
-    # on X1, one row per (combo, label) with combo {i: k_i}: meets is linear
-    # in D, so it runs once per curve generator (whose rows are ints over
-    # the pairing's denominator), every row is an integer combination of
-    # those rows, and one Fraction is made per distinct value
+    # on X1, one row per (combo, label) with combo {i: k_i}: _meets_on is
+    # linear in D, so it runs once per curve generator (whose rows are ints
+    # over the pairing's denominator), every row is an integer combination
+    # of those rows, and one Fraction is made per distinct value
     def nef_rows(combos):
-        width, den = n + 1, x1._tables.den
         by_gen = []
         for g in ["l"] + [f"L{l}" for l in range(1, n + 1)]:
-            met = meets(x1, x1.curve({g: 1}))
-            by_gen.append({j: (1 if j == 0 else -1) * v.numerator * (den // v.denominator)
-                           for j, v in met.items() if v})
+            den, met = _meets_on(x1, x1.curve({g: 1}))
+            by_gen.append({j: (1 if j == 0 else -1) * v for j, v in met.items() if v})
         fractions: dict[int, Fraction] = {}
         for combo, label in combos:
-            acc = [0] * width
+            acc = [0] * (n + 1)
             for g, k in combo.items():
                 for j, v in by_gen[g].items():
                     acc[j] += k * v

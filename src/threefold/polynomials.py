@@ -474,6 +474,14 @@ class BoundaryRoot(Exception):
     """A root lies (numerically) on the tested circle; retry with another radius."""
 
 
+class EngineLimit(ValueError):
+    """A search in the function named where ran out of its fixed budget: the
+    input is valid, but no answer was found."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(f"engine limit in {where}: {message}")
+
+
 def _routh_left_halfplane_count(p) -> int:
     """Number of roots with Re < 0 of an integer polynomial; raises
     BoundaryRoot on a degenerate table (roots on the imaginary axis or
@@ -562,7 +570,7 @@ def disk_root_count_robust(p, radius: Fraction, direction: int = 1) -> tuple[int
         except BoundaryRoot:
             r = r + direction * eps
             eps = eps / 7
-    raise RuntimeError("could not find a root-free circle near the requested radius")
+    raise EngineLimit("disk_root_count_robust", "could not find a root-free circle near the requested radius")
 
 
 # ---------------------------------------------------------------------------
@@ -1181,7 +1189,7 @@ def _dominant_real_root(sf, width):
                 if poly_degree(even_part) > 0 and count_real_roots(even_part, lo, hi) > 0:
                     return intervals[champion]
         w = w / 2**16
-    raise RuntimeError("real roots with pathologically close moduli")
+    raise EngineLimit("_dominant_real_root", "real roots with pathologically close moduli")
 
 
 def _verified_radius_interval(sf, n, lo, hi, width):

@@ -1,11 +1,14 @@
+import io
 import random
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import blowup_towers, classes, curve_centers, models_of
+from strategies import blowup_towers, classes, curve_centers, fractional_c1_bases, models_of, rationals
 
 from threefold import (
     BlowupTower,
@@ -30,9 +33,11 @@ from threefold import (
     pullback_divisor,
     pushforward_curve,
     pushforward_divisor,
+    serialize_model,
     triple,
     validate_model,
 )
+from threefold import cli
 from threefold.blowup_calculus import _next_step_index
 from threefold.intersection_ring import (
     CURVE,
@@ -41,7 +46,7 @@ from threefold.intersection_ring import (
     ZERO,
     BasisElement,
     ThreefoldModel,
-    meets,
+    _meets_on,
 )
 
 
@@ -516,7 +521,8 @@ def test_pair_and_meets_match_reference(tower, data):
     d = DivisorClass(data.draw(classes(rho, max_den=7)))
     c = CurveClass(data.draw(classes(rho, max_den=7)))
     assert pair(model, d, c) == _reference_pair(model, d, c)
-    met = meets(model, c)
+    den, ints = _meets_on(model, c)
+    met = {i: Q(v, den) for i, v in ints.items()}
     # the same keys in the same order as one walk of the whole pairing
     assert list(met.items()) == list(_reference_meets(model, c).items())
     assert sum((d.coeffs[i] * m for i, m in met.items()), ZERO) == pair(model, d, c)
@@ -595,3 +601,109 @@ def test_branches_leave_earlier_models_alone_and_match_fresh_builds(tower, data)
         fresh = BlowupTower(replace(tower.base), steps).top()
         assert models_equivalent(model, fresh)
         _assert_same_model(model, fresh)
+
+
+# -- the int product store against the all-Fraction tables --------------------
+
+
+def _reference_blow_up_point(model: ThreefoldModel) -> ThreefoldModel:
+    """blow_up_point with plain dicts of Fractions for tables: E.E = -L."""
+    n = len(model.divisor_basis)
+    blown = blow_up_point(model)
+    return replace(
+        blown, mul2={**model.mul2, (n, n): {n: Q(-1)}}, pairing={**model.pairing, (n, n): Q(-1)}
+    )
+
+
+def _reference_models(base, steps):
+    """[base, after step 1, ...] built with the all-Fraction blowups."""
+    models = [replace(base)]
+    for step in steps:
+        model = models[-1]
+        if step.kind == "point":
+            models.append(_reference_blow_up_point(model))
+        else:
+            models.append(_reference_blow_up_curve(model, step.center))
+    return models
+
+
+def _ring_show(model, fmt):
+    """The bytes `ring show --format fmt` prints for model."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "_load_tower", lambda path: BlowupTower(model)), redirect_stdout(out):
+        assert cli.main(["ring", "show", "model.tower", "--format", fmt]) == 0
+    return out.getvalue()
+
+
+def _assert_reads_as(got, want):
+    # entry by entry and term by term: keys in order, each coefficient a
+    # Fraction (so in lowest terms) equal to the reference's
+    assert [(k, list(e.items())) for k, e in got.mul2.items()] == [
+        (k, list(e.items())) for k, e in want.mul2.items()
+    ]
+    assert all(type(v) is Q for e in got.mul2.values() for v in e.values())
+    assert got.mul2 == want.mul2 and got == want
+    assert serialize_model(got) == serialize_model(want)
+    assert _ring_show(got, "records") == _ring_show(want, "records")
+    assert _ring_show(got, "human") == _ring_show(want, "human")
+
+
+@settings(max_examples=60, deadline=None)
+@given(blowup_towers(max_steps=5, bases=fractional_c1_bases()), st.data())
+def test_int_store_reads_as_the_fraction_tables(tower, data):
+    # a line of blowups, then an older model blown up twice (the second
+    # time copies its prefix into a new store) and the copy grown a step
+    models = models_of(tower)
+    want = _reference_models(tower.base, tower.steps)
+    for got, ref in zip(models, want):
+        _assert_reads_as(got, ref)
+    k = data.draw(st.integers(0, len(models) - 1))
+    for _ in range(2):
+        step = _draw_step(data, models[k].picard)
+        branch = BlowupTower(models[k], (step,)).top()
+        _assert_reads_as(branch, _reference_models(tower.base, tower.steps[:k] + (step,))[-1])
+    grown = _draw_step(data, branch.picard)
+    _assert_reads_as(
+        BlowupTower(branch, (grown,)).top(),
+        _reference_models(tower.base, tower.steps[:k] + (step, grown))[-1],
+    )
+
+
+@st.composite
+def _sparse_classes(draw, rho: int):
+    """Coefficient tuples with at most three non-zero coordinates."""
+    support = draw(st.lists(st.integers(0, rho - 1), max_size=3, unique=True))
+    coeffs = [Q(0)] * rho
+    for a in support:
+        coeffs[a] = draw(rationals(max_den=7))
+    return tuple(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blowup_towers(bases=fractional_c1_bases()), st.data())
+def test_multiply_divisors_by_support_lookup_matches_the_full_walk(tower, data):
+    # small supports take one lookup per support pair instead of the walk
+    # over every stored product, on every model of the line
+    for model in models_of(tower):
+        rho = model.picard
+        d1 = DivisorClass(data.draw(_sparse_classes(rho)))
+        d2 = DivisorClass(data.draw(st.one_of(_sparse_classes(rho), classes(rho, max_den=7))))
+        got = multiply_divisors(model, d1, d2)
+        assert got == _reference_multiply_divisors(model, d1, d2)
+        assert got == multiply_divisors(model, d2, d1)
+
+
+def test_multiply_divisors_of_small_supports_walks_no_table(monkeypatch):
+    # E1.E1 and h.E16 meet one stored product each among 17 (P3 at 16
+    # points): they are looked up, and the table is never walked
+    model = BlowupTower(make_base("p3"), (point_step(),) * 16).top()
+    tables = model._tables
+
+    class NoWalk(dict):
+        def items(self):
+            raise AssertionError("walked every stored product")
+
+    monkeypatch.setattr(tables, "mul2", NoWalk(tables.mul2))
+    E1, E16, h = (model.divisor({name: 1}) for name in ("E1", "E16", "h"))
+    assert multiply_divisors(model, E1, E1) == model.curve({"L1": -1})
+    assert multiply_divisors(model, h, E16).is_zero()

@@ -765,3 +765,53 @@ def test_zero_denominator_is_a_located_error_not_a_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: line 3, col 22: zero denominator in coefficient '1/0'")
     assert "Traceback" not in proc.stderr
+
+
+# -- engine limits: a search that runs out of its budget is a located error ----
+
+
+def _no_root_free_circle(monkeypatch):
+    from threefold import polynomials
+
+    def on_the_circle(p, radius):
+        raise polynomials.BoundaryRoot()
+
+    monkeypatch.setattr(polynomials, "disk_root_count", on_the_circle)
+
+
+def _no_refinement_of_real_roots(monkeypatch):
+    from threefold import polynomials
+
+    monkeypatch.setattr(polynomials, "refine_root_interval", lambda sf, lo, hi, width: (lo, hi))
+
+
+def _no_refinement_of_degrees(monkeypatch):
+    from threefold import lattice_dynamics
+    from threefold.polynomials import AlgebraicNumber
+
+    # lambda1 = lambda2 here; never refined and never found equal
+    monkeypatch.setattr(AlgebraicNumber, "refined", lambda self, width: self)
+    monkeypatch.setattr(lattice_dynamics, "count_real_roots", lambda p, lo, hi: 2)
+
+
+@pytest.mark.parametrize(
+    "starve, where, message",
+    [
+        (_no_root_free_circle, "disk_root_count_robust", "could not find a root-free circle near the requested radius"),
+        (_no_refinement_of_real_roots, "_dominant_real_root", "real roots with pathologically close moduli"),
+        (_no_refinement_of_degrees, "algebraic_compare", "algebraic comparison did not converge"),
+    ],
+)
+def test_engine_limits_are_located_errors_not_tracebacks(capsys, tmp_path, monkeypatch, starve, where, message):
+    # each of the engine's three fixed budgets, run out on a valid matrix
+    # (chi = x^2 - 3x + 1), ends the CLI with one error line and exit 1
+    from threefold.polynomials import EngineLimit, _certified_radius_int
+
+    f = tmp_path / "a.mat"
+    f.write_text("2 1\n1 1\n")
+    _certified_radius_int.cache_clear()  # certify afresh, under the starved budget
+    starve(monkeypatch)
+    code, out, err = run(capsys, "dynamics", "--matrix", str(f), "--format", "records")
+    _certified_radius_int.cache_clear()  # keep no radius certified under the patch
+    assert (code, out, err) == (1, "", f"error: engine limit in {where}: {message}\n")
+    assert issubclass(EngineLimit, ValueError)

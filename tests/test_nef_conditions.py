@@ -25,8 +25,7 @@ from threefold import (
     replay_certificate,
 )
 from threefold.blowup_calculus import _center_numbers
-from threefold.intersection_ring import CurveClass, DivisorClass
-from threefold.intersection_ring import meets
+from threefold.intersection_ring import CurveClass, DivisorClass, _meets_on
 from threefold.nef_conditions import (
     HOLDS,
     UNKNOWN,
@@ -459,17 +458,34 @@ def test_p3_points_lines_refuses_a_non_integer_n(n):
 
 
 def test_p3_points_lines_nef_rows_meet_once_per_generator(monkeypatch):
-    # meets is linear in the curve class: one call per generator l, L1..L9
-    # and one per equality, not one per twisted cubic (84 at n = 9)
+    # the pairing walk is linear in the curve class: one call per generator
+    # l, L1..L9 and one per equality, not one per twisted cubic (84 at n = 9)
     calls = []
 
     def counting(model, c):
         calls.append(c)
-        return meets(model, c)
+        return _meets_on(model, c)
 
-    monkeypatch.setattr(nef_conditions, "meets", counting)
+    monkeypatch.setattr(nef_conditions, "_meets_on", counting)
     check_p3_points_lines(9)
     assert len(calls) == 9 + 3
+
+
+def test_points_and_lines_tower_makes_no_fraction_per_step(monkeypatch):
+    # the blowup steps run in ints: the n = 16 tower (16 points, 120 lines)
+    # makes only the two Fractions of the P3 base's c1 and c2, where storing
+    # the new products as Fractions made 962
+    made = []
+    new = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counting)
+    _p3_points_lines_models(16)
+    monkeypatch.undo()
+    assert made == [(4,), (6,)]
 
 
 # -- generalized criterion ----------------------------------------------------
@@ -632,7 +648,7 @@ def test_checkers_reading_the_top_match_the_fold_over_every_model(tower):
         )
 
 
-# pair is the Fraction sum over meets; the fractional-c1 bases give c1.C
+# pair is the Fraction sum over _meets_on; the fractional-c1 bases give c1.C
 # and S.C non-integral terms on the base's generators
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(blowup_towers(), blowup_towers(bases=fractional_c1_bases())))
