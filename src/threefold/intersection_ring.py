@@ -303,10 +303,14 @@ class _Tables:
     __slots__ = ("mul2", "pairing", "den", "columns", "names", "counters", "rho")
 
     def __init__(self, model: "ThreefoldModel"):
-        self.mul2: dict[tuple[int, int], IntEntry] = {}
-        for key, entry in model.mul2.items():
-            den = lcm(*(v.denominator for v in entry.values()))
-            self.mul2[key] = den, {a: v.numerator * (den // v.denominator) for a, v in entry.items()}
+        mul2 = model.mul2
+        if isinstance(mul2, _MulView):  # a prefix of another store: copy its ints
+            self.mul2: dict[tuple[int, int], IntEntry] = dict(islice(mul2._table.items(), len(mul2)))
+        else:
+            self.mul2 = {}
+            for key, entry in mul2.items():
+                den = lcm(*(v.denominator for v in entry.values()))
+                self.mul2[key] = den, {a: v.numerator * (den // v.denominator) for a, v in entry.items()}
         self.pairing = dict(model.pairing.items())
         self.den = den = lcm(*(v.denominator for v in self.pairing.values()))
         self.columns: dict[int, list[tuple[int, int, int]]] = {}
@@ -445,23 +449,16 @@ def _class_over(names: Mapping[str, int], size: int, kind: str, coeffs, label: s
 def multiply_divisors(model: ThreefoldModel, d1: DivisorClass, d2: DivisorClass) -> CurveClass:
     """Bilinear extension of the divisor product table; returns a curve class.
 
-    One walk over the stored products, or one lookup per support pair when
-    there are fewer: the entry (i, j) with i < j counts for both orders,
-    d1_i d2_j + d1_j d2_i.  The sums run in int over the classes' numerators
-    and the stored ints scaled to their lcm denominator.
+    One walk over the stored products: the entry (i, j) with i < j counts
+    for both orders, d1_i d2_j + d1_j d2_i.  The sums run in int over the
+    classes' numerators and the stored ints scaled to their lcm denominator.
     """
     n = len(model.divisor_basis)
     if d1.size != n or d2.size != n:
         raise ValidationError("divisor class not dimensioned for this model")
     x, y = d1.num, d2.num
-    store, size = model._tables.mul2, len(model.mul2)
-    if len(x) * len(y) < size:
-        keys = {(a, b) if a <= b else (b, a) for a in x for b in y}
-        entries = [(key, store[key]) for key in keys if key in store]  # indices < rho: in the prefix
-    else:
-        entries = islice(store.items(), size)
     met: list[tuple[int, int, dict[int, int]]] = []
-    for (i, j), (den, entry) in entries:
+    for (i, j), (den, entry) in islice(model._tables.mul2.items(), len(model.mul2)):
         f = x.get(i, 0) * y.get(j, 0) if i == j else x.get(i, 0) * y.get(j, 0) + x.get(j, 0) * y.get(i, 0)
         if f:
             met.append((f, den, entry))

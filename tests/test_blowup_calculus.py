@@ -667,43 +667,3 @@ def test_int_store_reads_as_the_fraction_tables(tower, data):
         BlowupTower(branch, (grown,)).top(),
         _reference_models(tower.base, tower.steps[:k] + (step, grown))[-1],
     )
-
-
-@st.composite
-def _sparse_classes(draw, rho: int):
-    """Coefficient tuples with at most three non-zero coordinates."""
-    support = draw(st.lists(st.integers(0, rho - 1), max_size=3, unique=True))
-    coeffs = [Q(0)] * rho
-    for a in support:
-        coeffs[a] = draw(rationals(max_den=7))
-    return tuple(coeffs)
-
-
-@settings(max_examples=150, deadline=None)
-@given(blowup_towers(bases=fractional_c1_bases()), st.data())
-def test_multiply_divisors_by_support_lookup_matches_the_full_walk(tower, data):
-    # small supports take one lookup per support pair instead of the walk
-    # over every stored product, on every model of the line
-    for model in models_of(tower):
-        rho = model.picard
-        d1 = DivisorClass(data.draw(_sparse_classes(rho)))
-        d2 = DivisorClass(data.draw(st.one_of(_sparse_classes(rho), classes(rho, max_den=7))))
-        got = multiply_divisors(model, d1, d2)
-        assert got == _reference_multiply_divisors(model, d1, d2)
-        assert got == multiply_divisors(model, d2, d1)
-
-
-def test_multiply_divisors_of_small_supports_walks_no_table(monkeypatch):
-    # E1.E1 and h.E16 meet one stored product each among 17 (P3 at 16
-    # points): they are looked up, and the table is never walked
-    model = BlowupTower(make_base("p3"), (point_step(),) * 16).top()
-    tables = model._tables
-
-    class NoWalk(dict):
-        def items(self):
-            raise AssertionError("walked every stored product")
-
-    monkeypatch.setattr(tables, "mul2", NoWalk(tables.mul2))
-    E1, E16, h = (model.divisor({name: 1}) for name in ("E1", "E16", "h"))
-    assert multiply_divisors(model, E1, E1) == model.curve({"L1": -1})
-    assert multiply_divisors(model, h, E16).is_zero()
