@@ -48,11 +48,11 @@ keeps its top model only, on which every center's numbers can be read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from ._record import record
 from .intersection_ring import (
     CURVE,
     DIVISOR,
@@ -75,7 +75,7 @@ from .intersection_ring import (
 QQ = Fraction
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceData:
     """A hypersurface through a curve center: its class, the multiplicity of
     the curve in it, and kappa = S.C (recomputed from the class when omitted)."""
@@ -90,7 +90,7 @@ class SurfaceData:
             raise ValidationError("surface multiplicity mu must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class CurveCenterSpec:
     """A curve blowup center: its class in the current model, its genus, and
     optional geometric facts the lattice cannot see (asserted by the caller)."""
@@ -112,7 +112,7 @@ class CurveCenterSpec:
         _require_line_text(self.label, "center label")
 
 
-@dataclass(frozen=True)
+@record
 class BlowupStep:
     """One tower step: kind "point", or kind "curve" with a center."""
 
@@ -134,7 +134,7 @@ def curve_step(center: CurveCenterSpec) -> BlowupStep:
     return BlowupStep("curve", center)
 
 
-@dataclass(frozen=True)
+@record
 class BlowupTower:
     """A base model plus an ordered list of blowup steps, and their top model.
 
@@ -161,7 +161,7 @@ class BlowupTower:
     def with_step(self, step: BlowupStep) -> "BlowupTower":
         """This tower one step longer, blowing up only the top model."""
         longer = BlowupTower(self.base, self.steps + (step,))
-        # the dataclass is frozen; seed the cache the way cached_property fills it
+        # the record is frozen; seed the cache the way cached_property fills it
         object.__setattr__(longer, "_top", _blow_up(self.top(), step))
         return longer
 

@@ -11,10 +11,10 @@ nothing downstream is hard-coded beyond the group order 4 and chi(P^2) = 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._record import record
 from .intersection_ring import ValidationError, chern_series_ci
 from .bareiss import int_matrix_det
 
@@ -58,7 +58,7 @@ def _hermitian_rank(n: int) -> int:
     return n + 2 * comb(n, 2)
 
 
-@dataclass(frozen=True)
+@record
 class UenoReport:
     fixed_points: int
     period2_points: int
@@ -117,7 +117,7 @@ def ueno_report() -> UenoReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EulerBudget:
     num_blowups: int
     genus_slack: int
@@ -169,7 +169,7 @@ def euler_budget(base: tuple[int, int], target: tuple[int, int]) -> EulerBudget:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CiChernReport:
     c1_coeff: int
     c2_coeff: int

@@ -23,14 +23,13 @@ enters this module.
 from __future__ import annotations
 
 import re
-from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
+from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
+from ._record import record
 from .bareiss import bareiss_solve
 
 QQ = Fraction
@@ -80,7 +79,7 @@ def _require_line_text(text: str, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class BasisElement:
     """One named generator of the divisor or curve lattice.
 
@@ -347,7 +346,7 @@ class _Tables:
         return _MulView(self.mul2, self.rho), _TableView(self.pairing, self.rho)
 
 
-@dataclass(frozen=True)
+@record
 class ThreefoldModel:
     """Immutable intersection-theoretic state of a threefold.
 

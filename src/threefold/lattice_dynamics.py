@@ -24,10 +24,10 @@ exactly when lambda1's minimal polynomial divides it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from ._record import field, record
 from .bareiss import bareiss_rank, bareiss_solve
 from .intersection_ring import (
     DivisorClass,
@@ -106,13 +106,13 @@ def _det_and_curve_matrix(model: ThreefoldModel, A):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AutomorphismAction:
     divisor_matrix: tuple[tuple[int, ...], ...]
     curve_matrix: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class ActionValidation:
     ok: bool
     violations: tuple[str, ...]
@@ -252,7 +252,7 @@ ALGEBRAIC_ONE = AlgebraicNumber((-1, 1), ONE, ONE)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DegreeReport:
     """Certified first/second dynamical degrees of a lattice action.
 
@@ -315,7 +315,7 @@ def lambda2_at_least_one_certified(report: DegreeReport) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RationalityReport:
     status: str  # "consistent" | "not-unimodular"
     detail: str
@@ -351,7 +351,7 @@ def rationality_obstruction(char_poly) -> RationalityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EigenclassReport:
     status: str  # "ok" | "entropy-zero" | "eigenvector-not-certified"
     lambda1: float

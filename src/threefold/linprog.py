@@ -21,9 +21,10 @@ as affine forms, which proves objective <= max over the feasible set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from ._record import record
 
 QQ = Fraction
 ZERO = Fraction(0)
@@ -36,7 +37,7 @@ class LinProgError(ValueError):
     """Malformed constraint system."""
 
 
-@dataclass(frozen=True)
+@record
 class LinearForm:
     """An affine form sum_i coeffs[i] * x_i + constant over a variable list."""
 
@@ -78,7 +79,7 @@ class LinearForm:
         return text[2:] if text.startswith("+ ") else text
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintSystem:
     """Named variables with equality (= 0) and inequality (>= 0) affine forms."""
 
@@ -103,7 +104,7 @@ class ConstraintSystem:
             raise LinProgError(f"unknown variable {name!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class CertificateEntry:
     kind: str  # "eq" or "ineq"
     index: int
@@ -111,7 +112,7 @@ class CertificateEntry:
     multiplier: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class FeasibleResult:
     status: str  # "optimal" | "unbounded" | "infeasible"
     maximum: Fraction | None = None

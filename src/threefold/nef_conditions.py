@@ -27,9 +27,9 @@ than "fails": the theorems are sufficient conditions only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .blowup_calculus import (
     BlowupStep,
     BlowupTower,
@@ -54,13 +54,6 @@ from .intersection_ring import (
     make_base,
     multiply_divisors,
     pair,
-)
-from .linprog import (
-    ConstraintSystem,
-    FeasibleResult,
-    LinearForm,
-    rational_feasible,
-    render_certificate,
 )
 
 QQ = Fraction
@@ -88,7 +81,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class TraceEntry:
     """One justification step: which theorem/case was applied at which tower
     step (step 0 is the base), with the computed witnesses."""
@@ -105,7 +98,7 @@ class TraceEntry:
         raise KeyError(key)
 
 
-@dataclass(frozen=True)
+@record
 class ConditionVerdict:
     condition: str  # "A" or "B"
     status: str  # HOLDS, UNKNOWN, UNVERIFIED
@@ -231,7 +224,7 @@ def check_tower(tower: BlowupTower, condition: str) -> ConditionVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Picard1Report:
     verdict_a: ConditionVerdict
     verdict_b: ConditionVerdict
@@ -367,7 +360,7 @@ def check_c2_positive_tower(tower: BlowupTower, condition: str) -> ConditionVerd
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class P3LinesReport:
     n: int
     verdict: str  # "deg(u)=0 forced" | "inconclusive"
@@ -410,6 +403,9 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
     by the exact LP engine and "forced" means it is exactly zero, with the
     dual combination returned as a replayable certificate.
     """
+    # the only user of the LP: the tower checkers never load it
+    from .linprog import ConstraintSystem, LinearForm, rational_feasible, render_certificate
+
     _require_int(n, "n")
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -511,7 +507,7 @@ def check_p3_points_lines(n: int) -> P3LinesReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GeneralizedConfig:
     """n blown-up points, disjoint curves D_j given by (degree, genus), the
     incidence table of exceptional planes against the curves, and the
@@ -532,7 +528,7 @@ class GeneralizedConfig:
                 raise ValidationError("incidence row has wrong length")
 
 
-@dataclass(frozen=True)
+@record
 class GeneralizedReport:
     ok: bool
     row_sums_ok: bool

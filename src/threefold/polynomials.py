@@ -51,12 +51,12 @@ integer polynomials.  The pieces:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import comb, gcd, isqrt, lcm
 
+from ._record import record
 from .bareiss import int_matrix_det
 
 QQ = Fraction
@@ -578,7 +578,7 @@ def disk_root_count_robust(p, radius: Fraction, direction: int = 1) -> tuple[int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraicNumber:
     """A real algebraic number: integer minimal polynomial plus an isolating
     rational interval [lo, hi] containing exactly that root."""
@@ -1293,9 +1293,10 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
     # matrices, which is where the generic annulus certificate can be
     # defeated.
     if n > 8:
-        raise ValueError(
+        raise EngineLimit(
+            "_certified_radius_int",
             "could not certify the spectral radius (tied moduli on a matrix "
-            "too large for the tensor-square fallback)"
+            "too large for the tensor-square fallback)",
         )
     graeffe, wedge = _symmetric_square(sf)
     cp_sf = poly_squarefree(poly_mul(graeffe, wedge))
@@ -1326,4 +1327,4 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
             lo2, hi2 = refine_root_interval(mp, lo, hi, CERTIFIED_WIDTH)
             return AlgebraicNumber(tuple(mp), lo2, hi2)
         s = s.refined(s.width / 2**8)
-    raise ValueError("could not certify the spectral radius (tied moduli)")
+    raise EngineLimit("_certified_radius_int", "could not certify the spectral radius (tied moduli)")

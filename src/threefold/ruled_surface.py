@@ -22,15 +22,15 @@ identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .intersection_ring import ValidationError
 
 QQ = Fraction
 
 
-@dataclass(frozen=True)
+@record
 class RuledSurfaceData:
     """Section invariants of an exceptional ruled surface: tau = C0.C0,
     mu = C0.M >= 1, gamma the blowup invariant, tau0 the normalized
@@ -48,7 +48,7 @@ class RuledSurfaceData:
             raise ValidationError("degenerate section: mu must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class SectionNumbers:
     f_dot_c0: Fraction
     ff_c0_coeff: Fraction
@@ -68,7 +68,7 @@ def section_and_ff(data: RuledSurfaceData) -> SectionNumbers:
     )
 
 
-@dataclass(frozen=True)
+@record
 class EffectiveCurveReport:
     admissible: bool
     self_int: Fraction

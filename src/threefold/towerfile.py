@@ -36,10 +36,10 @@ model.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from ._record import record
 from .blowup_calculus import BlowupStep, BlowupTower, CurveCenterSpec, SurfaceData
 from .intersection_ring import (
     NAME_TOKEN,
@@ -61,7 +61,7 @@ class TowerParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record
 class TowerDocument:
     tower: BlowupTower
     aliases: dict[str, dict[str, Fraction]]  # name -> {generator name: coefficient}

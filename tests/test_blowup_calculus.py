@@ -1,7 +1,6 @@
 import io
 import random
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -38,6 +37,7 @@ from threefold import (
     validate_model,
 )
 from threefold import cli
+from threefold._record import replace
 from threefold.blowup_calculus import _next_step_index
 from threefold.intersection_ring import (
     CURVE,

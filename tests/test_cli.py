@@ -379,37 +379,60 @@ print(sorted({{'sympy', 'mpmath'}} & set(sys.modules)))
 
 
 def _modules_loaded_by(argv, tmp_path):
-    """The threefold.* modules a fresh interpreter holds after importing the
-    CLI and, unless argv is None, running it on argv."""
+    """Every module a fresh interpreter holds after importing the CLI and,
+    unless argv is None, running it on argv; with argv "bare", after
+    `python -c pass`."""
     import os
     import subprocess
     import sys
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"""
+    code = "import sys" if argv == "bare" else f"""
 import contextlib, io, sys
 import threefold.cli
 if {argv!r} is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert threefold.cli.main({argv!r}) == 0
-print(" ".join(sorted(m for m in sys.modules if m.startswith("threefold."))))
 """
+    code += "\nprint(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    return {m.removeprefix("threefold.") for m in proc.stdout.split()}
+    return set(proc.stdout.split())
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     (tmp_path / "p3.tower").write_text("base p3\nblowup point\n")
     (tmp_path / "raw.mat").write_text("3 0 -1\n-2 -1 1\n3 -1 -1\n")
-    assert _modules_loaded_by(None, tmp_path) == {"cli"}
-    ring = _modules_loaded_by(["ring", "show", "p3.tower"], tmp_path)
-    assert "towerfile" in ring
-    assert not ring & {"lattice_dynamics", "linprog", "nef_conditions", "case_studies"}
-    raw = _modules_loaded_by(["dynamics", "--matrix", "raw.mat"], tmp_path)
-    assert "lattice_dynamics" in raw
-    assert not raw & {"towerfile", "blowup_calculus", "linprog", "nef_conditions", "case_studies"}
+    runs = {
+        "import": None,
+        "ring": ["ring", "show", "p3.tower"],
+        "dynamics": ["dynamics", "--matrix", "raw.mat"],
+        "check A": ["check", "--condition", "A", "p3.tower"],
+        "check B": ["check", "--condition", "B", "p3.tower"],
+        "picard1": ["picard1", "p3.tower"],
+        "p3lines": ["p3lines", "--n", "6"],
+    }
+    loaded = {name: _modules_loaded_by(argv, tmp_path) for name, argv in runs.items()}
+    package = {
+        name: {m.removeprefix("threefold.") for m in modules if m.startswith("threefold.")}
+        for name, modules in loaded.items()
+    }
+    assert package["import"] == {"cli"}
+    assert "towerfile" in package["ring"]
+    assert not package["ring"] & {"lattice_dynamics", "linprog", "nef_conditions", "case_studies"}
+    assert "lattice_dynamics" in package["dynamics"]
+    assert not package["dynamics"] & {"towerfile", "blowup_calculus", "linprog", "nef_conditions", "case_studies"}
+    # the LP only where it runs
+    assert "linprog" in package["p3lines"]
+    for name in ("check A", "check B", "picard1"):
+        assert "nef_conditions" in package[name]
+        assert "linprog" not in package[name], name
+    # no command pays for dataclasses or inspect (unless a site hook of the
+    # bare interpreter loads them already)
+    bare = _modules_loaded_by("bare", tmp_path)
+    for name, modules in loaded.items():
+        assert not ({"dataclasses", "inspect"} & modules) - bare, name
 
 
 @pytest.mark.parametrize(

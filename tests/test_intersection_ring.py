@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import math
 import pickle
@@ -27,6 +26,7 @@ from threefold import (
     triple,
     validate_model,
 )
+from threefold import _record
 from threefold.blowup_calculus import CurveCenterSpec
 from threefold.intersection_ring import triple_products
 
@@ -416,7 +416,7 @@ def test_validate_model_rejects_asymmetric_triple_product():
     ],
 )
 def test_validate_model_rejects_non_canonical_tables(tables, message):
-    model = dataclasses.replace(make_base("p2xp1"), **tables)
+    model = _record.replace(make_base("p2xp1"), **tables)
     with pytest.raises(ValidationError, match=message):
         validate_model(model)
 
@@ -454,7 +454,7 @@ def test_pairing_determinant_matches_leibniz_on_sparse_pairings():
                 for _ in range(n)
             ]
             pairing = {(i, a): v for i, row in enumerate(rows) for a, v in enumerate(row) if v}
-            sparse = dataclasses.replace(model, pairing=pairing)
+            sparse = _record.replace(model, pairing=pairing)
             assert pairing_determinant(sparse) == _leibniz_det(rows)
 
 

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import itertools
 import random
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threefold import linprog
+from threefold import _record, linprog
 from threefold.linprog import (
     CertificateEntry,
     ConstraintSystem,
@@ -630,19 +629,19 @@ def test_replay_rejects_rows_the_system_does_not_have():
     result = check_p3_points_lines(9).result
     assert replay_certificate(_p3_system(9), "deg_u", result)
     assert not replay_certificate(_p3_system(6), "deg_u", result)
-    negative = dataclasses.replace(
+    negative = _record.replace(
         result,
         certificate=result.certificate[:-1]
-        + (dataclasses.replace(result.certificate[-1], index=-1),),
+        + (_record.replace(result.certificate[-1], index=-1),),
     )
     assert not replay_certificate(_p3_system(9), "deg_u", negative)
 
 
 def test_replay_rejects_an_unknown_entry_kind():
     result = check_p3_points_lines(9).result
-    bad = dataclasses.replace(
+    bad = _record.replace(
         result,
-        certificate=(dataclasses.replace(result.certificate[0], kind="le"),)
+        certificate=(_record.replace(result.certificate[0], kind="le"),)
         + result.certificate[1:],
     )
     assert not replay_certificate(_p3_system(9), "deg_u", bad)

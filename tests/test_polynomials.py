@@ -23,6 +23,7 @@ from threefold.polynomials import (
     CERTIFIED_WIDTH,
     AlgebraicNumber,
     BoundaryRoot,
+    EngineLimit,
     _abs_interval,
     _certified_radius_int,
     _chain_for,
@@ -1004,7 +1005,7 @@ def test_refused_radius_is_not_cached():
     p = [1, -3, -3, 0, 0, 0, 0, 0, 0, 1]  # x^9 - 3x^2 - 3x + 1
     _certified_radius_int.cache_clear()
     for _ in range(2):
-        with pytest.raises(ValueError, match="too large for the tensor-square fallback"):
+        with pytest.raises(EngineLimit, match="too large for the tensor-square fallback"):
             certified_radius_from_charpoly(p)
     info = _certified_radius_int.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
