@@ -44,8 +44,8 @@ from .polynomials import (
     AlgebraicNumber,
     EngineLimit,
     _exact_quotient,
-    berkowitz_charpoly,
     certified_radius_from_charpoly,
+    characteristic_polynomial,
     count_real_roots,
     minimal_polynomial_of_root,
     poly_compose_square,
@@ -194,8 +194,13 @@ def algebraic_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
 
     Distinct roots separate under interval refinement; equality holds only
     for the same root of the same irreducible minimal polynomial, detected
-    by the union interval isolating a single root of it.
+    by the union interval isolating a single root of it.  Equal records
+    name one number (one minimal polynomial, one isolating interval), as
+    lambda1 and lambda2 of a reciprocal chi_A do: they compare at once.
     """
+    if a is b or a == b:
+        return 0
+
     def against_rational(z: AlgebraicNumber, r: Fraction) -> int:
         # exact sign of z - r
         if poly_eval([QQ(c) for c in z.minpoly], r) == 0 and z.lo <= r <= z.hi:
@@ -284,7 +289,7 @@ def dynamical_degrees(model: ThreefoldModel | None, A) -> DegreeReport:
         if not v.ok:
             raise InvalidActionError(v)
     A = [[_as_int(x) for x in row] for row in A]
-    cp = berkowitz_charpoly(A)
+    cp = characteristic_polynomial(A)
     det = (-1) ** len(A) * cp[0]
     if model is None and det not in (1, -1):
         raise ValidationError(f"raw mode needs a unimodular matrix, det = {det}")

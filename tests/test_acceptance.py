@@ -64,9 +64,9 @@ from threefold.nef_conditions import (
     check_tower,
 )
 from threefold.polynomials import (
-    berkowitz_charpoly,
     cauchy_root_bound,
     certified_radius_from_charpoly,
+    characteristic_polynomial,
     count_real_roots,
 )
 from unimodular import matrix_adjugate_unimodular
@@ -251,7 +251,7 @@ def _sample_unimodular_with_real_eig(rng):
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         if int_matrix_det(A) not in (1, -1):
             continue
-        p = berkowitz_charpoly(A)
+        p = characteristic_polynomial(A)
         if count_real_roots(p, Q(1), cauchy_root_bound(p)) > 0:
             return A
 
@@ -300,10 +300,10 @@ def test_criterion_6_dynamics_properties():
         rep = dynamical_degrees(None, A)
         for lam in (rep.lambda1, rep.lambda2):
             digest.update(repr((lam.minpoly, str(lam.lo), str(lam.hi))).encode())
-        rat = rationality_obstruction(berkowitz_charpoly(A))
+        rat = rationality_obstruction(characteristic_polynomial(A))
         assert rat.status == "consistent", A
         inv = matrix_adjugate_unimodular(A)
-        l1_inv = certified_radius_from_charpoly(berkowitz_charpoly(inv))
+        l1_inv = certified_radius_from_charpoly(characteristic_polynomial(inv))
         assert abs(float(rep.lambda2) - float(l1_inv)) < 1e-9, A
         assert float(rep.lambda1) * float(l1_inv) >= 1 - 1e-12, A
         assert lambda2_at_least_one_certified(rep), A

@@ -205,7 +205,7 @@ def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch
     import threefold.polynomials as poly
 
     charpolys, solves, validations = [], [], []
-    charpoly, solve, validate = poly.berkowitz_charpoly, bareiss.bareiss_solve, ld.validate_action
+    charpoly, solve, validate = poly.characteristic_polynomial, bareiss.bareiss_solve, ld.validate_action
 
     def counted_validate(model, A):
         validations.append(len(A))
@@ -223,7 +223,7 @@ def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch
         return solve(rows, *args)
 
     for module in (ld, poly):
-        monkeypatch.setattr(module, "berkowitz_charpoly", counted_charpoly)
+        monkeypatch.setattr(module, "characteristic_polynomial", counted_charpoly)
     for module in (ld, bareiss):
         monkeypatch.setattr(module, "bareiss_solve", counted_solve)
     mat, tower = _salem_files(tmp_path)
@@ -809,10 +809,22 @@ def _no_refinement_of_real_roots(monkeypatch):
 
 
 def _no_refinement_of_degrees(monkeypatch):
+    from fractions import Fraction
+
     from threefold import lattice_dynamics
     from threefold.polynomials import AlgebraicNumber
 
-    # lambda1 = lambda2 here; never refined and never found equal
+    # lambda1 = lambda2 here, handed in as two distinct records (each interval
+    # widened by its own dyadic amount, still isolating the root); never
+    # refined and never found equal
+    certify, widths = lattice_dynamics.certified_radius_from_charpoly, []
+
+    def widened(cp):
+        r = certify(cp)
+        widths.append(Fraction(1, 2 ** (20 + len(widths))))
+        return AlgebraicNumber(r.minpoly, r.lo, r.hi + widths[-1])
+
+    monkeypatch.setattr(lattice_dynamics, "certified_radius_from_charpoly", widened)
     monkeypatch.setattr(AlgebraicNumber, "refined", lambda self, width: self)
     monkeypatch.setattr(lattice_dynamics, "count_real_roots", lambda p, lo, hi: 2)
 

@@ -15,6 +15,7 @@ from threefold import (
     ValidationError,
     blow_up_curve,
     blow_up_point,
+    check_p3_points_lines,
     make_base,
     make_custom_base,
     dynamical_degrees,
@@ -34,8 +35,8 @@ from threefold.lattice_dynamics import (
 from threefold.nef_conditions import _p3_points_lines_models
 from threefold.polynomials import (
     AlgebraicNumber,
-    berkowitz_charpoly,
     certified_radius_from_charpoly,
+    characteristic_polynomial,
     poly_mul,
 )
 from unimodular import matrix_adjugate_unimodular
@@ -105,18 +106,26 @@ def test_validate_detects_each_violation():
     assert "c1" in text
 
 
+@functools.lru_cache(maxsize=None)
+def p3lines_x2(n):
+    return _p3_points_lines_models(n)[1]
+
+
+def p3lines_point_permutation(sigma):
+    """The lift to p3lines' X2 of the permutation i -> sigma[i - 1] of its n
+    points: h is fixed, E_i -> E_sigma(i) and F_ij -> F_sigma(i)sigma(j), the
+    exceptional divisors over the lines (itertools.combinations order)."""
+    n = len(sigma)
+    lines = {line: n + 1 + k for k, line in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    image = [0, *sigma] + [lines[tuple(sorted((sigma[i - 1], sigma[j - 1])))] for i, j in lines]
+    return [[int(image[j] == i) for j in range(len(image))] for i in range(len(image))]
+
+
 def p3lines_point_swap(n=10):
     """p3lines' X2 for n points (rho = 1 + n + n(n-1)/2) and the action of
     the point transposition (1 2): E1 <-> E2 and F(1j) <-> F(2j), the
     exceptional divisors over the lines through p1 and p2 (F12 stays)."""
-    x2 = _p3_points_lines_models(n)[1]
-    lines = list(itertools.combinations(range(1, n + 1), 2))
-    swap = {1: 2, 2: 1}
-    image = [0] + [swap.get(i, i) for i in range(1, n + 1)] + [
-        n + 1 + lines.index(tuple(sorted((swap.get(i, i), swap.get(j, j)))))
-        for i, j in lines
-    ]
-    return x2, [[int(image[j] == i) for j in range(len(image))] for i in range(len(image))]
+    return p3lines_x2(n), p3lines_point_permutation((2, 1, *range(3, n + 1)))
 
 
 def test_validate_exceptional_swap_is_ok():
@@ -164,6 +173,23 @@ def test_pairing_preserved_jointly():
             AtP = [(l, v) for l in range(n) if (v := sum(a * P[k][l] for k, a in cols[i]))]
             for j in range(n):
                 assert sum(v * B[l][j] for l, v in AtP) == P[i][j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@example((*range(2, 17), 1))  # the point cycle (1 2 ... 16), rank 137
+def test_point_permutations_lifted_to_the_points_and_lines_model_have_entropy_zero(sigma):
+    # the paper's actions at tower scale: validation, chi_A and both radii
+    # on X2 of n points and their lines; a permutation has finite order, so
+    # lambda1 = lambda2 = 1, as the forced zero degree of check_p3_points_lines says
+    n, x2 = len(sigma), p3lines_x2(len(sigma))
+    A = p3lines_point_permutation(sigma)
+    assert validate_action(x2, A).ok
+    rep = eigenclass_constraints(x2, A)
+    assert rep.degrees.lambda1.is_one() and rep.degrees.lambda2.is_one()
+    assert rep.degrees.entropy == 0.0
+    assert rep.status == "entropy-zero"
+    assert check_p3_points_lines(n).forced
 
 
 def test_identity_degrees():
@@ -248,7 +274,7 @@ def test_lambda2_from_reversed_charpoly_matches_inverse(A):
     # lambda2 comes from the reversal of chi_A; the reference certifies the
     # integer inverse's own characteristic polynomial
     got = dynamical_degrees(None, A).lambda2
-    ref = certified_radius_from_charpoly(berkowitz_charpoly(matrix_adjugate_unimodular(A)))
+    ref = certified_radius_from_charpoly(characteristic_polynomial(matrix_adjugate_unimodular(A)))
     assert (got.minpoly, got.lo, got.hi) == (ref.minpoly, ref.lo, ref.hi)
 
 
@@ -261,7 +287,7 @@ def test_lambda2_from_reversed_charpoly_matches_curve_matrix():
     ):
         got = dynamical_degrees(model, A).lambda2
         B = validate_action(model, A).action.curve_matrix
-        ref = certified_radius_from_charpoly(berkowitz_charpoly(B))
+        ref = certified_radius_from_charpoly(characteristic_polynomial(B))
         assert (got.minpoly, got.lo, got.hi) == (ref.minpoly, ref.lo, ref.hi)
 
 
@@ -286,7 +312,7 @@ def test_rationality_on_random_unimodular_charpolys():
         if int_matrix_det(m) not in (1, -1):
             continue
         checked += 1
-        assert rationality_obstruction(berkowitz_charpoly(m)).status == "consistent"
+        assert rationality_obstruction(characteristic_polynomial(m)).status == "consistent"
 
 
 def test_algebraic_compare_decides_equality_and_order():

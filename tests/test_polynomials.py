@@ -38,9 +38,9 @@ from threefold.polynomials import (
     _reciprocal_quotient,
     _reciprocal_sign,
     _symmetric_square,
-    berkowitz_charpoly,
     cauchy_root_bound,
     certified_radius_from_charpoly,
+    characteristic_polynomial,
     count_real_roots,
     disk_root_count,
     disk_root_count_robust,
@@ -63,9 +63,9 @@ from unimodular import matrix_adjugate_unimodular
 
 
 def test_charpoly_known_values():
-    assert berkowitz_charpoly([[0, 1], [1, 1]]) == [-1, -1, 1]
-    assert berkowitz_charpoly([[1, 0], [0, 1]]) == [1, -2, 1]
-    assert berkowitz_charpoly([[2]]) == [-2, 1]
+    assert characteristic_polynomial([[0, 1], [1, 1]]) == [-1, -1, 1]
+    assert characteristic_polynomial([[1, 0], [0, 1]]) == [1, -2, 1]
+    assert characteristic_polynomial([[2]]) == [-2, 1]
 
 
 def test_charpoly_matches_numpy_on_random_matrices():
@@ -73,7 +73,7 @@ def test_charpoly_matches_numpy_on_random_matrices():
     for _ in range(120):
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        got = berkowitz_charpoly(m)
+        got = characteristic_polynomial(m)
         want = np.poly(np.array(m, dtype=float))[::-1]
         assert len(got) == n + 1
         assert all(abs(g - w) < 1e-6 for g, w in zip(got, want))
@@ -301,7 +301,7 @@ def test_minimal_polynomial_selection():
 
 
 def test_spectral_radius_golden_ratio():
-    a = certified_radius_from_charpoly(berkowitz_charpoly([[0, 1], [1, 1]]))
+    a = certified_radius_from_charpoly(characteristic_polynomial([[0, 1], [1, 1]]))
     assert a.minpoly == (-1, -1, 1)
     assert a.width <= Q(1, 10**10)
     assert abs(float(a) - (1 + 5**0.5) / 2) < 1e-9
@@ -309,26 +309,26 @@ def test_spectral_radius_golden_ratio():
 
 def test_spectral_radius_negative_dominant_root():
     # companion of x^2 + x - 1 has spectral radius phi carried by -phi
-    a = certified_radius_from_charpoly(berkowitz_charpoly([[0, 1], [1, -1]]))
+    a = certified_radius_from_charpoly(characteristic_polynomial([[0, 1], [1, -1]]))
     assert a.minpoly == (-1, -1, 1)
     assert abs(float(a) - (1 + 5**0.5) / 2) < 1e-9
 
 
 def test_spectral_radius_roots_of_unity():
-    assert certified_radius_from_charpoly(berkowitz_charpoly([[0, -1], [1, 0]])).is_one()
-    assert certified_radius_from_charpoly(berkowitz_charpoly([[1, 0], [0, 1]])).is_one()
-    order3 = certified_radius_from_charpoly(berkowitz_charpoly([[0, -1], [1, -1]]))
+    assert certified_radius_from_charpoly(characteristic_polynomial([[0, -1], [1, 0]])).is_one()
+    assert certified_radius_from_charpoly(characteristic_polynomial([[1, 0], [0, 1]])).is_one()
+    order3 = certified_radius_from_charpoly(characteristic_polynomial([[0, -1], [1, -1]]))
     assert float(order3) == 1.0
 
 
 def test_spectral_radius_complex_dominant():
     # [[0,-2],[1,0]] has eigenvalues +-i sqrt 2
-    a = certified_radius_from_charpoly(berkowitz_charpoly([[0, -2], [1, 0]]))
+    a = certified_radius_from_charpoly(characteristic_polynomial([[0, -2], [1, 0]]))
     assert a.minpoly == (-2, 0, 1)
     assert abs(float(a) - 2**0.5) < 1e-9
     # pad with an identity block: same radius, real eigenvalue 1 present
     m4 = [[0, -2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-    b = certified_radius_from_charpoly(berkowitz_charpoly(m4))
+    b = certified_radius_from_charpoly(characteristic_polynomial(m4))
     assert b.minpoly == (-2, 0, 1)
 
 
@@ -346,7 +346,7 @@ def test_spectral_radius_tied_moduli():
         ),  # real 2 dominating a +-i sqrt2 pair and a fixed direction
     ]
     for m, minpoly, value in cases:
-        r = certified_radius_from_charpoly(berkowitz_charpoly(m))
+        r = certified_radius_from_charpoly(characteristic_polynomial(m))
         assert r.minpoly == minpoly, m
         assert abs(float(r) - value) < 1e-9, m
 
@@ -358,7 +358,7 @@ def test_spectral_radius_matches_numpy_random():
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         if int_matrix_det(m) == 0:
             continue
-        got = certified_radius_from_charpoly(berkowitz_charpoly(m))
+        got = certified_radius_from_charpoly(characteristic_polynomial(m))
         want = max(abs(np.linalg.eigvals(np.array(m, dtype=float))))
         # the float oracle itself is only good to ~eps^(1/multiplicity) for
         # defective eigenvalues, so compare loosely; the exact side is tight
@@ -387,6 +387,23 @@ def test_algebraic_number_refined():
     b = a.refined(Q(1, 10**6))
     assert b.width <= Q(1, 10**6)
     assert b.lo >= a.lo and b.hi <= a.hi
+
+
+def endpoints():
+    return st.builds(Q, st.integers(-2**260, 2**260), st.integers(1, 2**200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(endpoints(), endpoints())
+@example(Q(-3, 7), Q(-3, 7))  # lo = hi
+@example(Q(-(2**199) - 1, 2**199 + 3), Q(5, 2**200 - 1))  # 200-bit denominators around 0
+@example(Q(2**201 + 1, 2**200 - 7), Q(2**201 + 1, 2**200 - 7))
+@example(Q(1, 3), Q(2, 3))  # the midpoint 1/2 exactly
+def test_float_is_the_rounded_midpoint(a, b):
+    # one correctly rounded int division gives float((lo + hi) / 2)
+    lo, hi = min(a, b), max(a, b)
+    x = AlgebraicNumber((-2, 0, 1), lo, hi)
+    assert float(x) == float((lo + hi) / 2)
 
 
 @pytest.mark.parametrize("width", [0, Q(0), Q(-1, 3), -2])
@@ -573,7 +590,7 @@ def companion_matrix(p):
 def _ref_pairwise_products(sf):
     """Squarefree polynomial of the products of pairs of roots of sf: the
     charpoly of the Kronecker square of its companion matrix."""
-    return poly_squarefree(berkowitz_charpoly(kronecker_square(companion_matrix(sf))))
+    return poly_squarefree(characteristic_polynomial(kronecker_square(companion_matrix(sf))))
 
 
 def _ref_dominant_real_root(sf, width):
@@ -722,10 +739,10 @@ _DENSE_POLYS = st.tuples(
 @settings(max_examples=25, deadline=None)
 @given(_DENSE_POLYS)
 # repeated eigenvalues: the squarefree part loses the repeats
-@example(berkowitz_charpoly([[1, 1, 0], [0, 1, 0], [0, 0, -1]]))  # Jordan block at 1, and -1
-@example(berkowitz_charpoly([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]))  # +-i twice
-@example(berkowitz_charpoly([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]))  # golden pair twice
-@example(berkowitz_charpoly([[2, 1, 0], [0, 2, 1], [0, 0, 2]]))  # one Jordan block at 2
+@example(characteristic_polynomial([[1, 1, 0], [0, 1, 0], [0, 0, -1]]))  # Jordan block at 1, and -1
+@example(characteristic_polynomial([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]))  # +-i twice
+@example(characteristic_polynomial([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]))  # golden pair twice
+@example(characteristic_polynomial([[2, 1, 0], [0, 2, 1], [0, 0, 2]]))  # one Jordan block at 2
 # non-monic, leading coefficients 2 and 3 (the second one of degree > 4)
 @example([1, -3, 0, 2])
 @example([-1, 2, 0, -2, 1, 3])
@@ -983,7 +1000,7 @@ def test_powmod_matches_repeated_multiplication(p, low, a, e):
 @settings(max_examples=40, deadline=None)
 @given(unimodular_matrices(max_n=6).filter(lambda m: len(m) > 1))
 def test_cached_radius_matches_the_uncached_body(m):
-    cp = berkowitz_charpoly(m)
+    cp = characteristic_polynomial(m)
     for p in (cp, cp[::-1]):
         _certified_radius_int.cache_clear()
         got = certified_radius_from_charpoly(p)
@@ -1039,7 +1056,7 @@ def test_fraction_sqrt_bounds_match_the_scaling_loop(x, width):
 @example(companion_matrix(list(_FALLBACK_TAIL[2])))
 @example(companion_matrix(list(_FALLBACK_TAIL[3])))
 def test_fallback_matches_the_whole_symmetric_square_route(m):
-    cp = berkowitz_charpoly(m)
+    cp = characteristic_polynomial(m)
     for p in (cp, cp[::-1]):
         with patch.object(polynomials, "_symmetric_square", wraps=_symmetric_square) as split:
             got = _outcome(_certified_radius_int.__wrapped__, tuple(poly_primitive_int(p)))
@@ -1158,7 +1175,7 @@ def test_contenders_only_refinement_on_a_matrix_and_its_inverse():
     c = companion_matrix([-1, 0, 0, -1, 1, 1])
     width = CERTIFIED_WIDTH / 4
     for m in (c, matrix_adjugate_unimodular(c)):
-        sf = poly_squarefree(berkowitz_charpoly(m))
+        sf = poly_squarefree(characteristic_polynomial(m))
         got = _dominant_real_root(sf, width)
         assert got == _ref_dominant_real_root(sf, width)
         assert got[1] - got[0] <= width
