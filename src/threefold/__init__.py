@@ -10,8 +10,12 @@ The package provides:
 - linprog: an exact rational LP engine with Farkas certificates.
 - nef_conditions: Condition A/B checkers for blowup towers and the
   points-and-lines feasibility argument on P3 (an LP solved by linprog).
-- polynomials: exact integer-polynomial tools (characteristic polynomials,
-  root isolation, disk counts, factoring) behind the certified radii.
+- polynomials: dense integer-polynomial arithmetic (gcd, squarefree parts),
+  the base of the four layers behind the certified radii:
+- charpoly: characteristic polynomials of integer matrices.
+- realroots: Sturm root isolation and refinement, and disk counts.
+- factor: factorisation over Z and minimal polynomials of roots.
+- radius: certified spectral radii as exact algebraic numbers.
 - bareiss: the one fraction-free exact determinant and linear solve.
 - lattice_dynamics: validation of lattice automorphism actions and certified
   dynamical degrees / entropy.

@@ -1,8 +1,8 @@
 """The one exact determinant, rank and linear solve: fraction-free
 (Bareiss) elimination on sparse rows.
 
-Kept apart from polynomials so that the intersection ring and the case
-studies load this and nothing of the polynomial toolbox.
+Kept apart from the polynomial layers so that the intersection ring and
+the case studies load this and none of them.
 """
 
 from __future__ import annotations

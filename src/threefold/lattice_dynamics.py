@@ -13,7 +13,7 @@ chi_A alone, with or without a model.
 
 Both degrees are certified exactly: minimal polynomial plus an isolating
 interval of width <= 1e-10, with disk counts ruling out larger complex
-moduli (see polynomials.certified_radius_from_charpoly).  Comparisons between
+moduli (see radius.certified_radius_from_charpoly).  Comparisons between
 certified numbers (lambda1 != lambda2, lambda1^2 >= lambda2, lambda2 >= 1)
 are decided by interval refinement plus minimal-polynomial identity, never
 by floating point.  So is every vanishing of the eigenclass constraints:
@@ -29,6 +29,8 @@ from itertools import combinations_with_replacement
 
 from ._record import field, record
 from .bareiss import bareiss_rank, bareiss_solve
+from .charpoly import characteristic_polynomial
+from .factor import minimal_polynomial_of_root
 from .intersection_ring import (
     DivisorClass,
     ThreefoldModel,
@@ -40,21 +42,16 @@ from .intersection_ring import (
     triple_products,
 )
 from .polynomials import (
-    CERTIFIED_WIDTH,
-    AlgebraicNumber,
     EngineLimit,
     _exact_quotient,
-    certified_radius_from_charpoly,
-    characteristic_polynomial,
-    count_real_roots,
-    minimal_polynomial_of_root,
     poly_compose_square,
     poly_eval,
     poly_mul,
     poly_primitive_int,
     poly_trim,
-    refine_root_interval,
 )
+from .radius import CERTIFIED_WIDTH, AlgebraicNumber, certified_radius_from_charpoly
+from .realroots import count_real_roots, refine_root_interval
 
 QQ = Fraction
 ZERO = Fraction(0)

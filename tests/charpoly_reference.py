@@ -1,5 +1,5 @@
 """Berkowitz's division-free characteristic polynomial, which
-threefold.polynomials.characteristic_polynomial replaced.
+threefold.charpoly.characteristic_polynomial replaced.
 
 Kept only as the reference of a differential test: it builds det(xI - A)
 from Toeplitz products of the leading principal blocks (Berkowitz, Inform.

@@ -5,7 +5,7 @@ Kept only as the references of differential tests: the whole symmetric
 square W of degree n(n+1)/2 is built from power sums in one piece, and the
 minimal polynomial of its largest real root is read from the irreducible
 factors of W's squarefree part; the square-root bounds find their scale by
-a loop.  threefold.polynomials must agree with it on every input that
+a loop.  threefold.radius must agree with it on every input that
 reaches the fallback.  The factoriser's lift-only route factors every
 polynomial by degree sets mod primes, Hensel lifting and recombination,
 never through an even or reciprocal polynomial's half.
@@ -16,17 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from threefold.polynomials import (
-    CERTIFIED_WIDTH,
-    AlgebraicNumber,
-    _factor_by_primes,
-    _verified_radius_interval,
-    count_real_roots,
-    isolate_real_roots,
-    minimal_polynomial_of_root,
-    poly_squarefree,
-    refine_root_interval,
-)
+from threefold.factor import _factor_by_primes, minimal_polynomial_of_root
+from threefold.polynomials import poly_squarefree
+from threefold.radius import CERTIFIED_WIDTH, AlgebraicNumber, _verified_radius_interval
+from threefold.realroots import count_real_roots, isolate_real_roots, refine_root_interval
 
 QQ = Fraction
 

@@ -51,6 +51,7 @@ from threefold import (
     validate_action,
 )
 from threefold.bareiss import int_matrix_det
+from threefold.charpoly import characteristic_polynomial
 from threefold.lattice_dynamics import (
     algebraic_compare,
     algebraic_square,
@@ -63,12 +64,8 @@ from threefold.nef_conditions import (
     check_picard1,
     check_tower,
 )
-from threefold.polynomials import (
-    cauchy_root_bound,
-    certified_radius_from_charpoly,
-    characteristic_polynomial,
-    count_real_roots,
-)
+from threefold.radius import certified_radius_from_charpoly
+from threefold.realroots import cauchy_root_bound, count_real_roots
 from unimodular import matrix_adjugate_unimodular
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from charpoly_reference import berkowitz_charpoly
 from test_lattice_dynamics import p3lines_point_permutation
-from threefold import polynomials
-from threefold.polynomials import characteristic_polynomial, poly_mul
+from threefold import charpoly
+from threefold.charpoly import characteristic_polynomial
+from threefold.polynomials import poly_mul
 
 LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 
@@ -127,23 +128,30 @@ def test_matches_berkowitz_on_integer_matrices(case):
         assert got == permutation_charpoly(image_of(A))
 
 
-def test_rational_matrix_is_scaled_to_an_integer_one():
-    A = [[Q(1, 2), 1, 0], [2, Q(-1, 3), 1], [Q(3, 4), 0, 5]]
-    assert characteristic_polynomial(A) == berkowitz_charpoly(A)
-    integral = [[Q(2), 1, 3], [0, Q(1), 1], [1, 1, 1]]
-    assert characteristic_polynomial(integral) == berkowitz_charpoly(integral)
+@pytest.mark.parametrize(
+    "A",
+    [
+        [[Q(1, 2), 1, 0], [2, Q(-1, 3), 1], [Q(3, 4), 0, 5]],
+        [[Q(2), 1, 3], [0, Q(1), 1], [1, 1, 1]],  # integral Fractions too
+        [[1, Q(1, 2)], [0, 1]],  # Hessenberg: the recurrence over Z
+        [[1.0]],
+    ],
+)
+def test_a_matrix_with_an_entry_that_is_no_int_is_refused(A):
+    with pytest.raises(ValueError, match="matrix entries must be int"):
+        characteristic_polynomial(A)
 
 
 def test_a_pivot_that_is_no_unit_moves_to_the_next_modulus(monkeypatch):
     # a composite modulus 3 p: the first pivot, 3, is no unit mod 3 p, so
     # the next bit length's modulus is used
-    prime_above, tried = polynomials._prime_above, []
+    prime_above, tried = charpoly._prime_above, []
 
     def composite_first(bits):
         tried.append(bits)
         return 3 * prime_above(bits) if len(tried) == 1 else prime_above(bits)
 
-    monkeypatch.setattr(polynomials, "_prime_above", composite_first)
+    monkeypatch.setattr(charpoly, "_prime_above", composite_first)
     A = [[1, 2, 5], [3, 1, 1], [1, 4, 2]]
     assert characteristic_polynomial(A) == berkowitz_charpoly(A)
     assert tried[1] == tried[0] + 1

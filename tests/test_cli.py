@@ -202,7 +202,7 @@ def test_dynamics_computes_one_charpoly_per_action(capsys, tmp_path, monkeypatch
     import threefold.bareiss as bareiss
     import threefold.cli as cli
     import threefold.lattice_dynamics as ld
-    import threefold.polynomials as poly
+    import threefold.charpoly as poly
 
     charpolys, solves, validations = [], [], []
     charpoly, solve, validate = poly.characteristic_polynomial, bareiss.bareiss_solve, ld.validate_action
@@ -428,6 +428,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name in ("check A", "check B", "picard1"):
         assert "nef_conditions" in package[name]
         assert "linprog" not in package[name], name
+    # the spectral-radius layers only where degrees are certified
+    layers = {"polynomials", "charpoly", "realroots", "factor", "radius"}
+    assert layers <= package["dynamics"]
+    for name in ("ring", "check A", "check B", "picard1", "p3lines"):
+        assert not package[name] & layers, name
     # no command pays for dataclasses or inspect (unless a site hook of the
     # bare interpreter loads them already)
     bare = _modules_loaded_by("bare", tmp_path)
@@ -794,25 +799,25 @@ def test_zero_denominator_is_a_located_error_not_a_traceback(tmp_path):
 
 
 def _no_root_free_circle(monkeypatch):
-    from threefold import polynomials
+    from threefold import realroots
 
     def on_the_circle(p, radius):
-        raise polynomials.BoundaryRoot()
+        raise realroots.BoundaryRoot()
 
-    monkeypatch.setattr(polynomials, "disk_root_count", on_the_circle)
+    monkeypatch.setattr(realroots, "disk_root_count", on_the_circle)
 
 
 def _no_refinement_of_real_roots(monkeypatch):
-    from threefold import polynomials
+    from threefold import radius
 
-    monkeypatch.setattr(polynomials, "refine_root_interval", lambda sf, lo, hi, width: (lo, hi))
+    monkeypatch.setattr(radius, "refine_root_interval", lambda sf, lo, hi, width: (lo, hi))
 
 
 def _no_refinement_of_degrees(monkeypatch):
     from fractions import Fraction
 
     from threefold import lattice_dynamics
-    from threefold.polynomials import AlgebraicNumber
+    from threefold.radius import AlgebraicNumber
 
     # lambda1 = lambda2 here, handed in as two distinct records (each interval
     # widened by its own dyadic amount, still isolating the root); never
@@ -840,7 +845,8 @@ def _no_refinement_of_degrees(monkeypatch):
 def test_engine_limits_are_located_errors_not_tracebacks(capsys, tmp_path, monkeypatch, starve, where, message):
     # each of the engine's three fixed budgets, run out on a valid matrix
     # (chi = x^2 - 3x + 1), ends the CLI with one error line and exit 1
-    from threefold.polynomials import EngineLimit, _certified_radius_int
+    from threefold.polynomials import EngineLimit
+    from threefold.radius import _certified_radius_int
 
     f = tmp_path / "a.mat"
     f.write_text("2 1\n1 1\n")

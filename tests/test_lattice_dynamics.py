@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from charpoly_reference import berkowitz_charpoly
 from eigenclass_reference import reference_eigenclass_constraints
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from threefold import (
     validate_action,
 )
 from threefold import intersection_ring, lattice_dynamics
+from threefold.charpoly import characteristic_polynomial
 from threefold.lattice_dynamics import (
     ALGEBRAIC_ONE,
     algebraic_compare,
@@ -33,12 +35,8 @@ from threefold.lattice_dynamics import (
     square_dominance_certified,
 )
 from threefold.nef_conditions import _p3_points_lines_models
-from threefold.polynomials import (
-    AlgebraicNumber,
-    certified_radius_from_charpoly,
-    characteristic_polynomial,
-    poly_mul,
-)
+from threefold.polynomials import poly_mul
+from threefold.radius import AlgebraicNumber, certified_radius_from_charpoly
 from unimodular import matrix_adjugate_unimodular
 
 
@@ -286,8 +284,8 @@ def test_lambda2_from_reversed_charpoly_matches_curve_matrix():
         (zero_product_model(4), block_plus_fixed(companion(PLASTIC))),
     ):
         got = dynamical_degrees(model, A).lambda2
-        B = validate_action(model, A).action.curve_matrix
-        ref = certified_radius_from_charpoly(characteristic_polynomial(B))
+        B = validate_action(model, A).action.curve_matrix  # Fraction entries
+        ref = certified_radius_from_charpoly(berkowitz_charpoly(B))
         assert (got.minpoly, got.lo, got.hi) == (ref.minpoly, ref.lo, ref.hi)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from charpoly_reference import berkowitz_charpoly
 from radius_reference import (
     reference_factor_squarefree,
     reference_fallback_radius,
@@ -16,20 +17,11 @@ from radius_reference import (
     reference_symmetric_square,
 )
 from test_intersection_ring import _leibniz_det
-from threefold import polynomials
+from threefold import factor, radius
 from threefold.bareiss import bareiss_rank, bareiss_solve, int_matrix_det
-from threefold.lattice_dynamics import dynamical_degrees
-from threefold.polynomials import (
-    CERTIFIED_WIDTH,
-    AlgebraicNumber,
-    BoundaryRoot,
-    EngineLimit,
-    _abs_interval,
-    _certified_radius_int,
-    _chain_for,
-    _dominant_real_root,
+from threefold.charpoly import characteristic_polynomial
+from threefold.factor import (
     _factor_squarefree,
-    _fraction_sqrt_bounds,
     _irreducible_factors_int,
     _mod_divmod,
     _mod_mul,
@@ -37,15 +29,11 @@ from threefold.polynomials import (
     _nonsquare,
     _reciprocal_quotient,
     _reciprocal_sign,
-    _symmetric_square,
-    cauchy_root_bound,
-    certified_radius_from_charpoly,
-    characteristic_polynomial,
-    count_real_roots,
-    disk_root_count,
-    disk_root_count_robust,
-    isolate_real_roots,
     minimal_polynomial_of_root,
+)
+from threefold.lattice_dynamics import dynamical_degrees
+from threefold.polynomials import (
+    EngineLimit,
     poly_compose_square,
     poly_degree,
     poly_derivative,
@@ -57,6 +45,25 @@ from threefold.polynomials import (
     poly_squarefree,
     poly_to_str,
     poly_trim,
+)
+from threefold.radius import (
+    CERTIFIED_WIDTH,
+    AlgebraicNumber,
+    _abs_interval,
+    _certified_radius_int,
+    _dominant_real_root,
+    _fraction_sqrt_bounds,
+    _symmetric_square,
+    certified_radius_from_charpoly,
+)
+from threefold.realroots import (
+    BoundaryRoot,
+    _chain_for,
+    cauchy_root_bound,
+    count_real_roots,
+    disk_root_count,
+    disk_root_count_robust,
+    isolate_real_roots,
     refine_root_interval,
 )
 from unimodular import matrix_adjugate_unimodular
@@ -319,6 +326,17 @@ def test_spectral_radius_roots_of_unity():
     assert certified_radius_from_charpoly(characteristic_polynomial([[1, 0], [0, 1]])).is_one()
     order3 = certified_radius_from_charpoly(characteristic_polynomial([[0, -1], [1, -1]]))
     assert float(order3) == 1.0
+
+
+def test_unit_disk_shortcut_needs_a_monic_key():
+    # every root lies inside |x| < 1 + 10^-6, and none is a root of unity:
+    # a non-monic key must not be answered with exactly 1
+    a = certified_radius_from_charpoly([-(10**7 + 1), 10**7])
+    assert a.minpoly == (-10000001, 10000000)
+    assert a.lo <= Q(10**7 + 1, 10**7) <= a.hi
+    b = certified_radius_from_charpoly([-(10**7 + 1), 0, 10**7])
+    assert b.minpoly == (-10000001, 0, 10000000)
+    assert b.lo**2 <= Q(10**7 + 1, 10**7) <= b.hi**2 and b.width <= CERTIFIED_WIDTH  # 1.00000005
 
 
 def test_spectral_radius_complex_dominant():
@@ -589,8 +607,9 @@ def companion_matrix(p):
 
 def _ref_pairwise_products(sf):
     """Squarefree polynomial of the products of pairs of roots of sf: the
-    charpoly of the Kronecker square of its companion matrix."""
-    return poly_squarefree(characteristic_polynomial(kronecker_square(companion_matrix(sf))))
+    charpoly of the Kronecker square of its companion matrix (Berkowitz's,
+    which takes the Fraction entries of a non-monic sf)."""
+    return poly_squarefree(berkowitz_charpoly(kronecker_square(companion_matrix(sf))))
 
 
 def _ref_dominant_real_root(sf, width):
@@ -1058,7 +1077,7 @@ def test_fraction_sqrt_bounds_match_the_scaling_loop(x, width):
 def test_fallback_matches_the_whole_symmetric_square_route(m):
     cp = characteristic_polynomial(m)
     for p in (cp, cp[::-1]):
-        with patch.object(polynomials, "_symmetric_square", wraps=_symmetric_square) as split:
+        with patch.object(radius, "_symmetric_square", wraps=_symmetric_square) as split:
             got = _outcome(_certified_radius_int.__wrapped__, tuple(poly_primitive_int(p)))
         if split.called:
             event("reached the fallback")
@@ -1070,7 +1089,7 @@ def test_fallback_reads_a_real_radius_from_the_graeffe_half():
     # close for the real-root certificate: the squared radius 9/4 is a root
     # of the Graeffe half, and the exterior square's z conj(z) lies below it
     sf = poly_mul([-3, 2], [9 * 10**13 - 4, 4 * 10**13, 4 * 10**13])
-    with patch.object(polynomials, "_symmetric_square", wraps=_symmetric_square) as split:
+    with patch.object(radius, "_symmetric_square", wraps=_symmetric_square) as split:
         got = _certified_radius_int.__wrapped__(tuple(sf))
     assert split.called and got.minpoly == (-3, 2)
     assert got == reference_fallback_radius(sf)
@@ -1078,7 +1097,7 @@ def test_fallback_reads_a_real_radius_from_the_graeffe_half():
 
 @pytest.mark.parametrize("p", _FALLBACK_TAIL)
 def test_fallback_never_factors_the_whole_symmetric_square(p):
-    real, factored = polynomials._factor_by_primes, []
+    real, factored = factor._factor_by_primes, []
 
     def spy(f):
         factored.append(f)
@@ -1088,8 +1107,8 @@ def test_fallback_never_factors_the_whole_symmetric_square(p):
     reached = 0
     for q in (p, p[::-1]):
         factored.clear()
-        with patch.object(polynomials, "_factor_by_primes", spy), patch.object(
-            polynomials, "_symmetric_square", wraps=_symmetric_square
+        with patch.object(factor, "_factor_by_primes", spy), patch.object(
+            radius, "_symmetric_square", wraps=_symmetric_square
         ) as split:
             _certified_radius_int.__wrapped__(tuple(poly_primitive_int(q)))
         reached += split.call_count
@@ -1105,7 +1124,7 @@ def test_fallback_quartics_take_four_disk_counts_and_lift_no_half(p):
     # the outer disk count below n proves complex dominance at once; the
     # exterior square (degree 6) and m(x^2) (degree 12) are proven
     # irreducible through their symmetry, never lifted
-    real, lifted = polynomials._recombine, []
+    real, lifted = factor._recombine, []
 
     def spy(f, *args):
         lifted.append(len(f) - 1)
@@ -1113,9 +1132,9 @@ def test_fallback_quartics_take_four_disk_counts_and_lift_no_half(p):
 
     _factor_squarefree.cache_clear()
     with patch.object(
-        polynomials, "disk_root_count_robust", wraps=disk_root_count_robust
-    ) as counts, patch.object(polynomials, "_recombine", spy), patch.object(
-        polynomials, "_symmetric_square", wraps=_symmetric_square
+        radius, "disk_root_count_robust", wraps=disk_root_count_robust
+    ) as counts, patch.object(factor, "_recombine", spy), patch.object(
+        radius, "_symmetric_square", wraps=_symmetric_square
     ) as split:
         got = _certified_radius_int.__wrapped__(p)
     assert split.called and len(got.minpoly) == 13
