@@ -16,7 +16,7 @@ The package provides:
 - realroots: Sturm root isolation and refinement, and disk counts.
 - factor: factorisation over Z and minimal polynomials of roots.
 - radius: certified spectral radii as exact algebraic numbers.
-- bareiss: the one fraction-free exact determinant and linear solve.
+- bareiss: the one fraction-free exact determinant and linear solve, on ints.
 - lattice_dynamics: validation of lattice automorphism actions and certified
   dynamical degrees / entropy.
 - case_studies: quotient-threefold Euler/Picard bookkeeping, the complete-

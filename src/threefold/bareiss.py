@@ -1,5 +1,5 @@
 """The one exact determinant, rank and linear solve: fraction-free
-(Bareiss) elimination on sparse rows.
+(Bareiss) elimination on sparse integer rows.
 
 Kept apart from the polynomial layers so that the intersection ring and
 the case studies load this and none of them.
@@ -7,39 +7,27 @@ the case studies load this and none of them.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-QQ = Fraction
-
 
 def bareiss_solve(rows, rhs=None):
-    """Fraction-free (Bareiss) elimination of a square matrix M with row
-    pivoting; returns (det M, det M * X) for M X = rhs.
+    """Fraction-free (Bareiss) elimination of a square integer matrix M with
+    row pivoting; returns (det M, det M * X) for M X = rhs.
 
     rows[i] is row i of M and rhs[i] row i of the right-hand side, both as
-    mappings {column: value} (zeros may be left out); det M * X comes back
-    in the same sparse form, or as None without rhs or when M is singular.
-    Integer input is eliminated in ints throughout: after step k each entry
-    is a minor of order k + 2 (Sylvester's identity), so each update's
-    division by the previous pivot is exact, and so is each back-substitution
-    division, since det M * X = adj(M) * rhs is integral (Cramer's rule).
-    A row with fractions is scaled first by the common denominator of its
-    entries in M and rhs, which leaves X unchanged; det M is then the
-    eliminated determinant over the product of the scales (E. H. Bareiss,
+    mappings {column: int} (zeros may be left out); an entry that is no int
+    is refused with ValueError.  det M * X comes back in the same sparse
+    form, or as None without rhs or when M is singular.  The elimination
+    stays in ints throughout: after step k each entry is a minor of order
+    k + 2 (Sylvester's identity), so each update's division by the previous
+    pivot is exact, and so is each back-substitution division, since
+    det M * X = adj(M) * rhs is integral (Cramer's rule; E. H. Bareiss,
     Math. Comp. 22, 1968).
     """
     n = len(rows)
-    work, sign, pivots, prev, scale = _eliminate(rows, rhs)
+    work, sign, pivots, prev = _eliminate(rows, rhs)
     if len(pivots) < n:
         return 0, None
-
-    def unscaled(v):
-        v *= sign
-        return v if scale == 1 else QQ(v, scale)
-
     if rhs is None:
-        return unscaled(prev), None
+        return sign * prev, None
     # back-substitution of prev * X, row by row from the bottom
     x = [None] * n
     for i in range(n - 1, -1, -1):
@@ -49,31 +37,28 @@ def bareiss_solve(rows, rhs=None):
                 for c, v in x[j].items():
                     acc[c] = acc.get(c, 0) - u * v
         x[i] = {c: v // pivots[i] for c, v in acc.items() if v}
-    return unscaled(prev), [{c: unscaled(v) for c, v in r.items()} for r in x]
+    return sign * prev, [{c: sign * v for c, v in r.items()} for r in x]
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of a square matrix given as sparse rows, as in bareiss_solve."""
+    """Rank of a square integer matrix given as sparse rows, as in bareiss_solve."""
     return len(_eliminate(rows)[2])
 
 
 def _eliminate(rows, rhs=None):
-    """The forward pass of bareiss_solve: (work, sign, pivots, last pivot,
-    scale), with work the rows in echelon form.  A column without a pivot is skipped, so
+    """The forward pass of bareiss_solve: (work, sign, pivots, last pivot),
+    with work the rows in echelon form.  A column without a pivot is skipped, so
     len(pivots) is the rank; without a skip, row k holds pivot k."""
     n = len(rows)
     work = []
-    scale = 1
     for i, row in enumerate(rows):
         entries = dict(row)
         if rhs is not None:
             # right-hand-side column k rides along as column n + k
             entries.update((n + k, v) for k, v in rhs[i].items())
-        s = 1
-        for v in entries.values():
-            s = lcm(s, v.denominator)
-        scale *= s
-        work.append({c: v.numerator * (s // v.denominator) for c, v in entries.items() if v})
+        if any(type(v) is not int for v in entries.values()):
+            raise ValueError("matrix entries must be int")
+        work.append({c: v for c, v in entries.items() if v})
 
     # row i of the step-k matrix is work[i] * prev / last[i]: a row with no
     # entry in the pivot column would only be rescaled by pk / prev, so it
@@ -105,9 +90,9 @@ def _eliminate(rows, rhs=None):
                 last[i] = pk
         pivots.append(pk)
         prev = pk
-    return work, sign, pivots, prev, scale
+    return work, sign, pivots, prev
 
 
 def int_matrix_det(matrix) -> int:
-    """Exact integer determinant (bareiss_solve)."""
-    return bareiss_solve([{j: int(v) for j, v in enumerate(row)} for row in matrix])[0]
+    """Exact determinant of an integer matrix (bareiss_solve)."""
+    return bareiss_solve([dict(enumerate(row)) for row in matrix])[0]

@@ -250,7 +250,7 @@ def cmd_case(args) -> int:
         rep.add("picard_resolution", r.picard_resolution)
         rep.add("identity_check", r.identity_check)
     else:
-        degrees = [int(d) for d in args.degrees.split(",")] if args.degrees else []
+        degrees = args.degrees
         r = ci_c2(args.n, degrees)
         rep.head(f"complete intersection in P^{args.n}, degrees {degrees}")
         rep.add("c1_coeff", r.c1_coeff)
@@ -266,13 +266,7 @@ def cmd_case(args) -> int:
 def cmd_budget(args) -> int:
     from .case_studies import euler_budget
 
-    def pair_of(text):
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected 'chi,rho', got {text!r}")
-        return (int(parts[0]), int(parts[1]))
-
-    r = euler_budget(pair_of(args.base), pair_of(args.target))
+    r = euler_budget(args.base, args.target)
     rep = Report()
     rep.head(r.describe())
     rep.add("num_blowups", r.num_blowups)
@@ -286,6 +280,23 @@ def cmd_budget(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _int_list(text: str) -> list[int]:
+    """--degrees: comma-separated integers, none for an empty value."""
+    try:
+        return [int(d) for d in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _chi_rho(text: str) -> tuple[int, int]:
+    """--base and --target: the integer pair chi,rho."""
+    try:
+        chi, rho = map(int, text.split(","))
+    except ValueError:  # not two parts, or not integers
+        raise argparse.ArgumentTypeError(f"expected 'chi,rho' with integers, got {text!r}") from None
+    return chi, rho
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ueno.set_defaults(func=cmd_case, which="ueno")
     p_ci = case_sub.add_parser("ci", help="complete-intersection c2 positivity")
     p_ci.add_argument("--n", type=int, required=True)
-    p_ci.add_argument("--degrees", required=True, help="comma-separated hypersurface degrees")
+    p_ci.add_argument("--degrees", type=_int_list, required=True, help="comma-separated hypersurface degrees")
     _add_format(p_ci)
     p_ci.set_defaults(func=cmd_case, which="ci")
 
     p_budget = sub.add_parser("budget", help="Euler/Picard blowup budget")
-    p_budget.add_argument("--base", required=True, help="chi,rho of the base")
-    p_budget.add_argument("--target", required=True, help="chi,rho of the target")
+    p_budget.add_argument("--base", type=_chi_rho, required=True, help="chi,rho of the base")
+    p_budget.add_argument("--target", type=_chi_rho, required=True, help="chi,rho of the target")
     _add_format(p_budget)
     p_budget.set_defaults(func=cmd_budget)
 

@@ -30,7 +30,7 @@ from .polynomials import (
     poly_mul,
     poly_primitive_int,
 )
-from .realroots import count_real_roots, refine_root_interval
+from .realroots import count_real_roots
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +506,11 @@ def minimal_polynomial_of_root(p, lo, hi) -> list[int]:
     """Irreducible integer factor of p whose root lies in the isolating
     interval (lo, hi], primitive with a positive leading coefficient.  The
     distinct irreducible factors of p come from the package's factoriser
-    over Z (_irreducible_factors_int); the interval is refined
-    until exactly one of them has a root in it."""
-    ints = poly_primitive_int(p)
-    candidates = [list(f) for f in _irreducible_factors_int(tuple(ints))]
-    while True:
-        matching = [
-            f for f in candidates if count_real_roots(f, lo, hi) > 0
-        ]
-        if len(matching) == 1:
-            out = poly_primitive_int(matching[0])
-            return out
-        if not matching:
-            raise ValueError("no factor has a root in the interval")
-        lo, hi = refine_root_interval(p, lo, hi, (hi - lo) / 4)
+    over Z (_irreducible_factors_int); together they must have exactly one
+    root in (lo, hi], or ValueError("interval does not isolate a root") is
+    raised."""
+    factors = _irreducible_factors_int(tuple(poly_primitive_int(p)))
+    counts = [count_real_roots(f, lo, hi) for f in factors]
+    if sum(counts) != 1:
+        raise ValueError("interval does not isolate a root")
+    return list(factors[counts.index(1)])

@@ -529,20 +529,26 @@ def triple_products(model: ThreefoldModel) -> dict[tuple[int, int, int], Fractio
 # ---------------------------------------------------------------------------
 
 
-def pairing_rows(model: ThreefoldModel) -> list[dict[int, Fraction]]:
-    """The pairing matrix as sparse rows: row i is {a: pair(e_i, f_a)}."""
-    rows: list[dict[int, Fraction]] = [{} for _ in model.divisor_basis]
-    for (i, a), v in model.pairing.items():
-        rows[i][a] = v
-    return rows
+def pairing_rows(model: ThreefoldModel) -> tuple[int, list[dict[int, int]]]:
+    """The pairing matrix as int sparse rows over one denominator: (den,
+    rows) with rows[i] = {a: den * pair(e_i, f_a)}, read from the store's
+    columns.  A blowup pairs its new generators only with each other, so
+    the columns a < rho hold only indices i < rho."""
+    tables = model._tables
+    rows: list[dict[int, int]] = [{} for _ in model.divisor_basis]
+    for a in range(len(model.curve_basis)):
+        for _, i, v in tables.columns.get(a, ()):
+            rows[i][a] = v
+    return tables.den, rows
 
 
 def pairing_determinant(model: ThreefoldModel) -> Fraction:
     """Determinant of the divisor/curve pairing matrix (exact), by
-    fraction-free elimination of its sparse rows."""
+    fraction-free elimination of its int rows: det(den * P) / den**rho."""
     if len(model.curve_basis) != len(model.divisor_basis):
         raise ValidationError("pairing matrix is not square")
-    return QQ(bareiss_solve(pairing_rows(model))[0])
+    den, rows = pairing_rows(model)
+    return QQ(bareiss_solve(rows)[0], den ** len(rows))
 
 
 def _index_key(key, n1: int, n2: int) -> bool:

@@ -85,9 +85,10 @@ def _mat_vec(rows, v):
 def _det_and_curve_matrix(model: ThreefoldModel, A):
     """det A and B = P^-1 A^-T P, B None when A is singular: one elimination
     solves A^T Y = P for det(A) Y, a second P X = det(A) Y for
-    det(P) det(A) B."""
+    det(P) det(A) B.  P is the pairing's int rows, den times the pairing:
+    a scalar multiple of P gives the same B."""
     n = len(A)
-    P = pairing_rows(model)
+    _, P = pairing_rows(model)
     det, Y = bareiss_solve([dict(enumerate(col)) for col in zip(*A)], P)
     if Y is None:
         return 0, None
@@ -200,7 +201,7 @@ def algebraic_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
 
     def against_rational(z: AlgebraicNumber, r: Fraction) -> int:
         # exact sign of z - r
-        if poly_eval([QQ(c) for c in z.minpoly], r) == 0 and z.lo <= r <= z.hi:
+        if poly_eval(z.minpoly, r) == 0 and z.lo <= r <= z.hi:
             return 0
         w = z
         while w.lo < r <= w.hi or (w.lo == r == w.hi):
@@ -232,7 +233,9 @@ def algebraic_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
 
 
 def algebraic_square(a: AlgebraicNumber) -> AlgebraicNumber:
-    """The square of a certified non-negative algebraic number."""
+    """The square of a certified non-negative algebraic number.  When
+    (lo^2, hi^2] also holds the square of another conjugate, it is no
+    isolating interval and ValueError is raised."""
     if a.lo < 0:
         raise ValueError("square only implemented for non-negative numbers")
     if a.lo == a.hi:

@@ -185,7 +185,7 @@ def poly_compose_square(p):
     return poly_trim(q)
 
 
-def poly_to_str(p, var: str = "x") -> str:
+def poly_to_str(p) -> str:
     p = poly_trim(p)
     terms = []
     for i in range(len(p) - 1, -1, -1):
@@ -196,9 +196,9 @@ def poly_to_str(p, var: str = "x") -> str:
         if i == 0:
             body = f"{mag}"
         elif i == 1:
-            body = f"{var}" if mag == 1 else f"{mag}*{var}"
+            body = "x" if mag == 1 else f"{mag}*x"
         else:
-            body = f"{var}^{i}" if mag == 1 else f"{mag}*{var}^{i}"
+            body = f"x^{i}" if mag == 1 else f"{mag}*x^{i}"
         sign = "-" if c < 0 else "+"
         terms.append((sign, body))
     if not terms:

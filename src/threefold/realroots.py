@@ -133,12 +133,12 @@ def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval (lo, hi] of a root of p below `width`.
 
     The endpoints are bisected as integers over one common denominator.
-    Once (lo, hi] holds a single root, a simple root of the squarefree part
-    sf, the root lies in (lo, mid] exactly when sf(mid) = 0 or sf changes
-    sign between lo and mid; when lo is another root of sf, the sign just
-    right of it is that of sf'(lo).  An interval holding several roots is
-    bisected by Sturm counts towards its leftmost root.  A width <= 0 is
-    refused (no interval reaches it).
+    (lo, hi] must hold exactly one root, a simple root of the squarefree
+    part sf, or ValueError("interval does not isolate a root") is raised.
+    The root lies in (lo, mid] exactly when sf(mid) = 0 or sf changes sign
+    between lo and mid; when lo is another root of sf, the sign just right
+    of it is that of sf'(lo).  A width <= 0 is refused (no interval
+    reaches it).
     """
     width = QQ(width)
     if width <= 0:
@@ -147,8 +147,7 @@ def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
     lo, hi = QQ(lo), QQ(hi)
     den = lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    v_lo, v_hi = _variations(chain, a, den), _variations(chain, b, den)
-    if v_lo - v_hi <= 0:
+    if _variations(chain, a, den) - _variations(chain, b, den) != 1:
         raise ValueError("interval does not isolate a root")
 
     # a bisection doubles den and keeps b - a, so the number of bisections
@@ -156,14 +155,6 @@ def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
     steps = 0
     while (b - a) * width.denominator > (width.numerator * den) << steps:
         steps += 1
-    while steps and v_lo - v_hi > 1:
-        steps -= 1
-        mid, den = a + b, 2 * den
-        v_mid = _variations(chain, mid, den)
-        if v_lo - v_mid > 0:
-            a, b, v_hi = 2 * a, mid, v_mid
-        else:
-            a, b, v_lo = mid, 2 * b, v_mid
     if steps:
         sf = chain[0]
         s_lo = _sign_at_rational(sf, a, den) or _sign_at_rational(poly_derivative(sf), a, den)

@@ -57,8 +57,6 @@ class SectionNumbers:
 
 def section_and_ff(data: RuledSurfaceData) -> SectionNumbers:
     """F.C0 and the (C0, M) coefficients of F.F restricted to F."""
-    if data.mu == 0:
-        raise ValidationError("degenerate section: mu = 0")
     tau, mu, g = data.tau, QQ(data.mu), data.gamma
     f_dot_c0 = (g * mu - tau / mu) / 2
     return SectionNumbers(

@@ -36,6 +36,7 @@ model.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -71,11 +72,20 @@ class TowerDocument:
 
 
 def _rational(text: str, line: int, col: int | None = None) -> Fraction:
-    """A p/q literal the tokenizer already matched; q = 0 is a located error."""
+    """A p/q literal the grammar already matched; q = 0 and a part past
+    int()'s digit limit (its only refusal of matched digits) are located errors."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise TowerParseError(f"zero denominator in coefficient {text!r}", line, col) from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise TowerParseError(f"number literal too long: more than {limit} digits", line, col) from None
+
+
+def _int(text: str, line: int, col: int) -> int:
+    """An integer literal the grammar already matched, read by _rational."""
+    return int(_rational(text, line, col))
 
 
 _TOKEN = re.compile(
@@ -154,7 +164,7 @@ def _strip_comment(raw: str) -> str:
     return raw.rstrip()
 
 
-_CI_RE = re.compile(r"^ci\((\d+);([\d,]+)\)$")
+_CI_RE = re.compile(r"^ci\((\d+);(\d+(?:,\d+)*)\)$")
 _CURVE_RE = re.compile(
     r"^blowup\s+curve\s+class\s*=\s*(?P<cls>.*?)\s+genus\s*=\s*(?P<genus>\d+)(?P<rest>.*)$"
 )
@@ -187,7 +197,8 @@ def parse_tower(text: str) -> TowerDocument:
     idx = next_meaningful(idx)
     if idx >= n_lines:
         raise TowerParseError("empty tower file: expected a 'base' line", max(1, n_lines))
-    first = _strip_comment(lines[idx]).strip()
+    raw = _strip_comment(lines[idx])
+    first = raw.strip()
     if not first.startswith("base"):
         raise TowerParseError("first statement must be 'base <spec>'", idx + 1)
     base_arg = first[4:].strip()
@@ -200,8 +211,10 @@ def parse_tower(text: str) -> TowerDocument:
         m = _CI_RE.match(base_arg)
         try:
             if m:
-                n = int(m.group(1))
-                degrees = [int(d) for d in m.group(2).split(",")]
+                col = len(raw) - len(base_arg) + 1  # of the spec on the line
+                n = _int(m.group(1), idx + 1, col + m.start(1))
+                ds = re.finditer(r"\d+", m.group(2))
+                degrees = [_int(d[0], idx + 1, col + m.start(2) + d.start()) for d in ds]
                 base = make_base("ci", n=n, degrees=degrees)
             else:
                 base = make_base(base_arg)
@@ -250,7 +263,7 @@ def parse_tower(text: str) -> TowerDocument:
                 opts = _parse_curve_options(m.group("rest"), line_no, lead + m.start("rest"), model)
                 center = CurveCenterSpec(
                     curve_class=model.curve(terms),
-                    genus=int(m.group("genus")),
+                    genus=_int(m.group("genus"), line_no, lead + m.start("genus") + 1),
                     normal_bundle_decomposable=opts.get("normal"),
                     tau0=opts.get("tau0"),
                     surface_data=opts.get("surface"),
@@ -299,7 +312,7 @@ def _parse_curve_options(rest: str, line_no: int, col0: int, model: ThreefoldMod
             if key == "normal":
                 opts["normal"] = True
             elif key == "tau0":
-                opts["tau0"] = int(m.group(1))
+                opts["tau0"] = _int(m.group(1), line_no, col0 + pos + m.start(1) + 1)
             elif key == "movable":
                 opts["movable"] = True
             elif key == "label":
@@ -310,9 +323,8 @@ def _parse_curve_options(rest: str, line_no: int, col0: int, model: ThreefoldMod
                 kappa = m.group("kappa")
                 if kappa is not None:
                     kappa = _rational(kappa, line_no, col0 + pos + m.start("kappa") + 1)
-                opts["surface"] = SurfaceData(
-                    surface=model.divisor(terms), mu=int(m.group("mu")), kappa=kappa
-                )
+                mu = _int(m.group("mu"), line_no, col0 + pos + m.start("mu") + 1)
+                opts["surface"] = SurfaceData(surface=model.divisor(terms), mu=mu, kappa=kappa)
             pos += m.end()
             break
         else:
@@ -385,12 +397,9 @@ def _parse_custom_block(lines, start):
         elif head == "c2":
             c2_expr = (value, line_no, col0)
         elif head in ("euler", "picard"):
-            try:
-                number = int(value)
-            except ValueError:
-                raise TowerParseError(
-                    f"{head} must be an integer, got {value!r}", line_no, col0 + 1
-                ) from None
+            if not re.fullmatch(r"[+-]?\d+", value):
+                raise TowerParseError(f"{head} must be an integer, got {value!r}", line_no, col0 + 1)
+            number = _int(value, line_no, col0 + 1)
             if head == "euler":
                 euler = number
             else:
@@ -471,9 +480,10 @@ def ring_records(model: ThreefoldModel):
     for d, e, product in _products(model):
         yield f"mul.{d}.{e}", product
     cn = model.curve_names()
-    for d, row in zip(model.divisor_names(), pairing_rows(model)):
+    den, rows = pairing_rows(model)
+    for d, row in zip(model.divisor_names(), rows):
         for a, c in enumerate(cn):
-            yield f"pair.{d}.{c}", row.get(a, ZERO)
+            yield f"pair.{d}.{c}", Fraction(row[a], den) if a in row else ZERO
 
 
 def serialize_model(model: ThreefoldModel) -> str:

@@ -515,6 +515,31 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["case", "ci", "--n", "5", "--degrees", "2,x"], "--degrees"),
+        (["case", "ci", "--n", "5", "--degrees", "2,,3"], "--degrees"),
+        (["budget", "--base", "4,1", "--target", "x,2"], "--target"),
+        (["budget", "--base", "4", "--target", "6,2"], "--base"),
+        (["budget", "--base", "4,1,1", "--target", "6,2"], "--base"),
+    ],
+)
+def test_malformed_option_values_are_usage_errors(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {option}: expected " in capsys.readouterr().err
+
+
+def test_out_of_range_option_values_exit_1(capsys):
+    # well-formed values the engine refuses are bad input, not usage errors
+    code, _, err = run(capsys, "budget", "--base", "6,2", "--target", "8,1")
+    assert code == 1 and err == "error: target Picard number below the base\n"
+    code, _, err = run(capsys, "case", "ci", "--n", "4", "--degrees", "2,3")
+    assert code == 1 and err.startswith("error: ")
+
+
 def test_parse_error_exit_1(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("blowup curve class = l genus = 0\n")

@@ -28,7 +28,7 @@ from threefold import (
 )
 from threefold import _record
 from threefold.blowup_calculus import CurveCenterSpec
-from threefold.intersection_ring import triple_products
+from threefold.intersection_ring import pairing_rows, triple_products
 
 
 # -- independent oracle: truncated power series in one variable -------------
@@ -456,6 +456,20 @@ def test_pairing_determinant_matches_leibniz_on_sparse_pairings():
             pairing = {(i, a): v for i, row in enumerate(rows) for a, v in enumerate(row) if v}
             sparse = _record.replace(model, pairing=pairing)
             assert pairing_determinant(sparse) == _leibniz_det(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blowup_towers(bases=st.one_of(fractional_c1_bases(), st.sampled_from([make_base("p3")]))))
+def test_pairing_rows_are_the_pairing_over_one_denominator(tower):
+    # every model of a line reads the shared store's columns, the base's
+    # first: its rows are its own pairing, and no later generator's
+    models = models_of(tower)
+    for model in models + [models[0]]:
+        den, rows = pairing_rows(model)
+        assert len(rows) == model.picard
+        assert all(type(v) is int for row in rows for v in row.values())
+        got = {(i, a): Q(v, den) for i, row in enumerate(rows) for a, v in row.items()}
+        assert got == dict(model.pairing.items())
 
 
 def test_class_coefficients_are_exact_and_fraction_tuples_are_kept():

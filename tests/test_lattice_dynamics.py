@@ -332,6 +332,16 @@ def test_algebraic_square():
     assert abs(float(sq) - ((1 + 5**0.5) / 2) ** 2) < 1e-9
 
 
+def test_algebraic_square_refuses_a_squared_interval_that_holds_two_conjugates():
+    # x^3 - 3x + 1 has roots 1.53, 0.35 and -1.88: (1, 2] isolates 1.53, but
+    # (1, 4] holds both 1.53^2 and 1.88^2
+    a = AlgebraicNumber((1, -3, 0, 1), Q(1), Q(2))
+    with pytest.raises(ValueError, match="^interval does not isolate a root$"):
+        algebraic_square(a)
+    sq = algebraic_square(AlgebraicNumber((1, -3, 0, 1), Q(3, 2), Q(8, 5)))
+    assert sq.minpoly == (-1, 9, -6, 1) and abs(float(sq) - 1.5320888862379562**2) < 1e-9
+
+
 def test_eigenclass_identity_entropy_zero():
     x2 = blow_up_point(blow_up_point(make_base("p3")))
     rep = eigenclass_constraints(x2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -1,7 +1,8 @@
 """The spectral-radius layers: one home per name, imports in one direction.
 
 polynomials holds the integer arithmetic; charpoly builds on nothing else,
-and realroots, factor and radius each build on the ones before them.
+and realroots, factor and radius each build on the ones before them.  The
+exact solve (bareiss) and the intersection ring load none of them.
 """
 
 import ast
@@ -40,14 +41,24 @@ def _defined(module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("layer", LAYERS)
-def test_a_layer_loads_only_the_layers_below_it(layer):
+def _loaded(module) -> set[str]:
+    """The modules a fresh interpreter holds after importing threefold.module,
+    package modules without their prefix."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, threefold.{layer}; print(' '.join(sorted(sys.modules)))"
+    code = f"import sys, threefold.{module}; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = {m.removeprefix("threefold.") for m in proc.stdout.split()}
-    assert loaded & set(LAYERS) == LOADS[layer]
+    return {m.removeprefix("threefold.") for m in proc.stdout.split()}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_a_layer_loads_only_the_layers_below_it(layer):
+    assert _loaded(layer) & set(LAYERS) == LOADS[layer]
+
+
+@pytest.mark.parametrize("module", ["bareiss", "intersection_ring"])
+def test_the_exact_solve_and_the_ring_load_no_layer(module):
+    assert _loaded(module) & set(LAYERS) == set()
 
 
 def test_every_name_has_one_home():

@@ -121,7 +121,6 @@ def _square(elements, max_n):
 
 # zeros are drawn often so that pivots are missing and rows must be swapped
 _INTS = st.one_of(st.just(0), st.integers(-6, 6))
-_RATIONALS = st.one_of(st.just(Q(0)), st.fractions(-4, 4, max_denominator=6))
 
 
 def _sparse(rows):
@@ -149,18 +148,20 @@ def test_bareiss_det_and_solve_on_integer_matrices(m, data):
             assert sum(m[i][t] * x[t][k] for t in range(n)) == det * b[i][k]
 
 
-@settings(max_examples=60, deadline=None)
-@given(_square(_RATIONALS, 6), st.data())
-def test_bareiss_det_and_solve_on_rational_matrices(m, data):
-    n = len(m)
-    b = data.draw(st.lists(st.lists(_RATIONALS, min_size=1, max_size=1), min_size=n, max_size=n))
-    det, dx = bareiss_solve(_sparse(m), _sparse(b))
-    assert det == _leibniz_det(m)
-    if det == 0:
-        assert dx is None
-        return
-    for i in range(n):
-        assert sum(m[i][t] * dx[t].get(0, 0) for t in range(n)) == det * b[i][0]
+@pytest.mark.parametrize("bad", [Q(1, 2), Q(3), Q(0), 0.5, 2.0])
+def test_bareiss_refuses_entries_that_are_no_int(bad):
+    # a Fraction, even an integral one, or a float is refused, in the
+    # matrix or on the right-hand side; int_matrix_det truncates no float
+    m = [[1, 2], [3, bad]]
+    unit = _sparse([[1, 0], [0, 1]])
+    for call in (
+        lambda: bareiss_solve(_sparse(m)),
+        lambda: bareiss_rank(_sparse(m)),
+        lambda: int_matrix_det(m),
+        lambda: bareiss_solve(unit, [{0: bad}, {}]),
+    ):
+        with pytest.raises(ValueError, match="^matrix entries must be int$"):
+            call()
 
 
 @st.composite
@@ -211,7 +212,7 @@ def _low_rank(draw, elements, max_n=6):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(_low_rank(_INTS), _low_rank(_RATIONALS), _square(_INTS, 6)))
+@given(st.one_of(_low_rank(_INTS), _square(_INTS, 6)))
 def test_bareiss_rank_matches_sympy(m):
     import sympy
 
@@ -305,6 +306,19 @@ def test_minimal_polynomial_selection():
     assert mp == [-2, 0, 1]
     mp2 = minimal_polynomial_of_root(p, Q(16, 10), Q(17, 10))  # phi = 1.618...
     assert mp2 == [-1, -1, 1]
+
+
+@pytest.mark.parametrize(
+    "p, lo, hi",
+    [
+        ([2, 2, -3, -1, 1], Q(1), Q(2)),  # sqrt2 and phi: two factors
+        ([2, 2, -3, -1, 1], Q(2), Q(3)),  # no root
+        ([-2, 0, 1], Q(-2), Q(2)),  # +-sqrt2: two roots of one factor
+    ],
+)
+def test_minimal_polynomial_refuses_an_interval_that_isolates_no_root(p, lo, hi):
+    with pytest.raises(ValueError, match="^interval does not isolate a root$"):
+        minimal_polynomial_of_root(p, lo, hi)
 
 
 def test_spectral_radius_golden_ratio():
@@ -725,10 +739,11 @@ def test_isolation_and_refinement_match_sturm_bisection(p, bits):
     for lo, hi in intervals:
         assert count_real_roots(p, lo, hi) == 1
         assert refine_root_interval(p, lo, hi, width) == _ref_refine(p, lo, hi, width)
-    if intervals:
-        # an interval holding every real root is bisected towards the leftmost
+    if len(intervals) > 1:
+        # an interval holding several roots isolates none of them
         lo, hi = intervals[0][0], intervals[-1][1]
-        assert refine_root_interval(p, lo, hi, width) == _ref_refine(p, lo, hi, width)
+        with pytest.raises(ValueError, match="^interval does not isolate a root$"):
+            refine_root_interval(p, lo, hi, width)
 
 
 def test_refinement_edge_cases():

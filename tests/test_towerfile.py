@@ -413,6 +413,82 @@ def test_zero_denominator_is_a_parse_error():
     assert (err.value.line, err.value.col) == (5, 15)
 
 
+BIG = "1" * 5000  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        (f"base p3\nblowup curve class = {BIG} l genus = 0\n", 2, 22),
+        (f"base p3\nblowup curve class = 1/{BIG} l genus = 0\n", 2, 22),
+        (f"base p3\nblowup curve class = l genus = {BIG}\n", 2, 32),
+        (f"base p3\nblowup curve class = l genus = 0 tau0={BIG}\n", 2, 39),
+        (f"base p3\nblowup point\nblowup curve class = l - L1 genus = 0 surface = h; mu={BIG}\n", 3, 55),
+        (f"base p3\nblowup point\nblowup curve class = l - L1 genus = 0 surface = h; mu=1; kappa={BIG}\n", 3, 64),
+        (f"base ci({BIG};2)\n", 1, 9),
+        (f"  base ci(5;2,{BIG})\n", 1, 15),
+        (CUSTOM_BASE.replace("pair a x = 1", f"pair a x = {BIG}"), 5, 12),
+        (CUSTOM_BASE.replace("c1 = a", f"c1 = {BIG} a"), 6, 6),
+        (CUSTOM_BASE.replace("euler = 4", f"euler = {BIG}"), 8, 9),
+        (CUSTOM_BASE.replace("euler = 4", f"euler = -{BIG}"), 8, 9),
+        (CUSTOM_BASE.replace("end", f"picard = {BIG}\nend"), 9, 10),
+    ],
+)
+def test_a_literal_too_long_for_int_is_a_located_error(text, line, col):
+    with pytest.raises(TowerParseError, match="number literal too long: more than 4300 digits$") as err:
+        parse_tower(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_ring_show_locates_a_literal_too_long_for_int(tmp_path, capsys):
+    f = tmp_path / "tower.txt"
+    f.write_text(f"base p3\nblowup curve class = {BIG} l genus = 0\n")
+    assert main(["ring", "show", str(f)]) == 1
+    assert capsys.readouterr().err == "error: line 2, col 22: number literal too long: more than 4300 digits\n"
+
+
+def test_a_ci_spec_with_an_empty_degree_is_a_located_error():
+    with pytest.raises(TowerParseError, match=r"^line 1: unknown base spec 'ci\(4;2,,3\)'$"):
+        parse_tower("  base  ci(4;2,,3)\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("base p3\nblowup curve class = 2 - l genus = 0\n", "line 2, col 24: dangling coefficient without a generator name"),
+        ("base p3\nblowup curve class =+ genus = 0\n", "line 2, col 21: empty class expression"),
+        ("base p3\nalias b = - \n", "line 2, col 11: empty class expression"),
+        ("", "line 1: empty tower file: expected a 'base' line"),
+        ("\n# only a comment\n", "line 2: empty tower file: expected a 'base' line"),
+        ("base\n", "line 1: missing base spec"),
+        (
+            "base p3\nblowup curve genus = 0\n",
+            "line 2: malformed curve blowup (expected 'blowup curve class = <expr> genus = <int> [options]')",
+        ),
+        ("base p3\nalias = l\n", "line 2: malformed alias (expected 'alias <name> = <expr>')"),
+        ("base p3\nblowup line\n", "line 2: unknown blowup kind (expected 'blowup point' or 'blowup curve ...')"),
+        ("base p3\nblowup curve class = l genus = 0 bogus\n", "line 2: unknown curve option at 'bogus'"),
+        ("base p3\nblowup curve class = l genus = 0x\n", "line 2: unknown curve option at 'x'"),
+        (CUSTOM_BASE.replace("mul a a = x", "mul a = x"), "line 4: malformed mul entry"),
+        (CUSTOM_BASE.replace("pair a x = 1", "pair a x = y"), "line 5: malformed pair entry (want 'pair d c = p/q')"),
+        (CUSTOM_BASE.replace("euler = 4", "euler = 4\nweight 3"), "line 9: unknown custom-base statement 'weight'"),
+        (
+            CUSTOM_BASE.replace("mul a a = x", "mul h X = x"),
+            "line 1: invalid custom base: unknown divisor generator in mul2 key (h, X)",
+        ),
+        (
+            CUSTOM_BASE.replace("pair a x = 1", "pair a y = 1"),
+            "line 1: invalid custom base: unknown generator in pairing key (a, y)",
+        ),
+        (CUSTOM_BASE.replace("end", "picard = 2\nend"), "line 1: declared picard = 2 but basis has size 1"),
+    ],
+)
+def test_located_parse_errors(text, message):
+    with pytest.raises(TowerParseError) as err:
+        parse_tower(text)
+    assert str(err.value) == message
+
+
 def test_a_blowup_may_not_take_the_name_of_an_alias():
     # the new fiber M1 would shadow the alias M1, and the second center would
     # silently be the fiber class instead of l
