@@ -68,10 +68,13 @@ def _read_matrix(path: str):
             try:
                 row.append(int(tok.group()))
             except ValueError:
-                raise ValueError(
-                    f"line {line_no}, col {tok.start() + 1}: "
-                    f"expected an integer, got {tok.group()!r}"
-                ) from None
+                where = f"line {line_no}, col {tok.start() + 1}"
+                if re.fullmatch(r"[+-]?\d+", tok.group()):
+                    limit = sys.get_int_max_str_digits()
+                    raise ValueError(
+                        f"{where}: number literal too long: more than {limit} digits"
+                    ) from None
+                raise ValueError(f"{where}: expected an integer, got {tok.group()!r}") from None
         if row:
             rows.append((line_no, row))
     if not rows:

@@ -27,6 +27,7 @@ from .polynomials import (
     _exact_quotient,
     _pseudo_remainder,
     _squarefree_int,
+    _unfold_square,
     poly_mul,
     poly_primitive_int,
 )
@@ -404,13 +405,6 @@ def _unfold(q, eps) -> tuple:
             out[d - j + i] += c * v
         power = poly_mul(power, [eps, 0, 1])
     return tuple(out)
-
-
-def _unfold_square(h) -> tuple:
-    """h(x^2)."""
-    h2 = [0] * (2 * len(h) - 1)
-    h2[::2] = h
-    return tuple(h2)
 
 
 @lru_cache(maxsize=2048)

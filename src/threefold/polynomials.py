@@ -148,10 +148,33 @@ def _exact_quotient(p, g) -> list[int] | None:
     return None if any(rem[:dg]) else quot
 
 
+def _unfold_square(h) -> tuple:
+    """h(x^2)."""
+    h2 = [0] * (2 * len(h) - 1)
+    h2[::2] = h
+    return tuple(h2)
+
+
+def _even_half(p: tuple) -> tuple | None:
+    """h with p = h(x^2) and h(0) != 0, for p of degree >= 2; else None."""
+    if len(p) > 2 and p[0] and not any(p[1::2]):
+        return p[::2]
+    return None
+
+
 @lru_cache(maxsize=4096)
 def _squarefree_int(p: tuple) -> tuple:
     """Squarefree part of a primitive integer polynomial with positive
-    leading coefficient, in the same form (p itself when p is squarefree)."""
+    leading coefficient, in the same form (p itself when p is squarefree).
+
+    An even p = h(x^2) with h(0) != 0 goes through its half: a root b != 0
+    of h of multiplicity k gives the two roots +-sqrt(b) of p, distinct and
+    of multiplicity k, so the squarefree part of p is that of h taken at
+    x^2, which is again primitive with a positive leading coefficient."""
+    h = _even_half(p)
+    if h is not None:
+        sh = _squarefree_int(h)
+        return p if len(sh) == len(h) else _unfold_square(sh)
     g = poly_gcd(p, poly_derivative(p))
     if len(g) == 1:
         return p

@@ -11,25 +11,30 @@ roots alone, the squared radius is recovered as the largest real root of
 the symmetric square of the squarefree part (the polynomial of its
 pairwise root products), which always carries it; that polynomial is built
 from power sums by Newton's identities in its two halves (Graeffe and
-exterior square), and only the half owning the root is factored.  An
-outer disk count below the degree proves complex dominance at the first
-attempt.
+exterior square), its largest real root is found on its final dyadic node
+from a float guess and confirmed by exact Sturm counts of the halves, and
+only the half owning the root is factored.  An outer disk count below the
+degree proves complex dominance at the first attempt.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from itertools import islice
+from math import isfinite, isqrt
 
 from ._record import record
-from .factor import _unfold_square, minimal_polynomial_of_root
+from .factor import _good_reduction, _odd_primes, minimal_polynomial_of_root
 from .polynomials import (
     QQ,
     ZERO,
     EngineLimit,
     _int_key,
+    _unfold_square,
     poly_degree,
+    poly_derivative,
     poly_gcd,
     poly_mul,
     poly_negate_variable,
@@ -38,6 +43,7 @@ from .polynomials import (
     poly_to_str,
 )
 from .realroots import (
+    cauchy_root_bound,
     count_real_roots,
     disk_root_count_robust,
     isolate_real_roots,
@@ -215,6 +221,103 @@ def _dominant_real_root(sf, width):
     raise EngineLimit("_dominant_real_root", "real roots with pathologically close moduli")
 
 
+# the width the fallback refines the squared radius to
+_SQUARE_WIDTH = CERTIFIED_WIDTH**2 / 8
+
+
+def _float_radius_squared(sf) -> float | None:
+    """max |z|^2 over float approximations z of the roots of sf, by the
+    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973): simultaneous
+    Newton steps, each corrected by the pull of the other approximations;
+    None when the floats overflow or break down.  Only a guess: nothing is
+    certified from it."""
+    n = len(sf) - 1
+    try:
+        c = [x / sf[-1] for x in sf]  # int / int is correctly rounded
+        # start on a circle of radius 2 max |c_i|^(1/(n-i)) (Fujiwara's
+        # bound), at angles off any symmetry axis of the coefficients
+        r = 2 * max(abs(c[i]) ** (1 / (n - i)) for i in range(n))
+        zs = [r * cmath.exp(1j * (2 * cmath.pi * k / n + 0.4)) for k in range(n)]
+        for _ in range(50):
+            settled = True
+            for k, z in enumerate(zs):
+                val, der = 1, 0
+                for a in reversed(c[:-1]):
+                    der = der * z + val
+                    val = val * z + a
+                if val:
+                    ratio = val / der
+                    pull = sum(1 / (z - v) for j, v in enumerate(zs) if j != k)
+                    step = ratio / (1 - ratio * pull)
+                    zs[k] = z - step
+                    settled = settled and abs(step) <= 1e-15 * abs(z)
+            if settled:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    guess = max(z.real * z.real + z.imag * z.imag for z in zs)
+    return guess if isfinite(guess) else None
+
+
+# bits of the Newton point below the depth of the node it chooses
+_NEWTON_BITS = 24
+
+
+def _located_node(cp_sf, graeffe, wedge, guess):
+    """The node (lo, hi] that isolate_real_roots + refine_root_interval to
+    _SQUARE_WIDTH give for the largest real root of cp_sf, the squarefree
+    part of the product of the two halves, found from a float guess of that
+    root; returns (lo, hi, in_graeffe), or None when the guess does not
+    lead there.
+
+    The refinement ends on the one node of the isolation tree over (-B, B]
+    (B = cauchy_root_bound(cp_sf)) at depth D, the least depth whose nodes
+    are at most _SQUARE_WIDTH wide, that holds the root; the isolating
+    interval it starts from lies above that depth, since every node above
+    it holds a root and no node below the first with one root is visited.
+    Integer Newton steps on cp_sf from the guess, on a grid _NEWTON_BITS
+    finer than D, choose a depth-D node, which is accepted only on exact
+    Sturm counts of the two halves: one root in (lo, hi] and none in
+    (hi, B].  in_graeffe says whether the Graeffe half has it."""
+    if guess is None:
+        return None
+    bound = cauchy_root_bound(cp_sf)
+    b, c = bound.numerator, bound.denominator
+    # the least depth whose nodes, 2B / 2^depth wide, are at most _SQUARE_WIDTH
+    ratio = -(-2 * b * _SQUARE_WIDTH.denominator // (_SQUARE_WIDTH.numerator * c))
+    depth = (ratio - 1).bit_length()
+    # the grid point u stands for x = (2u - full) b / (c full)
+    full = 1 << (depth + _NEWTON_BITS)
+    u = round((Fraction(guess) * c + b) * full / (2 * b))
+    d = len(cp_sf) - 1
+    der = poly_derivative(cp_sf)
+    for _ in range(6):
+        num, den = b * (2 * u - full), c * full
+        # den^d cp_sf(x) and den^(d-1) cp_sf'(x), so that the Newton step
+        # cp_sf / cp_sf' is, in grid units, val / (2 b slope)
+        val, slope, power = cp_sf[d], der[d - 1], den
+        for i in range(d - 1, -1, -1):
+            val = val * num + cp_sf[i] * power
+            if i:
+                slope = slope * num + der[i - 1] * power
+            power *= den
+        if slope == 0:
+            return None
+        step = val // (2 * b * slope)
+        u -= step
+        if abs(step) <= 1:
+            break
+    t = (u - 1) >> _NEWTON_BITS  # the depth-D node (t, t + 1] holding u
+    if not 0 <= t < 1 << depth:
+        return None
+    lo = Fraction(b * (2 * t - (1 << depth)), c << depth)
+    hi = lo + Fraction(2 * b, c << depth)
+    inside = [count_real_roots(h, lo, hi) for h in (graeffe, wedge)]
+    if sum(inside) != 1 or count_real_roots(graeffe, hi, bound) or count_real_roots(wedge, hi, bound):
+        return None
+    return lo, hi, inside[0] == 1
+
+
 def _verified_radius_interval(sf, n, lo, hi, width):
     """Disk-certify that the spectral radius lies in [lo - delta, hi + delta]:
     everything inside the outer radius, something escaping the inner one.
@@ -238,9 +341,10 @@ def certified_radius_from_charpoly(p) -> AlgebraicNumber:
     polynomial of the inverse up to sign), as a certified algebraic number.
 
     Strategy: if the primitive integer polynomial of p is monic, of
-    squarefree degree at most 1078, and every root lies in |x| < 1 + 10^-6,
-    the radius is exactly 1 (all roots are then roots of unity).  Otherwise
-    isolate the largest-modulus real root r and certify with two disk counts
+    squarefree degree at most 1078, its squarefree part is +- its reversal,
+    and every root lies in |x| < 1 + 10^-6, the radius is exactly 1 (all
+    roots are then roots of unity).  Otherwise isolate the largest-modulus
+    real root r and certify with two disk counts
     that the annulus just around |r| contains only real roots and nothing
     lies outside; when a complex pair dominates (or ties with a real root),
     the squared radius is recovered as the largest real root of the product of
@@ -278,8 +382,11 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
     # which for every d <= 1078 exceeds the counted radius (1 + 10^-6,
     # nudged up by less than 1.2 10^-9).  A count that finds every root
     # inside therefore finds only roots of unity (Kronecker): the radius is
-    # exactly 1.
-    if key[-1] == 1 and n <= 1078:
+    # exactly 1.  A root of unity has its inverse among its conjugates, so
+    # a product of distinct cyclotomic polynomials equals its reversal up
+    # to sign (x - 1 is the one with the sign); any other monic sf has a
+    # root outside the disk, and the count is not made.
+    if key[-1] == 1 and n <= 1078 and sf[::-1] in (sf, [-c for c in sf]):
         cnt, _ = disk_root_count_robust(sf, ONE + QQ(1, 10**6), direction=+1)
         if cnt == n:
             return AlgebraicNumber((-1, 1), ONE, ONE)
@@ -328,20 +435,33 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
             "too large for the tensor-square fallback)",
         )
     graeffe, wedge = _symmetric_square(sf)
-    cp_sf = poly_squarefree(poly_mul(graeffe, wedge))
-    reals = isolate_real_roots(cp_sf)
-    if not reals:
-        raise ValueError("symmetric square has no real root; engine bug")
-    lam_lo, lam_hi = max(reals, key=lambda iv: iv[1])
-    lam_lo, lam_hi = refine_root_interval(cp_sf, lam_lo, lam_hi, CERTIFIED_WIDTH**2 / 8)
+    w = poly_primitive_int(poly_mul(graeffe, wedge))
+    # squarefree of full degree mod a prime, w is squarefree over Q, the
+    # primitive squarefree part poly_squarefree would return.  Its roots
+    # collide mod small primes often: of the 90 fallbacks of dyn-sample
+    # seeds 5151 and 7 (all with a squarefree w) the prime 3 proves 48, and
+    # 3, 5, 7 and 11 together prove all
+    if any(_good_reduction(w, q) is not None for q in islice(_odd_primes(), 4)):
+        cp_sf = w
+    else:
+        cp_sf = poly_squarefree(w)
+    node = _located_node(cp_sf, graeffe, wedge, _float_radius_squared(sf))
+    if node is None:
+        reals = isolate_real_roots(cp_sf)
+        if not reals:
+            raise ValueError("symmetric square has no real root; engine bug")
+        lam_lo, lam_hi = max(reals, key=lambda iv: iv[1])
+        lam_lo, lam_hi = refine_root_interval(cp_sf, lam_lo, lam_hi, _SQUARE_WIDTH)
+        in_graeffe = count_real_roots(graeffe, lam_lo, lam_hi) > 0
+    else:
+        lam_lo, lam_hi, in_graeffe = node
     if lam_hi <= 0:
         raise ValueError("symmetric square has no positive real root; engine bug")
     # (lam_lo, lam_hi] isolates one root of cp_sf, so of either half that
     # has a root in it, and the minimal polynomial divides that half: the
     # Graeffe half when a real root has the largest modulus, else the
     # exterior square
-    half = graeffe if count_real_roots(graeffe, lam_lo, lam_hi) else wedge
-    m_lam = minimal_polynomial_of_root(half, lam_lo, lam_hi)
+    m_lam = minimal_polynomial_of_root(graeffe if in_graeffe else wedge, lam_lo, lam_hi)
     s = AlgebraicNumber(tuple(m_lam), lam_lo, lam_hi)
     m2 = _unfold_square(s.minpoly)
     for _round in range(80):

@@ -15,8 +15,8 @@ from math import gcd, lcm
 
 from .polynomials import (
     QQ,
-    ZERO,
     EngineLimit,
+    _even_half,
     _int_key,
     _primitive_part,
     _pseudo_remainder,
@@ -86,10 +86,36 @@ def _chain_for(p) -> tuple:
     return _sturm_chain_int(_squarefree_int(_int_key(p)))
 
 
+def _even_rank(chain, num: int, den: int) -> int:
+    """For an even p = h(x^2) with h(0) != 0 and the Sturm chain of h's
+    squarefree part: the distinct real roots of p in (-inf, num/den] (den >
+    0), less the number of positive roots of h.
+
+    x -> x^2 maps the positive roots of p one to one and increasingly onto
+    those of h, and x -> -x maps the negative ones onto the positive ones;
+    so for t >= 0 the roots of p in (0, t] are those of h in (0, t^2], and
+    for t < 0 the roots of p in (-inf, t] are the positive roots of h in
+    [t^2, inf), the roots of h in (0, t^2] counted off except for t^2
+    itself."""
+    sq_num, sq_den = num * num, den * den
+    below = _variations(chain, 0, 1) - _variations(chain, sq_num, sq_den)
+    if num >= 0:
+        return below
+    return (_sign_at_rational(chain[0], sq_num, sq_den) == 0) - below
+
+
 def count_real_roots(p, lo, hi) -> int:
-    """Distinct real roots of p in (lo, hi]; p need not be squarefree."""
-    chain = _chain_for(p)
+    """Distinct real roots of p in (lo, hi]; p need not be squarefree.  An
+    even p = h(x^2) with h(0) != 0 is counted on h's Sturm chain."""
+    key = _int_key(p)
     lo, hi = QQ(lo), QQ(hi)
+    half = _even_half(key)
+    if half is not None:
+        chain = _sturm_chain_int(_squarefree_int(half))
+        return _even_rank(chain, hi.numerator, hi.denominator) - _even_rank(
+            chain, lo.numerator, lo.denominator
+        )
+    chain = _sturm_chain_int(_squarefree_int(key))
     return _variations(chain, lo.numerator, lo.denominator) - _variations(
         chain, hi.numerator, hi.denominator
     )
@@ -101,8 +127,7 @@ def cauchy_root_bound(p) -> Fraction:
     lead = QQ(p[-1])
     if lead == 0:
         raise ValueError("zero polynomial")
-    mx = max((abs(QQ(c) / lead) for c in p[:-1]), default=ZERO)
-    return 1 + mx
+    return 1 + max((abs(c) for c in p[:-1]), default=0) / abs(lead)
 
 
 def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
@@ -137,18 +162,18 @@ def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
     part sf, or ValueError("interval does not isolate a root") is raised.
     The root lies in (lo, mid] exactly when sf(mid) = 0 or sf changes sign
     between lo and mid; when lo is another root of sf, the sign just right
-    of it is that of sf'(lo).  A width <= 0 is refused (no interval
-    reaches it).
+    of it is that of sf'(lo).  The root count is count_real_roots', so an
+    even p is counted on its half's chain.  A width <= 0 is refused (no
+    interval reaches it).
     """
     width = QQ(width)
     if width <= 0:
         raise ValueError("refinement width must be positive")
-    chain = _chain_for(p)
     lo, hi = QQ(lo), QQ(hi)
+    if count_real_roots(p, lo, hi) != 1:
+        raise ValueError("interval does not isolate a root")
     den = lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    if _variations(chain, a, den) - _variations(chain, b, den) != 1:
-        raise ValueError("interval does not isolate a root")
 
     # a bisection doubles den and keeps b - a, so the number of bisections
     # that bring (b - a) / den down to width is known from the start
@@ -156,7 +181,7 @@ def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
     while (b - a) * width.denominator > (width.numerator * den) << steps:
         steps += 1
     if steps:
-        sf = chain[0]
+        sf = _squarefree_int(_int_key(p))
         s_lo = _sign_at_rational(sf, a, den) or _sign_at_rational(poly_derivative(sf), a, den)
         for _ in range(steps):
             mid, den = a + b, 2 * den

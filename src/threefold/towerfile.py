@@ -101,6 +101,7 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve) -> dict[str, Fr
     acc: dict[str, Fraction] = {}
     sign = 1
     pending_num: Fraction | None = None
+    sign_col: int | None = None  # the column of a sign not yet followed by a term
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
@@ -117,6 +118,7 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve) -> dict[str, Fr
                     col0 + m.start("sign") + 1,
                 )
             sign *= 1 if m.group("sign") == "+" else -1  # the last term reset sign to 1
+            sign_col = col0 + m.start("sign") + 1
             continue
         if m.group("num"):
             if pending_num is not None:
@@ -135,12 +137,14 @@ def _parse_linear_expr(text: str, line: int, col0: int, resolve) -> dict[str, Fr
         coeff = (pending_num if pending_num is not None else ONE) * sign
         for g, v in terms.items():
             acc[g] = acc.get(g, ZERO) + coeff * v
-        pending_num = None
+        pending_num = sign_col = None
         sign = 1
     if pending_num is not None:
         raise TowerParseError("trailing coefficient without a generator", line, pending_col)
     if not acc:  # every term map has a key
         raise TowerParseError("empty class expression", line, col0 + 1)
+    if sign_col is not None:
+        raise TowerParseError("trailing sign without a term", line, sign_col)
     return acc
 
 

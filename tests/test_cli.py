@@ -444,6 +444,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     "text, message",
     [
         ("1 x\n0 1\n", "line 1, col 3: expected an integer, got 'x'"),
+        # past int()'s digit limit: located, and the literal is not echoed
+        (f"1 {'9' * 5000}\n0 1\n", "line 1, col 3: number literal too long: more than 4300 digits"),
+        (f"1 0\n-{'9' * 5000} 1\n", "line 2, col 1: number literal too long: more than 4300 digits"),
         ("# header\n1 0  # first row\n\n0  1.5\n", "line 4, col 4: expected an integer, got '1.5'"),
         ("1 0\n0 1 2\n", "line 2: row has 3 entries, expected 2"),
         ("1 0 0\n\n0 1\n0 0 1\n", "line 3: row has 2 entries, expected 3"),

@@ -34,6 +34,9 @@ from threefold.factor import (
 from threefold.lattice_dynamics import dynamical_degrees
 from threefold.polynomials import (
     EngineLimit,
+    _exact_quotient,
+    _squarefree_int,
+    _unfold_square,
     poly_compose_square,
     poly_degree,
     poly_derivative,
@@ -47,18 +50,23 @@ from threefold.polynomials import (
     poly_trim,
 )
 from threefold.radius import (
+    _SQUARE_WIDTH,
     CERTIFIED_WIDTH,
     AlgebraicNumber,
     _abs_interval,
     _certified_radius_int,
     _dominant_real_root,
+    _float_radius_squared,
     _fraction_sqrt_bounds,
+    _located_node,
     _symmetric_square,
     certified_radius_from_charpoly,
 )
 from threefold.realroots import (
     BoundaryRoot,
     _chain_for,
+    _sturm_chain_int,
+    _variations,
     cauchy_root_bound,
     count_real_roots,
     disk_root_count,
@@ -765,6 +773,68 @@ def test_refinement_edge_cases():
         refine_root_interval([2, -3, 1], 2, Q(5, 2), Q(1, 8))
 
 
+def _whole_squarefree(p) -> tuple:
+    """The squarefree part of p from one gcd with its derivative, the key
+    itself when that gcd is constant: never through an even half."""
+    key = tuple(poly_primitive_int(p))
+    g = poly_gcd(key, poly_derivative(key))
+    return key if len(g) == 1 else tuple(_exact_quotient(list(key), g))
+
+
+@st.composite
+def even_polys(draw):
+    """h(x^2) up to a rational content, for h a product of small factors
+    with h(0) != 0, sometimes with the rational roots +-2 and +-3."""
+    h = draw(repeated_factor_polys(6).filter(lambda h: h[0] != 0))
+    for root in draw(st.sets(st.sampled_from([4, 9]))):
+        h = poly_mul(h, [-root, 1])
+    content = draw(st.sampled_from([1, -1, Q(2, 3)]))
+    return [content * c for c in _unfold_square(h)]
+
+
+_TWOS_AND_THREES = poly_mul([-4, 0, 1], [-9, 0, 1])  # roots +-2, +-3
+_ENDS = st.one_of(st.fractions(-7, 7, max_denominator=6), st.sampled_from([0, 2, -2, 3, -3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(even_polys(), _ENDS, _ENDS)
+@example(_TWOS_AND_THREES, -3, 3)  # (-3, 3]: -2, 2, 3
+@example(_TWOS_AND_THREES, -2, 0)  # (-2, 0]: none
+@example(_TWOS_AND_THREES, 2, -3)  # reversed: minus the count in (-3, 2]
+@example(poly_mul([-4, 0, 1], [-4, 0, 1]), -2, 2)  # a repeated even factor
+def test_an_even_polynomial_is_counted_through_its_half(p, lo, hi):
+    sf = _whole_squarefree(p)
+    assert _squarefree_int(tuple(poly_primitive_int(p))) == sf
+    chain = _sturm_chain_int(sf)
+    lo, hi = Q(lo), Q(hi)
+    want = _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
+    assert count_real_roots(p, lo, hi) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(even_polys(), st.integers(1, 60))
+def test_an_even_polynomial_is_refined_through_its_half(p, bits):
+    width = Q(1, 2**bits)
+    intervals = isolate_real_roots(p)
+    for lo, hi in intervals:
+        assert refine_root_interval(p, lo, hi, width) == _ref_refine(p, lo, hi, width)
+    if len(intervals) > 1:
+        lo, hi = intervals[0][0], intervals[-1][1]
+        with pytest.raises(ValueError, match="^interval does not isolate a root$"):
+            refine_root_interval(p, lo, hi, width)
+
+
+def test_even_refinement_edge_cases():
+    width = Q(1, 2**40)
+    # lo is another root, on either side of 0; an interval through 0
+    for lo, hi in [(2, 4), (-3, -1), (-3, 0), (-1, 2), (Q(-5, 2), Q(1, 3))]:
+        got = refine_root_interval(_TWOS_AND_THREES, lo, hi, width)
+        assert got == _ref_refine(_TWOS_AND_THREES, lo, hi, width)
+    for lo, hi in [(-3, 3), (-4, -1), (0, 1)]:
+        with pytest.raises(ValueError, match="^interval does not isolate a root$"):
+            refine_root_interval(_TWOS_AND_THREES, lo, hi, width)
+
+
 _DENSE_POLYS = st.tuples(
     st.lists(st.integers(-4, 4), min_size=1, max_size=8), st.sampled_from([1, 1, -1, 2, 3])
 ).map(lambda t: t[0] + [t[1]])
@@ -1099,6 +1169,53 @@ def test_fallback_matches_the_whole_symmetric_square_route(m):
             assert got == _outcome(reference_fallback_radius, split.call_args.args[0])
 
 
+def _mpmath_radius(p):
+    """The largest root modulus of p from the roots of its squarefree part
+    (sympy's), found by mpmath at 50 digits, so that a defective matrix keeps
+    its exact radius."""
+    import mpmath
+    import sympy
+
+    sf = [int(c) for c in sympy.Poly(p[::-1], sympy.Symbol("x")).sqf_part().all_coeffs()]
+    if len(sf) == 2:
+        return abs(mpmath.mpf(sf[1]) / sf[0])
+    return max(abs(z) for z in mpmath.polyroots(sf, maxsteps=400, extraprec=200))
+
+
+@st.composite
+def fallback_companions(draw):
+    """Companion matrices of unimodular polynomials of degree 5-8."""
+    n = draw(st.integers(5, 8))
+    middle = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    return companion_matrix([draw(st.sampled_from([1, -1]))] + middle + [1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(unimodular_matrices(max_n=8), fallback_companions()))
+# companion matrices of degree 5-8 whose radius (or its inverse's) is a
+# complex pair's
+@example(companion_matrix([-1, 2, -1, 3, 2, 1]))
+@example(companion_matrix([1, 3, 3, -3, -2, 1, 1]))
+@example(companion_matrix([1, -1, -1, 3, 1, 1, -3, 1]))
+@example(companion_matrix([1, 3, 0, -1, 1, -1, 1, -1, 1]))
+def test_radii_up_to_rank_8_match_an_mpmath_oracle(m):
+    import mpmath
+
+    cp = characteristic_polynomial(m)
+    for p in (cp, cp[::-1]):
+        with patch.object(radius, "_symmetric_square", wraps=_symmetric_square) as split:
+            got = _certified_radius_int.__wrapped__(tuple(poly_primitive_int(p)))
+        if split.called:
+            event(f"rank {len(m)} reached the fallback")
+        with mpmath.workdps(50):
+            value, tol = _mpmath_radius(p), mpmath.mpf(10) ** -30
+            lo = mpmath.mpf(got.lo.numerator) / got.lo.denominator
+            hi = mpmath.mpf(got.hi.numerator) / got.hi.denominator
+            assert lo - tol <= value <= hi + tol
+            scale = sum(abs(c) * value**i for i, c in enumerate(got.minpoly))
+            assert abs(mpmath.polyval(got.minpoly[::-1], value)) <= tol * scale
+
+
 def test_fallback_reads_a_real_radius_from_the_graeffe_half():
     # the real root 3/2 and a complex pair of modulus 3/2 - 3e-14, too
     # close for the real-root certificate: the squared radius 9/4 is a root
@@ -1135,10 +1252,11 @@ def test_fallback_never_factors_the_whole_symmetric_square(p):
 
 
 @pytest.mark.parametrize("p", _FALLBACK_TAIL[:3])
-def test_fallback_quartics_take_four_disk_counts_and_lift_no_half(p):
-    # the outer disk count below n proves complex dominance at once; the
-    # exterior square (degree 6) and m(x^2) (degree 12) are proven
-    # irreducible through their symmetry, never lifted
+def test_fallback_quartics_take_three_disk_counts_and_lift_no_half(p):
+    # no unit-disk count (the keys are not +-reciprocal); the outer disk
+    # count below n proves complex dominance at once; the exterior square
+    # (degree 6) and m(x^2) (degree 12) are proven irreducible through their
+    # symmetry, never lifted
     real, lifted = factor._recombine, []
 
     def spy(f, *args):
@@ -1153,8 +1271,113 @@ def test_fallback_quartics_take_four_disk_counts_and_lift_no_half(p):
     ) as split:
         got = _certified_radius_int.__wrapped__(p)
     assert split.called and len(got.minpoly) == 13
-    assert counts.call_count == 4
+    assert counts.call_count == 3
     assert not {6, 12} & set(lifted)
+
+
+_UNIT_DISK = 1 + Q(1, 10**6)
+
+
+def test_the_unit_disk_count_runs_only_for_a_reciprocal_key():
+    # monic and not +-reciprocal: x^3 - x - 1, and a fallback quartic
+    for key in [(-1, -1, 0, 1), _FALLBACK_TAIL[0]]:
+        with patch.object(radius, "disk_root_count_robust", wraps=disk_root_count_robust) as counts:
+            _certified_radius_int.__wrapped__(key)
+        assert counts.called and all(c.args[1] != _UNIT_DISK for c in counts.call_args_list)
+    # products of distinct cyclotomic polynomials, one with x - 1 (so
+    # anti-reciprocal) and with repeated factors: still exactly 1, after one
+    # count at 1 + 10^-6
+    phi = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 5: [1, 1, 1, 1, 1], 6: [1, -1, 1]}
+    keys = [
+        poly_mul(phi[1], poly_mul(phi[3], phi[4])),
+        poly_mul(phi[2], phi[5]),
+        poly_mul(poly_mul(phi[1], phi[1]), poly_mul(phi[6], phi[6])),
+    ]
+    for key in keys:
+        with patch.object(radius, "disk_root_count_robust", wraps=disk_root_count_robust) as counts:
+            got = _certified_radius_int.__wrapped__(tuple(key))
+        assert got == AlgebraicNumber((-1, 1), Q(1), Q(1)) and got.is_one()
+        assert [c.args[1] for c in counts.call_args_list] == [_UNIT_DISK]
+
+
+def _isolation_node(cp_sf, graeffe):
+    """The fallback's node by isolating every real root of cp_sf and refining
+    the largest, with whether the Graeffe half has its root; None when cp_sf
+    has no real root."""
+    reals = isolate_real_roots(cp_sf)
+    if not reals:
+        return None
+    lo, hi = refine_root_interval(cp_sf, *max(reals, key=lambda iv: iv[1]), _SQUARE_WIDTH)
+    return lo, hi, count_real_roots(graeffe, lo, hi) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    repeated_factor_polys(6),
+    repeated_factor_polys(6),
+    st.sampled_from(["hit", "second root", "zero", "far", "none"]),
+)
+@example([-4, 1], [16, 0, 1], "hit")  # the root 4 and the pair +-4i
+@example([-4, 1], [-4, 1], "hit")  # 4 is a root of both halves
+@example([-4, 1], poly_mul([-5, 1], [1, 1]), "second root")
+def test_the_located_node_is_the_isolation_node(graeffe, wedge, kind):
+    cp_sf = poly_squarefree(poly_mul(graeffe, wedge))
+    want = _isolation_node(cp_sf, graeffe)
+    reals = sorted(float(refine_root_interval(cp_sf, *iv, Q(1, 10**9))[1]) for iv in isolate_real_roots(cp_sf))
+    guess = {
+        "hit": float(want[1]) if want else 1.0,
+        "second root": reals[-2] if len(reals) > 1 else 0.5,
+        "zero": 0.0,
+        "far": 1e6,
+        "none": None,
+    }[kind]
+    got = _located_node(cp_sf, graeffe, wedge, guess)
+    event(f"{kind}: {'located' if got else 'missed'}")
+    assert got in (None, want)
+    if want and kind == "hit":
+        # found unless the root is common to both halves
+        lo, hi, _ = want
+        assert (got is None) == (count_real_roots(graeffe, lo, hi) + count_real_roots(wedge, lo, hi) > 1)
+    if kind == "second root" and len(reals) > 1 or kind == "none":
+        assert got is None
+
+
+@pytest.mark.parametrize("p", _FALLBACK_TAIL)
+def test_a_missed_guess_gives_the_same_certificate(p):
+    # the quartics reach the fallback, and the cubic's reversal does
+    key = tuple(poly_primitive_int(p if len(p) == 5 else p[::-1]))
+    with patch.object(radius, "isolate_real_roots", wraps=isolate_real_roots) as isolations, patch.object(
+        radius, "_located_node", wraps=_located_node
+    ) as located:
+        certificate = _certified_radius_int.__wrapped__(key)
+    assert located.called and isolations.call_count == 1  # the real roots of the key alone
+    for guess in (0.0, 1e6, None):
+        with patch.object(radius, "_float_radius_squared", return_value=guess), patch.object(
+            radius, "isolate_real_roots", wraps=isolate_real_roots
+        ) as missed:
+            assert _certified_radius_int.__wrapped__(key) == certificate
+        # the symmetric square is isolated only after the miss
+        assert missed.call_count == 2
+
+
+def test_a_root_of_both_halves_takes_the_isolation_route():
+    # 2 and +-2i: the squared radius 4 is 2^2 in the Graeffe half and
+    # 2i * -2i in the exterior square, so the located node is refused
+    key = tuple(poly_primitive_int(characteristic_polynomial([[2, 0, 0], [0, 0, -4], [0, 1, 0]])))
+    with patch.object(radius, "isolate_real_roots", wraps=isolate_real_roots) as isolations:
+        got = _certified_radius_int.__wrapped__(key)
+    # the key's real roots, then the symmetric square's
+    assert isolations.call_count == 2
+    assert got.minpoly == (-2, 1) and got == reference_fallback_radius(list(key))
+
+
+def test_the_float_guess_of_the_squared_radius():
+    # x^4 + 3x^3 - 6x^2 - 33x + 1: a complex pair of modulus sqrt(11.39...)
+    guess = _float_radius_squared([1, -33, -6, 3, 1])
+    assert abs(guess - 11.393963203309358) < 1e-12
+    assert abs(_float_radius_squared([2, 0, 1]) - 2) < 1e-12
+    # coefficients past the float range give no guess
+    assert _float_radius_squared([10**400, 1]) is None
 
 
 _WIDTHS = st.fractions(Q(1, 10**15), 4, max_denominator=10**15).filter(lambda w: w > 0)

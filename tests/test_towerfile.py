@@ -458,6 +458,9 @@ def test_a_ci_spec_with_an_empty_degree_is_a_located_error():
         ("base p3\nblowup curve class = 2 - l genus = 0\n", "line 2, col 24: dangling coefficient without a generator name"),
         ("base p3\nblowup curve class =+ genus = 0\n", "line 2, col 21: empty class expression"),
         ("base p3\nalias b = - \n", "line 2, col 11: empty class expression"),
+        ("base p3\nblowup curve class = l - genus = 0\n", "line 2, col 24: trailing sign without a term"),
+        ("base p3\nblowup curve class = l + genus = 0\n", "line 2, col 24: trailing sign without a term"),
+        ("base p3\nalias a = l -\n", "line 2, col 13: trailing sign without a term"),
         ("", "line 1: empty tower file: expected a 'base' line"),
         ("\n# only a comment\n", "line 2: empty tower file: expected a 'base' line"),
         ("base\n", "line 1: missing base spec"),
