@@ -276,9 +276,9 @@ def _located_node(cp_sf, graeffe, wedge, guess):
     interval it starts from lies above that depth, since every node above
     it holds a root and no node below the first with one root is visited.
     Integer Newton steps on cp_sf from the guess, on a grid _NEWTON_BITS
-    finer than D, choose a depth-D node, which is accepted only on exact
-    Sturm counts of the two halves: one root in (lo, hi] and none in
-    (hi, B].  in_graeffe says whether the Graeffe half has it."""
+    finer than D, choose one or two adjacent depth-D nodes, a node accepted
+    only on exact Sturm counts of the two halves: one root in (lo, hi] and
+    none in (hi, B].  in_graeffe says whether the Graeffe half has it."""
     if guess is None:
         return None
     bound = cauchy_root_bound(cp_sf)
@@ -307,15 +307,18 @@ def _located_node(cp_sf, graeffe, wedge, guess):
         u -= step
         if abs(step) <= 1:
             break
-    t = (u - 1) >> _NEWTON_BITS  # the depth-D node (t, t + 1] holding u
-    if not 0 <= t < 1 << depth:
-        return None
-    lo = Fraction(b * (2 * t - (1 << depth)), c << depth)
-    hi = lo + Fraction(2 * b, c << depth)
-    inside = [count_real_roots(h, lo, hi) for h in (graeffe, wedge)]
-    if sum(inside) != 1 or count_real_roots(graeffe, hi, bound) or count_real_roots(wedge, hi, bound):
-        return None
-    return lo, hi, inside[0] == 1
+    # u, the ceiling of the last Newton point, lies within a grid unit of
+    # the root, which may sit on a node's end: the depth-D nodes (t, t + 1]
+    # holding u - 1, u and u + 1 are tried, and the counts accept one at most
+    for t in sorted({(v - 1) >> _NEWTON_BITS for v in (u - 1, u, u + 1)}):
+        if not 0 <= t < 1 << depth:
+            continue
+        lo = Fraction(b * (2 * t - (1 << depth)), c << depth)
+        hi = lo + Fraction(2 * b, c << depth)
+        inside = [count_real_roots(h, lo, hi) for h in (graeffe, wedge)]
+        if sum(inside) == 1 and not (count_real_roots(graeffe, hi, bound) or count_real_roots(wedge, hi, bound)):
+            return lo, hi, inside[0] == 1
+    return None
 
 
 def _verified_radius_interval(sf, n, lo, hi, width):

@@ -1319,6 +1319,7 @@ def _isolation_node(cp_sf, graeffe):
 )
 @example([-4, 1], [16, 0, 1], "hit")  # the root 4 and the pair +-4i
 @example([-4, 1], [-4, 1], "hit")  # 4 is a root of both halves
+@example([0, 1], [1, -3], "hit")  # 1/3 is the upper end of its node
 @example([-4, 1], poly_mul([-5, 1], [1, 1]), "second root")
 def test_the_located_node_is_the_isolation_node(graeffe, wedge, kind):
     cp_sf = poly_squarefree(poly_mul(graeffe, wedge))
