@@ -192,28 +192,16 @@ def algebraic_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
 
     Distinct roots separate under interval refinement; equality holds only
     for the same root of the same irreducible minimal polynomial, detected
-    by the union interval isolating a single root of it.  Equal records
-    name one number (one minimal polynomial, one isolating interval), as
-    lambda1 and lambda2 of a reciprocal chi_A do: they compare at once.
+    by the union interval isolating a single root of it (a linear one has
+    no other).  Equal records name one number (one minimal polynomial, one
+    isolating interval), as lambda1 and lambda2 of a reciprocal chi_A do:
+    they compare at once.  A rational point (lo = hi) is never refined: the
+    width comes from the other side.
     """
     if a is b or a == b:
         return 0
-
-    def against_rational(z: AlgebraicNumber, r: Fraction) -> int:
-        # exact sign of z - r
-        if poly_eval(z.minpoly, r) == 0 and z.lo <= r <= z.hi:
-            return 0
-        w = z
-        while w.lo < r <= w.hi or (w.lo == r == w.hi):
-            w = w.refined(w.width / 16)
-        return -1 if w.hi <= r else 1
-
     if a.lo == a.hi and b.lo == b.hi:
         return (a.lo > b.lo) - (a.lo < b.lo)
-    if a.lo == a.hi:
-        return -against_rational(b, a.lo)
-    if b.lo == b.hi:
-        return against_rational(a, b.lo)
 
     x, y = a, b
     for _ in range(400):
@@ -224,9 +212,9 @@ def algebraic_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         if x.minpoly == y.minpoly:
             lo = min(x.lo, y.lo)
             hi = max(x.hi, y.hi)
-            if count_real_roots(list(x.minpoly), lo, hi) == 1:
+            if len(x.minpoly) == 2 or count_real_roots(list(x.minpoly), lo, hi) == 1:
                 return 0
-        w = min(x.width, y.width) / 16
+        w = min(v.width for v in (x, y) if v.width) / 16
         x = x.refined(w)
         y = y.refined(w)
     raise EngineLimit("algebraic_compare", "algebraic comparison did not converge")

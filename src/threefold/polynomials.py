@@ -8,10 +8,12 @@ squarefree part, Sturm chain, sign evaluation and Routh table after that
 stays in int arithmetic.  Fractions remain only in the rational interval
 endpoints the root routines return (they are integers over one common
 denominator while being refined); exact division is _exact_quotient on
-integer polynomials.  poly_gcd and poly_squarefree run the primitive
-polynomial remainder sequence (W. S. Brown, J. ACM 18, 1971); one cache of
-squarefree parts, keyed by the primitive integer tuple, serves every layer
-above:
+integer polynomials.  One primitive polynomial remainder sequence (W. S.
+Brown, J. ACM 18, 1971) serves gcds, squarefree parts and Sturm chains: a
+polynomial's sequence with its derivative is built once, cached as its
+Sturm chain, and its squarefree part is read off the chain's last entry.
+The caches of chains and squarefree parts, keyed by the primitive integer
+tuple, serve every layer above:
 
 - charpoly: characteristic polynomials of integer matrices;
 - realroots: Sturm counts, isolation and refinement, and disk counts;
@@ -123,15 +125,28 @@ def _pseudo_remainder(a, b) -> list[int]:
     return poly_trim(a) if a else [0]
 
 
+def _remainder_sequence(a, b) -> list:
+    """The primitive remainder sequence of the integer polynomials a and b:
+    a, b, then the primitive part of the negated pseudo-remainder of the
+    last two entries, up to the last non-zero entry, which is gcd(a, b) up
+    to sign.  Each entry is its Euclidean remainder up to a positive
+    factor, so for a squarefree p the sequence of p and p' is p's Sturm
+    chain."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not any(r):
+            break
+        seq.append(_primitive_part([-c for c in r]))
+    return seq if any(seq[-1]) else seq[:-1]
+
+
 def poly_gcd(p, q):
     """Greatest common divisor as a primitive integer polynomial with
-    positive leading coefficient, by the primitive polynomial remainder
-    sequence: integer pseudo-remainders, each divided by its content
-    (W. S. Brown, J. ACM 18, 1971)."""
-    a, b = _primitive_part(p), _primitive_part(q)
-    while any(b):
-        a, b = b, _primitive_part(_pseudo_remainder(a, b))
-    return [-c for c in a] if a[-1] < 0 else a
+    positive leading coefficient: the last entry of the primitive remainder
+    sequence of the primitive parts of p and q."""
+    g = _remainder_sequence(_primitive_part(p), _primitive_part(q))[-1]
+    return [-c for c in g] if g[-1] < 0 else g
 
 
 def _exact_quotient(p, g) -> list[int] | None:
@@ -163,9 +178,18 @@ def _even_half(p: tuple) -> tuple | None:
 
 
 @lru_cache(maxsize=4096)
+def _sturm_chain_int(p: tuple) -> tuple:
+    """The remainder sequence of p and p', for a primitive integer tuple p:
+    p's Sturm chain when p is squarefree, and for every p its last entry is
+    gcd(p, p') up to sign."""
+    return tuple(map(tuple, _remainder_sequence(p, _primitive_part(poly_derivative(p)))))
+
+
+@lru_cache(maxsize=4096)
 def _squarefree_int(p: tuple) -> tuple:
     """Squarefree part of a primitive integer polynomial with positive
-    leading coefficient, in the same form (p itself when p is squarefree).
+    leading coefficient, in the same form (p itself when p is squarefree,
+    whose Sturm chain is then already built).
 
     An even p = h(x^2) with h(0) != 0 goes through its half: a root b != 0
     of h of multiplicity k gives the two roots +-sqrt(b) of p, distinct and
@@ -175,10 +199,10 @@ def _squarefree_int(p: tuple) -> tuple:
     if h is not None:
         sh = _squarefree_int(h)
         return p if len(sh) == len(h) else _unfold_square(sh)
-    g = poly_gcd(p, poly_derivative(p))
+    g = _sturm_chain_int(p)[-1]
     if len(g) == 1:
         return p
-    return tuple(_exact_quotient(p, g))
+    return tuple(_exact_quotient(p, g if g[-1] > 0 else [-c for c in g]))
 
 
 def _int_key(p) -> tuple:

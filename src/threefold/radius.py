@@ -13,8 +13,11 @@ pairwise root products), which always carries it; that polynomial is built
 from power sums by Newton's identities in its two halves (Graeffe and
 exterior square), its largest real root is found on its final dyadic node
 from a float guess and confirmed by exact Sturm counts of the halves, and
-only the half owning the root is factored.  An outer disk count below the
-degree proves complex dominance at the first attempt.
+only the half owning the root is factored.  Those counts are the whole
+certificate of a complex-dominant radius: every root product has modulus
+at most rho^2 and rho^2 is one of them, so the largest real root is rho^2.
+An outer disk count below the degree proves complex dominance at the first
+attempt, and no disk count follows it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .polynomials import (
     poly_to_str,
 )
 from .realroots import (
+    _halvings,
     cauchy_root_bound,
     count_real_roots,
     disk_root_count_robust,
@@ -132,9 +136,8 @@ def _fraction_sqrt_bounds(x: Fraction, width: Fraction) -> tuple[Fraction, Fract
     if x == 0:
         return ZERO, ZERO
     # the least power of 4 with 1 / scale <= width^2 / 4, i.e. at least
-    # t = ceil(4 q^2 / p^2) for width = p / q
-    t = -(-4 * width.denominator**2 // width.numerator**2)
-    scale = 1 << 2 * (((t - 1).bit_length() + 1) // 2)
+    # 4 q^2 / p^2 for width = p / q
+    scale = 1 << 2 * ((_halvings(4 * width.denominator**2, width.numerator**2) + 1) // 2)
     num = x.numerator * scale * scale
     den = x.denominator
     # sqrt(x) = sqrt(num/den)/scale = sqrt(num*den)/(den*scale)
@@ -284,8 +287,7 @@ def _located_node(cp_sf, graeffe, wedge, guess):
     bound = cauchy_root_bound(cp_sf)
     b, c = bound.numerator, bound.denominator
     # the least depth whose nodes, 2B / 2^depth wide, are at most _SQUARE_WIDTH
-    ratio = -(-2 * b * _SQUARE_WIDTH.denominator // (_SQUARE_WIDTH.numerator * c))
-    depth = (ratio - 1).bit_length()
+    depth = _halvings(2 * b * _SQUARE_WIDTH.denominator, _SQUARE_WIDTH.numerator * c)
     # the grid point u stands for x = (2u - full) b / (c full)
     full = 1 << (depth + _NEWTON_BITS)
     u = round((Fraction(guess) * c + b) * full / (2 * b))
@@ -321,23 +323,6 @@ def _located_node(cp_sf, graeffe, wedge, guess):
     return None
 
 
-def _verified_radius_interval(sf, n, lo, hi, width):
-    """Disk-certify that the spectral radius lies in [lo - delta, hi + delta]:
-    everything inside the outer radius, something escaping the inner one.
-    Returns (r_in, r_out, inner_count) or None."""
-    delta = max(width / 4, QQ(1, 10**12))
-    outer, r_out = disk_root_count_robust(sf, hi + delta, direction=+1)
-    if outer != n:
-        return None
-    if lo - delta <= 0:
-        # every root has positive modulus (the constant term is non-zero)
-        return ZERO, r_out, 0
-    inner, r_in = disk_root_count_robust(sf, lo - delta, direction=-1)
-    if inner == n:
-        return None
-    return r_in, r_out, inner
-
-
 def certified_radius_from_charpoly(p) -> AlgebraicNumber:
     """Largest root modulus of the characteristic polynomial p of an integer
     matrix invertible over Z (or of its reversal, the characteristic
@@ -352,11 +337,13 @@ def certified_radius_from_charpoly(p) -> AlgebraicNumber:
     lies outside; when a complex pair dominates (or ties with a real root),
     the squared radius is recovered as the largest real root of the product of
     the two halves of _symmetric_square(sf), the polynomial of the products
-    of pairs of roots of the squarefree part sf, and verified by the same
-    disk counts.  Its minimal polynomial is read from the factors of the
-    half with that root alone: the Graeffe polynomial (roots alpha_i^2)
-    when a real root carries the modulus, else the exterior square (roots
-    alpha_i alpha_j, i < j).
+    of pairs of roots of the squarefree part sf.  The exact Sturm counts
+    that place that root certify it: no root product has modulus above
+    rho^2, which is itself one of them, so no disk count is needed.  Its
+    minimal polynomial is read from the factors of the half with that root
+    alone: the Graeffe polynomial (roots alpha_i^2) when a real root
+    carries the modulus, else the exterior square (roots alpha_i alpha_j,
+    i < j).
 
     The certificate depends on the primitive integer polynomial of p alone
     (its squarefree part, constant and leading coefficient), so it is
@@ -401,13 +388,18 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
         # (a_lo - delta, a_hi + delta] contains only real roots
         for _attempt in range(3):
             a_lo, a_hi = _abs_interval(lo, hi)
-            ring = _verified_radius_interval(sf, n, a_lo, a_hi, hi - lo)
-            if ring is None:
+            delta = max((hi - lo) / 4, QQ(1, 10**12))
+            outer, r_out = disk_root_count_robust(sf, a_hi + delta, direction=+1)
+            if outer != n:
                 # a root outside the outer disk is a non-real root of larger
                 # modulus than every real one, which no refinement undoes
-                # (the inner count never reaches n: the champion is outside)
                 break
-            r_in, r_out, inner = ring
+            if a_lo - delta <= 0:
+                # every root has positive modulus (the constant term is non-zero)
+                r_in, inner = ZERO, 0
+            else:
+                # never n: the champion, of modulus >= a_lo, is outside
+                inner, r_in = disk_root_count_robust(sf, a_lo - delta, direction=-1)
             annulus = n - inner
             reals_in_annulus = count_real_roots(sf, r_in, r_out) + count_real_roots(
                 sf, -r_out, -r_in
@@ -470,11 +462,9 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
     for _round in range(80):
         lo = _fraction_sqrt_bounds(s.lo, CERTIFIED_WIDTH / 2)[0]
         hi = _fraction_sqrt_bounds(s.hi, CERTIFIED_WIDTH / 2)[1]
-        # the sqrt interval must isolate a unique root of m(x^2) and pass
-        # the disk certificate on the original polynomial
-        if count_real_roots(m2, lo, hi) == 1 and (
-            _verified_radius_interval(sf, n, lo, hi, hi - lo) is not None
-        ):
+        # (lo, hi] holds the radius sqrt(lambda); it certifies it once it
+        # isolates that root of m(x^2)
+        if count_real_roots(m2, lo, hi) == 1:
             mp = minimal_polynomial_of_root(m2, lo, hi)
             lo2, hi2 = refine_root_interval(mp, lo, hi, CERTIFIED_WIDTH)
             return AlgebraicNumber(tuple(mp), lo2, hi2)

@@ -18,9 +18,8 @@ from .polynomials import (
     EngineLimit,
     _even_half,
     _int_key,
-    _primitive_part,
-    _pseudo_remainder,
     _squarefree_int,
+    _sturm_chain_int,
     poly_degree,
     poly_derivative,
     poly_mul,
@@ -32,27 +31,17 @@ from .polynomials import (
 # Sturm chains and real-root isolation
 # ---------------------------------------------------------------------------
 #
-# Chains are cached per integer-coefficient tuple, built from the same
-# pseudo-remainders as poly_gcd, and every sign evaluation at a rational
-# num/den is done homogeneously in integers (sign of
-# sum_i c_i num^i den^(d-i)), so counting, isolation and refinement never
-# touch Fraction arithmetic in the inner loop.
+# The chains are polynomials' own: the remainder sequence that also gave
+# the squarefree part, cached per integer-coefficient tuple.  Every sign
+# evaluation at a rational num/den is done homogeneously in integers (sign
+# of sum_i c_i num^i den^(d-i)), so counting, isolation and refinement
+# never touch Fraction arithmetic in the inner loop.
 
 
-@lru_cache(maxsize=4096)
-def _sturm_chain_int(p: tuple) -> tuple:
-    chain = [p]
-    d = poly_derivative(p)
-    if any(d):
-        chain.append(tuple(_primitive_part(d)))
-    while len(chain[-1]) > 1:
-        # a positive multiple of the remainder: the primitive part of its
-        # negation is the chain's next entry, sign included
-        r = _pseudo_remainder(chain[-2], chain[-1])
-        if not any(r):
-            break
-        chain.append(tuple(_primitive_part([-c for c in r])))
-    return tuple(chain)
+def _halvings(num: int, den: int) -> int:
+    """The least s >= 0 with 2^s >= num / den, for num, den > 0: how many
+    halvings bring a length num to at most den."""
+    return (-(-num // den) - 1).bit_length()
 
 
 def _sign_at_rational(q: tuple, num: int, den: int) -> int:
@@ -177,9 +166,7 @@ def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
 
     # a bisection doubles den and keeps b - a, so the number of bisections
     # that bring (b - a) / den down to width is known from the start
-    steps = 0
-    while (b - a) * width.denominator > (width.numerator * den) << steps:
-        steps += 1
+    steps = _halvings((b - a) * width.denominator, width.numerator * den)
     if steps:
         sf = _squarefree_int(_int_key(p))
         s_lo = _sign_at_rational(sf, a, den) or _sign_at_rational(poly_derivative(sf), a, den)

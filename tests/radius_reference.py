@@ -5,8 +5,9 @@ Kept only as the references of differential tests: the whole symmetric
 square W of degree n(n+1)/2 is built from power sums in one piece, and the
 minimal polynomial of its largest real root is read from the irreducible
 factors of W's squarefree part; the square-root bounds find their scale by
-a loop.  threefold.radius must agree with it on every input that
-reaches the fallback.  The factoriser's lift-only route factors every
+a loop, and each square-root interval is also disk-certified on the
+original polynomial.  threefold.radius must agree with it on every input
+that reaches the fallback.  The factoriser's lift-only route factors every
 polynomial by degree sets mod primes, Hensel lifting and recombination,
 never through an even or reciprocal polynomial's half.
 """
@@ -18,8 +19,8 @@ from math import isqrt
 
 from threefold.factor import _factor_by_primes, minimal_polynomial_of_root
 from threefold.polynomials import poly_squarefree
-from threefold.radius import CERTIFIED_WIDTH, AlgebraicNumber, _verified_radius_interval
-from threefold.realroots import count_real_roots, isolate_real_roots, refine_root_interval
+from threefold.radius import CERTIFIED_WIDTH, AlgebraicNumber
+from threefold.realroots import count_real_roots, disk_root_count_robust, isolate_real_roots, refine_root_interval
 
 QQ = Fraction
 
@@ -65,6 +66,19 @@ def reference_sqrt_bounds(x: Fraction, width: Fraction) -> tuple[Fraction, Fract
     return QQ(s, den * scale), QQ(s + 1, den * scale)
 
 
+def reference_disk_check(sf, n, lo, hi) -> bool:
+    """Disk counts around [lo, hi], widened by delta: every root of sf
+    inside the outer disk, and not every root inside the inner one."""
+    delta = max((hi - lo) / 4, QQ(1, 10**12))
+    outer, _ = disk_root_count_robust(sf, hi + delta, direction=+1)
+    if outer != n:
+        return False
+    if lo - delta <= 0:
+        return True
+    inner, _ = disk_root_count_robust(sf, lo - delta, direction=-1)
+    return inner != n
+
+
 def reference_fallback_radius(sf) -> AlgebraicNumber:
     """The certified radius of the squarefree sf (degree n <= 8) from the
     largest real root of its whole symmetric square."""
@@ -79,9 +93,7 @@ def reference_fallback_radius(sf) -> AlgebraicNumber:
     for _round in range(80):
         lo = reference_sqrt_bounds(s.lo, CERTIFIED_WIDTH / 2)[0]
         hi = reference_sqrt_bounds(s.hi, CERTIFIED_WIDTH / 2)[1]
-        if count_real_roots(m2, lo, hi) == 1 and (
-            _verified_radius_interval(sf, n, lo, hi, hi - lo) is not None
-        ):
+        if count_real_roots(m2, lo, hi) == 1 and reference_disk_check(sf, n, lo, hi):
             mp = minimal_polynomial_of_root(m2, lo, hi)
             lo2, hi2 = refine_root_interval(mp, lo, hi, CERTIFIED_WIDTH)
             return AlgebraicNumber(tuple(mp), lo2, hi2)

@@ -324,6 +324,43 @@ def test_algebraic_compare_decides_equality_and_order():
     assert algebraic_compare(ALGEBRAIC_ONE, ALGEBRAIC_ONE) == 0
 
 
+def _point(v):
+    v = Q(v)
+    return AlgebraicNumber((-v.numerator, v.denominator), v, v)
+
+
+_SQRT2 = AlgebraicNumber((-2, 0, 1), Q(1), Q(3, 2))
+_PHI = AlgebraicNumber((-1, -1, 1), Q(3, 2), Q(2))
+
+
+@pytest.mark.parametrize(
+    "point, other, want",
+    [
+        (Q(3, 2), _SQRT2, 1),  # the upper end is the point, the root below it
+        (Q(3, 2), _PHI, -1),  # the lower end is the point, the root above it
+        (Q(1), _SQRT2, -1),  # ALGEBRAIC_ONE on the lower end
+        (Q(3, 2), AlgebraicNumber((-3, 2), Q(1), Q(2)), 0),  # a linear minimal polynomial
+        # the radius of x + 3: the root 3 sits on the lower end of its interval
+        (Q(3), certified_radius_from_charpoly([3, 1]), 0),
+        (Q(7, 4), AlgebraicNumber((-3, 2), Q(1), Q(2)), 1),  # a rational inside the interval
+        (Q(2), _point(Q(3, 2)), 1),  # point against point
+    ],
+)
+def test_a_rational_point_is_compared_in_the_main_loop(monkeypatch, point, other, want):
+    refined, rounds = AlgebraicNumber.refined, []
+
+    def counted(self, width):
+        rounds.append(width)
+        return refined(self, width)
+
+    monkeypatch.setattr(AlgebraicNumber, "refined", counted)
+    assert algebraic_compare(_point(point), other) == want
+    assert algebraic_compare(other, _point(point)) == -want
+    # each round refines both sides, a point to itself: well inside 400 rounds
+    assert len(rounds) <= 2 * 2 * 40
+    assert all(w > 0 for w in rounds)
+
+
 def test_algebraic_square():
     phi = AlgebraicNumber((-1, -1, 1), Q(1), Q(2))
     sq = algebraic_square(phi)

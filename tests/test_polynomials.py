@@ -17,7 +17,7 @@ from radius_reference import (
     reference_symmetric_square,
 )
 from test_intersection_ring import _leibniz_det
-from threefold import factor, radius
+from threefold import factor, polynomials, radius
 from threefold.bareiss import bareiss_rank, bareiss_solve, int_matrix_det
 from threefold.charpoly import characteristic_polynomial
 from threefold.factor import (
@@ -35,7 +35,9 @@ from threefold.lattice_dynamics import dynamical_degrees
 from threefold.polynomials import (
     EngineLimit,
     _exact_quotient,
+    _remainder_sequence,
     _squarefree_int,
+    _sturm_chain_int,
     _unfold_square,
     poly_compose_square,
     poly_degree,
@@ -65,7 +67,6 @@ from threefold.radius import (
 from threefold.realroots import (
     BoundaryRoot,
     _chain_for,
-    _sturm_chain_int,
     _variations,
     cauchy_root_bound,
     count_real_roots,
@@ -719,6 +720,34 @@ def test_sturm_chain_matches_fraction_remainders(p):
     assert list(chain) == _ref_sturm_chain(poly_squarefree(p))
 
 
+@settings(max_examples=150, deadline=None)
+@given(repeated_factor_polys())
+def test_the_remainder_sequence_ends_on_the_gcd(p):
+    # the one sequence of p and p' that gives both the Sturm chain and the
+    # squarefree part ends on +- gcd(p, p'), primitive
+    key = tuple(poly_primitive_int(p))
+    d = poly_primitive_int(poly_derivative(key))
+    last = list(_remainder_sequence(list(key), d)[-1])
+    assert last == list(_sturm_chain_int(key)[-1])
+    g = poly_gcd(key, poly_derivative(key))
+    assert last in (g, [-c for c in g])
+    assert _ref_monic(last) == _ref_gcd(p, poly_derivative(p))
+
+
+def test_a_fresh_squarefree_key_builds_each_remainder_sequence_once():
+    # x^3 - x - 1 (real-dominant) and a fallback quartic: the squarefree
+    # test and the Sturm chain share one sequence per polynomial
+    for key in [(-1, -1, 0, 1), _FALLBACK_TAIL[0]]:
+        _squarefree_int.cache_clear()
+        _sturm_chain_int.cache_clear()
+        _factor_squarefree.cache_clear()
+        with patch.object(polynomials, "_remainder_sequence", wraps=_remainder_sequence) as built:
+            _certified_radius_int.__wrapped__(key)
+        pairs = [(tuple(c.args[0]), tuple(c.args[1])) for c in built.call_args_list]
+        assert len(pairs) == len(set(pairs))
+        assert pairs.count((key, tuple(poly_primitive_int(poly_derivative(key))))) == 1
+
+
 _RADII = st.fractions(Q(1, 10), 5, max_denominator=12)
 
 
@@ -1252,9 +1281,10 @@ def test_fallback_never_factors_the_whole_symmetric_square(p):
 
 
 @pytest.mark.parametrize("p", _FALLBACK_TAIL[:3])
-def test_fallback_quartics_take_three_disk_counts_and_lift_no_half(p):
+def test_fallback_quartics_take_one_disk_count_and_lift_no_half(p):
     # no unit-disk count (the keys are not +-reciprocal); the outer disk
-    # count below n proves complex dominance at once; the exterior square
+    # count below n proves complex dominance at once, and the Sturm counts
+    # that place the squared radius certify it without another; the exterior square
     # (degree 6) and m(x^2) (degree 12) are proven irreducible through their
     # symmetry, never lifted
     real, lifted = factor._recombine, []
@@ -1271,7 +1301,7 @@ def test_fallback_quartics_take_three_disk_counts_and_lift_no_half(p):
     ) as split:
         got = _certified_radius_int.__wrapped__(p)
     assert split.called and len(got.minpoly) == 13
-    assert counts.call_count == 3
+    assert counts.call_count == 1
     assert not {6, 12} & set(lifted)
 
 
