@@ -9,7 +9,10 @@ spectral radius of A, the second that of B.  B is similar to A^-T, so its
 characteristic polynomial is, up to sign, the reversal x^n chi_A(1/x) of
 chi_A (lambda2(f) = lambda1(f^-1)).  Both degrees, the determinant, the
 eigenvalue multiplicity and the rational-root obstruction are read from
-chi_A alone, with or without a model.
+chi_A alone, with or without a model.  So the degrees, the entropy and
+the primitive hint are computed once per distinct chi_A per process and
+shared by every action with that chi_A, every conjugate U A U^-1 of A
+among them; a refusal is not cached.
 
 Both degrees are certified exactly: minimal polynomial plus an isolating
 interval of width <= 1e-10, with disk counts ruling out larger complex
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from ._record import field, record
@@ -271,27 +275,37 @@ def dynamical_degrees(model: ThreefoldModel | None, A) -> DegreeReport:
     matrix B) up to sign.  With a model, validate_action must pass first,
     or InvalidActionError carries its report.  Without one the matrix only
     needs to be unimodular, which is read from chi_A(0) = (-1)^n det A.
+    The degrees, entropy and primitive hint depend on chi_A alone, so they
+    are computed once per distinct chi_A per process and shared by every
+    later call, raw or with a model; a refusal (ValueError, EngineLimit)
+    is not cached and is raised again on the next call.
     """
     if model is not None:
         v = validate_action(model, A)
         if not v.ok:
             raise InvalidActionError(v)
     A = [[_as_int(x) for x in row] for row in A]
-    cp = characteristic_polynomial(A)
+    cp = tuple(characteristic_polynomial(A))
     det = (-1) ** len(A) * cp[0]
     if model is None and det not in (1, -1):
         raise ValidationError(f"raw mode needs a unimodular matrix, det = {det}")
+    l1, l2, entropy, primitive = _degrees_of_charpoly(cp)
+    return DegreeReport(
+        lambda1=l1, lambda2=l2, entropy=entropy, primitive_hint=primitive,
+        mode="raw" if model is None else "model", charpoly=cp,
+    )
 
+
+@lru_cache(maxsize=4096)
+def _degrees_of_charpoly(cp: tuple[int, ...]) -> tuple[AlgebraicNumber, AlgebraicNumber, float, bool]:
+    """(lambda1, lambda2, entropy, primitive_hint) of chi_A = cp."""
     l1 = certified_radius_from_charpoly(cp)
     l2 = certified_radius_from_charpoly(cp[::-1])
     primitive = algebraic_compare(l1, l2) != 0
     entropy = math.log(max(float(l1), float(l2)))
     if l1.is_one() and l2.is_one():
         entropy = 0.0
-    return DegreeReport(
-        lambda1=l1, lambda2=l2, entropy=entropy, primitive_hint=primitive,
-        mode="raw" if model is None else "model", charpoly=tuple(cp),
-    )
+    return l1, l2, entropy, primitive
 
 
 def square_dominance_certified(report: DegreeReport) -> bool:

@@ -410,6 +410,10 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
                     mp = poly_primitive_int(
                         poly_negate_variable(minimal_polynomial_of_root(sf, lo, hi))
                     )
+                    if len(mp) == 2 and mp[0] == mp[1] * hi:
+                        # the root is the end hi itself, rational: -hi is
+                        # mp's only root, on the end of the mirrored node
+                        return AlgebraicNumber(tuple(mp), -hi - (hi - lo), -hi)
                     return AlgebraicNumber(tuple(mp), -hi, -lo)
                 mp = minimal_polynomial_of_root(sf, lo, hi)
                 return AlgebraicNumber(tuple(mp), lo, hi)

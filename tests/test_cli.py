@@ -183,7 +183,9 @@ def test_dynamics_rejects_non_finite_tolerance(capsys, tmp_path):
 
 def test_dynamics_with_model_certifies_each_degree_once(capsys, tmp_path, monkeypatch):
     import threefold.lattice_dynamics as ld
+    from degree_caches import clear_degree_caches
 
+    clear_degree_caches()  # certify afresh, through the counting spy
     calls = []
     certify = ld.certified_radius_from_charpoly
 
@@ -873,14 +875,14 @@ def _no_refinement_of_degrees(monkeypatch):
 def test_engine_limits_are_located_errors_not_tracebacks(capsys, tmp_path, monkeypatch, starve, where, message):
     # each of the engine's three fixed budgets, run out on a valid matrix
     # (chi = x^2 - 3x + 1), ends the CLI with one error line and exit 1
+    from degree_caches import clear_degree_caches
     from threefold.polynomials import EngineLimit
-    from threefold.radius import _certified_radius_int
 
     f = tmp_path / "a.mat"
     f.write_text("2 1\n1 1\n")
-    _certified_radius_int.cache_clear()  # certify afresh, under the starved budget
+    clear_degree_caches()  # certify afresh, under the starved budget
     starve(monkeypatch)
     code, out, err = run(capsys, "dynamics", "--matrix", str(f), "--format", "records")
-    _certified_radius_int.cache_clear()  # keep no radius certified under the patch
+    clear_degree_caches()  # keep no degree certified under the patch
     assert (code, out, err) == (1, "", f"error: engine limit in {where}: {message}\n")
     assert issubclass(EngineLimit, ValueError)

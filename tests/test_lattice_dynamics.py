@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 from charpoly_reference import berkowitz_charpoly
+from degree_caches import clear_degree_caches
 from eigenclass_reference import reference_eigenclass_constraints
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from threefold import (
     validate_action,
 )
 from threefold import intersection_ring, lattice_dynamics
+from threefold._record import replace
 from threefold.charpoly import characteristic_polynomial
 from threefold.lattice_dynamics import (
     ALGEBRAIC_ONE,
@@ -35,7 +37,7 @@ from threefold.lattice_dynamics import (
     square_dominance_certified,
 )
 from threefold.nef_conditions import _p3_points_lines_models
-from threefold.polynomials import poly_mul
+from threefold.polynomials import EngineLimit, poly_mul
 from threefold.radius import AlgebraicNumber, certified_radius_from_charpoly
 from unimodular import matrix_adjugate_unimodular
 
@@ -287,6 +289,87 @@ def test_lambda2_from_reversed_charpoly_matches_curve_matrix():
         B = validate_action(model, A).action.curve_matrix  # Fraction entries
         ref = certified_radius_from_charpoly(berkowitz_charpoly(B))
         assert (got.minpoly, got.lo, got.hi) == (ref.minpoly, ref.lo, ref.hi)
+
+
+# ---------------------------------------------------------------------------
+# one degree record per characteristic polynomial
+# ---------------------------------------------------------------------------
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _conjugate(U, A):
+    """U A U^-1 for a unimodular U."""
+    return _mat_mul(_mat_mul(U, A), matrix_adjugate_unimodular(U))
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """(A, U A U^-1): A from unimodular_matrices, U a product of one to 2n
+    elementary row operations of A's rank n."""
+    A = draw(unimodular_matrices())
+    n = len(A)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 2 * n))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return A, _conjugate(U, A)
+
+
+@settings(max_examples=30, deadline=None)
+@given(conjugate_pairs())
+def test_conjugate_actions_have_one_charpoly_and_one_degree_record(pair):
+    # the degree cache is keyed by chi_A: sound only if every conjugate has
+    # the same chi_A (its larger entries take another prime and other
+    # pivots in the modular Hessenberg reduction) and the same degrees
+    # when each is certified from cold caches
+    A, C = pair
+    assert characteristic_polynomial(C) == characteristic_polynomial(A)
+    clear_degree_caches()
+    got = dynamical_degrees(None, A)
+    clear_degree_caches()
+    assert dynamical_degrees(None, C) == got
+
+
+def test_conjugate_actions_cost_two_certificates(monkeypatch):
+    calls, certify = [], lattice_dynamics.certified_radius_from_charpoly
+
+    def counted(cp):
+        calls.append(tuple(cp))
+        return certify(cp)
+
+    monkeypatch.setattr(lattice_dynamics, "certified_radius_from_charpoly", counted)
+    clear_degree_caches()
+    A = companion(PLASTIC)
+    C = _conjugate([[1, 2, 0], [0, 1, 0], [-1, 0, 1]], A)
+    assert C != A
+    first, second = dynamical_degrees(None, A), dynamical_degrees(None, C)
+    assert calls == [tuple(PLASTIC), tuple(PLASTIC[::-1])]
+    assert second == first
+    assert second.lambda1 is first.lambda1 and second.lambda2 is first.lambda2
+
+
+def test_a_refused_charpoly_is_refused_on_every_call():
+    A = companion([1, -3, -3, 0, 0, 0, 0, 0, 0, 1])  # x^9 - 3x^2 - 3x + 1
+    clear_degree_caches()
+    for _ in range(2):
+        with pytest.raises(EngineLimit, match="too large for the tensor-square fallback"):
+            dynamical_degrees(None, A)
+    info = lattice_dynamics._degrees_of_charpoly.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+
+def test_raw_and_model_reports_of_one_charpoly_differ_only_in_mode():
+    model, A = zero_product_model(5), block_plus_fixed(companion(SALEM_QUARTIC))
+    clear_degree_caches()
+    raw, with_model = dynamical_degrees(None, A), dynamical_degrees(model, A)
+    assert (raw.mode, with_model.mode) == ("raw", "model")
+    assert replace(raw, mode="model") == with_model
+    info = lattice_dynamics._degrees_of_charpoly.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_rationality_obstruction_cases():

@@ -10,6 +10,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from charpoly_reference import berkowitz_charpoly
+from degree_caches import clear_degree_caches
 from radius_reference import (
     reference_factor_squarefree,
     reference_fallback_radius,
@@ -31,7 +32,7 @@ from threefold.factor import (
     _reciprocal_sign,
     minimal_polynomial_of_root,
 )
-from threefold.lattice_dynamics import dynamical_degrees
+from threefold.lattice_dynamics import algebraic_compare, dynamical_degrees
 from threefold.polynomials import (
     EngineLimit,
     _exact_quotient,
@@ -1143,7 +1144,7 @@ def test_cached_radius_matches_the_uncached_body(m):
 
 def test_reciprocal_charpoly_is_certified_once_for_both_degrees():
     lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
-    _certified_radius_int.cache_clear()
+    clear_degree_caches()
     report = dynamical_degrees(None, companion_matrix(lehmer))
     info = _certified_radius_int.cache_info()
     assert (info.misses, info.hits) == (1, 1)
@@ -1159,6 +1160,15 @@ def test_refused_radius_is_not_cached():
             certified_radius_from_charpoly(p)
     info = _certified_radius_int.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
+
+
+def test_a_negative_rational_radius_on_its_node_end_is_inside_its_interval():
+    # x + 3: the dominant root -3 is the upper end of its dyadic node, so the
+    # mirrored radius 3 sits on the upper end of its interval, not outside it
+    r = certified_radius_from_charpoly([3, 1])
+    assert r.minpoly == (-3, 1) and r.lo < 3 == r.hi
+    assert r.refined(Q(1, 2**60)).hi == 3
+    assert algebraic_compare(r, certified_radius_from_charpoly([-3, 1])) == 0
 
 
 # ---------------------------------------------------------------------------
