@@ -5,19 +5,21 @@ characteristic polynomial as an exact algebraic number (minimal polynomial
 + isolating interval).  Each distinct primitive polynomial is certified
 once per process (one cache, keyed like the squarefree parts), so a
 reciprocal characteristic polynomial and its reversal share one
-certificate.  Only the real roots whose modulus can still lead are refined
-to the certified width.  When the dominant modulus is not carried by real
-roots alone, the squared radius is recovered as the largest real root of
-the symmetric square of the squarefree part (the polynomial of its
-pairwise root products), which always carries it; that polynomial is built
-from power sums by Newton's identities in its two halves (Graeffe and
-exterior square), its largest real root is found on its final dyadic node
-from a float guess and confirmed by exact Sturm counts of the halves, and
-only the half owning the root is factored.  Those counts are the whole
-certificate of a complex-dominant radius: every root product has modulus
-at most rho^2 and rho^2 is one of them, so the largest real root is rho^2.
-An outer disk count below the degree proves complex dominance at the first
-attempt, and no disk count follows it.
+certificate.  The real root of largest modulus is the lowest or the
+highest, so only those two are refined to the certified width, and one
+attempt of two disk counts certifies that the leader carries the radius.
+Whatever that attempt cannot decide (a complex root that dominates or sits
+in the annulus, a root on a counted circle, real ends not told apart at the
+certified width) goes to the exact route: the squared radius is the largest
+real root of the symmetric square of the squarefree part (the polynomial of
+its pairwise root products), which always carries it, ties included.  That
+polynomial is built from power sums by Newton's identities in its two
+halves (Graeffe and exterior square), its largest real root is found on its
+final dyadic node from a float guess and confirmed by exact Sturm counts of
+the halves, and only the half owning the root is factored.  Those counts
+are the whole certificate there: every root product has modulus at most
+rho^2 and rho^2 is one of them, so the largest real root is rho^2, and no
+disk count follows the attempt that sent the radius there.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ from .polynomials import (
     poly_to_str,
 )
 from .realroots import (
+    BoundaryRoot,
     _halvings,
     cauchy_root_bound,
     count_real_roots,
-    disk_root_count_robust,
+    disk_root_count,
     isolate_real_roots,
     refine_root_interval,
 )
@@ -159,69 +162,31 @@ def _abs_interval(lo, hi):
     return ZERO, max(-lo, hi)
 
 
-def _contenders(intervals):
-    """The isolating intervals, in their order, whose root can still be the
-    real root of largest modulus or tie with it at any finer width.
-
-    Refinement only shrinks an interval, so the modulus interval of the
-    eventual champion keeps an upper end at least the largest lower end L
-    of them all.  A root whose modulus interval ends below the lowest lower
-    end among those reaching L therefore lies strictly below the champion's
-    modulus interval at every finer width: it can neither win nor overlap."""
-    abs_iv = [_abs_interval(lo, hi) for lo, hi in intervals]
-    floor = max(lo for lo, _ in abs_iv)
-    bar = min(lo for lo, hi in abs_iv if hi >= floor)
-    return [iv for iv, (_, hi) in zip(intervals, abs_iv) if hi >= bar]
-
-
 def _dominant_real_root(sf, width):
-    """The real root of largest modulus, or None if there is no real root.
+    """The real root of largest modulus, or None if there is no real root
+    or the two ends of the real roots are not told apart at `width`.
 
-    Returns (lo, hi) isolating that root with hi - lo <= width.  Candidates
-    with overlapping modulus intervals are refined until a unique champion
-    emerges; the only tie that survives refinement is an exact +-r pair
-    (detected through gcd(p(x), p(-x))), where either sign serves.
-
-    Only _contenders are refined to a round's width w: the roots are first
-    separated at the coarse width 1/16, and each round drops the roots
-    that can no longer win.  An interval refined to w lands on the
-    dyadic node of the isolation tree at the depth w fixes, also after
-    refinement to a coarser width, so the survivors' intervals, the
-    champion and its overlaps are those of refining every root straight
-    to w.
+    Returns (lo, hi) isolating that root with hi - lo <= width.  That root is
+    the lowest or the highest, so only those two are refined, straight to
+    width; the one of larger upper modulus (on a tie the lowest) is
+    returned when the two have one sign or disjoint modulus intervals, or
+    when they are an exact +-r pair, where either sign serves: then
+    gcd(sf(x), sf(-x)) has a root in both nodes (a root in the champion's
+    node alone may have its twin between the ends, not at the other end).
     """
     intervals = isolate_real_roots(sf)
     if not intervals:
         return None
-    if len(intervals) > 1:
-        intervals = _contenders([refine_root_interval(sf, lo, hi, QQ(1, 16)) for lo, hi in intervals])
-    w = min(QQ(1, 10**6), width)
-    even_part = None
-    for _round in range(600):
-        intervals = _contenders([refine_root_interval(sf, lo, hi, w) for lo, hi in intervals])
-        abs_iv = [_abs_interval(lo, hi) for (lo, hi) in intervals]
-        champion = max(range(len(abs_iv)), key=lambda k: abs_iv[k][1])
-        overlapping = [
-            k
-            for k in range(len(abs_iv))
-            if k != champion and abs_iv[k][1] >= abs_iv[champion][0]
-        ]
-        if not overlapping:
-            return intervals[champion]
-        if len(overlapping) == 1:
-            # an exact opposite-sign twin has the same modulus; either works.
-            # The champion has one exactly when gcd(sf(x), sf(-x)) has a root
-            # in the champion's own (lo, hi]
-            k = overlapping[0]
-            same_sign = (intervals[k][1] <= 0) == (intervals[champion][1] <= 0)
-            if not same_sign:
-                if even_part is None:
-                    even_part = poly_gcd(sf, poly_negate_variable(sf))
-                lo, hi = intervals[champion]
-                if poly_degree(even_part) > 0 and count_real_roots(even_part, lo, hi) > 0:
-                    return intervals[champion]
-        w = w / 2**16
-    raise EngineLimit("_dominant_real_root", "real roots with pathologically close moduli")
+    lowest = refine_root_interval(sf, *intervals[0], width)
+    ends = [lowest, refine_root_interval(sf, *intervals[-1], width) if len(intervals) > 1 else lowest]
+    abs_iv = [_abs_interval(lo, hi) for lo, hi in ends]
+    champion = max(range(2), key=lambda k: abs_iv[k][1])
+    if (ends[0][1] <= 0) == (ends[1][1] <= 0) or abs_iv[1 - champion][1] < abs_iv[champion][0]:
+        return ends[champion]
+    even_part = poly_gcd(sf, poly_negate_variable(sf))
+    if poly_degree(even_part) > 0 and all(count_real_roots(even_part, lo, hi) for lo, hi in ends):
+        return ends[champion]
+    return None
 
 
 # the width the fallback refines the squared radius to
@@ -331,11 +296,14 @@ def certified_radius_from_charpoly(p) -> AlgebraicNumber:
     Strategy: if the primitive integer polynomial of p is monic, of
     squarefree degree at most 1078, its squarefree part is +- its reversal,
     and every root lies in |x| < 1 + 10^-6, the radius is exactly 1 (all
-    roots are then roots of unity).  Otherwise isolate the largest-modulus
-    real root r and certify with two disk counts
-    that the annulus just around |r| contains only real roots and nothing
-    lies outside; when a complex pair dominates (or ties with a real root),
-    the squared radius is recovered as the largest real root of the product of
+    roots are then roots of unity).  Otherwise refine the lowest and the
+    highest real root, take the one of larger modulus r, and certify with
+    two disk counts, once, that the annulus just around |r| contains only
+    real roots and nothing lies outside.  Whatever that attempt leaves open
+    (a complex pair that dominates or ties with a real root, a root on a
+    counted circle, real ends of opposite sign whose moduli are not told
+    apart and are no exact +-r pair) goes to the exact route: the squared
+    radius is recovered as the largest real root of the product of
     the two halves of _symmetric_square(sf), the polynomial of the products
     of pairs of roots of the squarefree part sf.  The exact Sturm counts
     that place that root certify it: no root product has modulus above
@@ -369,57 +337,50 @@ def _certified_radius_int(key: tuple) -> AlgebraicNumber:
     # degree d <= n that is no root of unity has a conjugate, also a root of
     # sf, of modulus above 1 + ln d / (6 d^2) (Dobrowolski, Bull. Acad.
     # Polon. Sci. 26, 1978; an integer other than +-1 has modulus >= 2),
-    # which for every d <= 1078 exceeds the counted radius (1 + 10^-6,
-    # nudged up by less than 1.2 10^-9).  A count that finds every root
-    # inside therefore finds only roots of unity (Kronecker): the radius is
-    # exactly 1.  A root of unity has its inverse among its conjugates, so
-    # a product of distinct cyclotomic polynomials equals its reversal up
-    # to sign (x - 1 is the one with the sign); any other monic sf has a
-    # root outside the disk, and the count is not made.
+    # which for every d <= 1078 exceeds the counted radius 1 + 10^-6.  A
+    # count that finds every root inside therefore finds only roots of
+    # unity (Kronecker): the radius is exactly 1.  A root of unity has its
+    # inverse among its conjugates, so a product of distinct cyclotomic
+    # polynomials equals its reversal up to sign (x - 1 is the one with the
+    # sign); any other monic sf has a root outside the disk, and the count
+    # is not made.  A root on the circle is outside the disk: no shortcut.
     if key[-1] == 1 and n <= 1078 and sf[::-1] in (sf, [-c for c in sf]):
-        cnt, _ = disk_root_count_robust(sf, ONE + QQ(1, 10**6), direction=+1)
-        if cnt == n:
-            return AlgebraicNumber((-1, 1), ONE, ONE)
+        try:
+            if disk_root_count(sf, ONE + QQ(1, 10**6)) == n:
+                return AlgebraicNumber((-1, 1), ONE, ONE)
+        except BoundaryRoot:
+            pass
 
     champion = _dominant_real_root(sf, CERTIFIED_WIDTH / 4)
     if champion is not None:
         lo, hi = champion
-        # certify: everything inside |x| < a_hi + delta, and the annulus
-        # (a_lo - delta, a_hi + delta] contains only real roots
-        for _attempt in range(3):
-            a_lo, a_hi = _abs_interval(lo, hi)
-            delta = max((hi - lo) / 4, QQ(1, 10**12))
-            outer, r_out = disk_root_count_robust(sf, a_hi + delta, direction=+1)
-            if outer != n:
-                # a root outside the outer disk is a non-real root of larger
-                # modulus than every real one, which no refinement undoes
-                break
-            if a_lo - delta <= 0:
-                # every root has positive modulus (the constant term is non-zero)
-                r_in, inner = ZERO, 0
-            else:
-                # never n: the champion, of modulus >= a_lo, is outside
-                inner, r_in = disk_root_count_robust(sf, a_lo - delta, direction=-1)
-            annulus = n - inner
-            reals_in_annulus = count_real_roots(sf, r_in, r_out) + count_real_roots(
-                sf, -r_out, -r_in
-            )
-            if annulus == reals_in_annulus:
-                # the dominant modulus is carried by a real root
-                if hi <= 0:
-                    mp = poly_primitive_int(
-                        poly_negate_variable(minimal_polynomial_of_root(sf, lo, hi))
-                    )
-                    if len(mp) == 2 and mp[0] == mp[1] * hi:
-                        # the root is the end hi itself, rational: -hi is
-                        # mp's only root, on the end of the mirrored node
-                        return AlgebraicNumber(tuple(mp), -hi - (hi - lo), -hi)
-                    return AlgebraicNumber(tuple(mp), -hi, -lo)
-                mp = minimal_polynomial_of_root(sf, lo, hi)
-                return AlgebraicNumber(tuple(mp), lo, hi)
-            # a complex root in the annulus may lie just inside |r|: tighten
-            # and retry before concluding complex dominance
-            lo, hi = refine_root_interval(sf, lo, hi, (hi - lo) / 2**10)
+        # certify: everything inside |x| < r_out, and the annulus
+        # (r_in, r_out] contains only real roots.  A root on either circle,
+        # one outside the outer disk (a non-real root of larger modulus than
+        # every real one) or a non-real root in the annulus leaves the
+        # radius to the symmetric square
+        a_lo, a_hi = _abs_interval(lo, hi)
+        delta = max((hi - lo) / 4, QQ(1, 10**12))
+        # every root has positive modulus (the constant term is non-zero),
+        # so none lies in |x| < 0
+        r_in, r_out = max(a_lo - delta, ZERO), a_hi + delta
+        try:
+            outer = disk_root_count(sf, r_out)
+            # never n: the champion, of modulus >= a_lo, is outside
+            inner = disk_root_count(sf, r_in) if outer == n and r_in else 0
+        except BoundaryRoot:
+            outer = None
+        if outer == n and n - inner == count_real_roots(sf, r_in, r_out) + count_real_roots(sf, -r_out, -r_in):
+            # the dominant modulus is carried by a real root
+            if hi <= 0:
+                mp = poly_primitive_int(poly_negate_variable(minimal_polynomial_of_root(sf, lo, hi)))
+                if len(mp) == 2 and mp[0] == mp[1] * hi:
+                    # the root is the end hi itself, rational: -hi is
+                    # mp's only root, on the end of the mirrored node
+                    return AlgebraicNumber(tuple(mp), -hi - (hi - lo), -hi)
+                return AlgebraicNumber(tuple(mp), -hi, -lo)
+            mp = minimal_polynomial_of_root(sf, lo, hi)
+            return AlgebraicNumber(tuple(mp), lo, hi)
 
     # Complex-dominant or tied moduli.  The squared radius is always the
     # largest real root of the symmetric square: alpha_max * conj(alpha_max)

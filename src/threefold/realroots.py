@@ -3,8 +3,10 @@
 - Sturm-chain real-root counting/isolation with exact rational endpoints;
   an isolating interval is refined by the sign of the squarefree part.
 - disk_root_count: number of distinct roots in |x| < R, via the Moebius map
-  onto a half-plane and a fraction-free Routh table.  Used to certify that
-  no complex root escapes past the leading real root.
+  onto a half-plane and a fraction-free Routh table; a root on the circle
+  raises BoundaryRoot, and the caller decides what that means (the radius
+  layer leaves such a radius to its exact route).  Used to certify that no
+  complex root escapes past the leading real root.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from math import gcd, lcm
 
 from .polynomials import (
     QQ,
-    EngineLimit,
     _even_half,
     _int_key,
     _squarefree_int,
@@ -185,7 +186,7 @@ def refine_root_interval(p, lo, hi, width) -> tuple[Fraction, Fraction]:
 
 
 class BoundaryRoot(Exception):
-    """A root lies (numerically) on the tested circle; retry with another radius."""
+    """The tested circle carries a root, or the Routh table degenerates on it."""
 
 
 def _routh_left_halfplane_count(p) -> int:
@@ -239,7 +240,7 @@ def _moebius_basis(n: int) -> tuple:
 
 def disk_root_count(p, radius: Fraction) -> int:
     """Distinct roots of p with |x| < radius (exact; raises BoundaryRoot if a
-    root sits on the circle of that radius, caller perturbs)."""
+    root sits on the circle of that radius or the Routh table degenerates)."""
     sf = _squarefree_int(_int_key(p))
     n = len(sf) - 1
     if n <= 0:
@@ -260,20 +261,3 @@ def disk_root_count(p, radius: Fraction) -> int:
         # degree drop means g(-1) = 0, i.e. a root at x = -radius
         raise BoundaryRoot
     return _routh_left_halfplane_count(h)
-
-
-def disk_root_count_robust(p, radius: Fraction, direction: int = 1) -> tuple[int, Fraction]:
-    """disk_root_count with automatic radius perturbation.
-
-    Nudges the radius by shrinking steps in the given direction (+1 grows,
-    -1 shrinks) until the circle is root-free.  Returns (count, radius used).
-    """
-    eps = QQ(1, 10**9)
-    r = radius
-    for _ in range(60):
-        try:
-            return disk_root_count(p, r), r
-        except BoundaryRoot:
-            r = r + direction * eps
-            eps = eps / 7
-    raise EngineLimit("disk_root_count_robust", "could not find a root-free circle near the requested radius")

@@ -20,7 +20,13 @@ from math import isqrt
 from threefold.factor import _factor_by_primes, minimal_polynomial_of_root
 from threefold.polynomials import poly_squarefree
 from threefold.radius import CERTIFIED_WIDTH, AlgebraicNumber
-from threefold.realroots import count_real_roots, disk_root_count_robust, isolate_real_roots, refine_root_interval
+from threefold.realroots import (
+    BoundaryRoot,
+    count_real_roots,
+    disk_root_count,
+    isolate_real_roots,
+    refine_root_interval,
+)
 
 QQ = Fraction
 
@@ -66,16 +72,29 @@ def reference_sqrt_bounds(x: Fraction, width: Fraction) -> tuple[Fraction, Fract
     return QQ(s, den * scale), QQ(s + 1, den * scale)
 
 
+def _perturbed_disk_count(sf, radius, direction) -> int:
+    """disk_root_count at radius or, while a root lies on the circle, at
+    radius moved by 10^-9, then by steps shrinking sevenfold, in the given
+    direction (+1 grows, -1 shrinks)."""
+    eps = QQ(1, 10**9)
+    for _ in range(60):
+        try:
+            return disk_root_count(sf, radius)
+        except BoundaryRoot:
+            radius, eps = radius + direction * eps, eps / 7
+    raise ValueError("could not find a root-free circle near the requested radius")
+
+
 def reference_disk_check(sf, n, lo, hi) -> bool:
     """Disk counts around [lo, hi], widened by delta: every root of sf
     inside the outer disk, and not every root inside the inner one."""
     delta = max((hi - lo) / 4, QQ(1, 10**12))
-    outer, _ = disk_root_count_robust(sf, hi + delta, direction=+1)
+    outer = _perturbed_disk_count(sf, hi + delta, +1)
     if outer != n:
         return False
     if lo - delta <= 0:
         return True
-    inner, _ = disk_root_count_robust(sf, lo - delta, direction=-1)
+    inner = _perturbed_disk_count(sf, lo - delta, -1)
     return inner != n
 
 

@@ -828,19 +828,40 @@ def test_zero_denominator_is_a_located_error_not_a_traceback(tmp_path):
 # -- engine limits: a search that runs out of its budget is a located error ----
 
 
-def _no_root_free_circle(monkeypatch):
-    from threefold import realroots
+def _dynamics_records(capsys, matrix_file):
+    """The dynamics records of a matrix file, certified afresh (the degree
+    caches cleared before and after)."""
+    from degree_caches import clear_degree_caches
 
-    def on_the_circle(p, radius):
+    clear_degree_caches()
+    try:
+        return run(capsys, "dynamics", "--matrix", str(matrix_file), "--format", "records")
+    finally:
+        clear_degree_caches()
+
+
+def test_a_root_on_every_circle_leaves_the_radius_to_the_symmetric_square(capsys, tmp_path, monkeypatch):
+    # chi = x^2 - 3x + 1 with every disk count on a root: the unit-disk
+    # shortcut is skipped and the annulus certificate gives way to the
+    # symmetric square, which takes no disk count and gives the same roots
+    from threefold import radius, realroots
+
+    def on_the_circle(p, r):
         raise realroots.BoundaryRoot()
 
-    monkeypatch.setattr(realroots, "disk_root_count", on_the_circle)
+    f = tmp_path / "a.mat"
+    f.write_text("2 1\n1 1\n")
+    _, unstarved, _ = _dynamics_records(capsys, f)
+    monkeypatch.setattr(radius, "disk_root_count", on_the_circle)
+    code, out, err = _dynamics_records(capsys, f)
+    assert (code, err) == (0, "")
 
+    def lines(text, *keys):
+        return [line for line in text.splitlines() if line.split("=")[0] in keys]
 
-def _no_refinement_of_real_roots(monkeypatch):
-    from threefold import radius
-
-    monkeypatch.setattr(radius, "refine_root_interval", lambda sf, lo, hi, width: (lo, hi))
+    minpolys = ("lambda1_minpoly", "lambda2_minpoly")
+    assert lines(out, *minpolys) == lines(unstarved, *minpolys) == [f"{k}=x^2 - 3*x + 1" for k in minpolys]
+    assert lines(out, "lambda1_interval") != lines(unstarved, "lambda1_interval")
 
 
 def _no_refinement_of_degrees(monkeypatch):
@@ -864,25 +885,40 @@ def _no_refinement_of_degrees(monkeypatch):
     monkeypatch.setattr(lattice_dynamics, "count_real_roots", lambda p, lo, hi: 2)
 
 
+# the companion matrix of x^9 - 3x^2 - 3x + 1, whose radius the annulus
+# certificate leaves open on a matrix too large for the symmetric square
+_COMPANION_9 = """\
+0 0 0 0 0 0 0 0 -1
+1 0 0 0 0 0 0 0 3
+0 1 0 0 0 0 0 0 3
+0 0 1 0 0 0 0 0 0
+0 0 0 1 0 0 0 0 0
+0 0 0 0 1 0 0 0 0
+0 0 0 0 0 1 0 0 0
+0 0 0 0 0 0 1 0 0
+0 0 0 0 0 0 0 1 0
+"""
+
+
 @pytest.mark.parametrize(
-    "starve, where, message",
+    "matrix, starve, where, message",
     [
-        (_no_root_free_circle, "disk_root_count_robust", "could not find a root-free circle near the requested radius"),
-        (_no_refinement_of_real_roots, "_dominant_real_root", "real roots with pathologically close moduli"),
-        (_no_refinement_of_degrees, "algebraic_compare", "algebraic comparison did not converge"),
+        ("2 1\n1 1\n", _no_refinement_of_degrees, "algebraic_compare", "algebraic comparison did not converge"),
+        (
+            _COMPANION_9,
+            lambda monkeypatch: None,
+            "_certified_radius_int",
+            "could not certify the spectral radius (tied moduli on a matrix too large for the tensor-square fallback)",
+        ),
     ],
 )
-def test_engine_limits_are_located_errors_not_tracebacks(capsys, tmp_path, monkeypatch, starve, where, message):
-    # each of the engine's three fixed budgets, run out on a valid matrix
-    # (chi = x^2 - 3x + 1), ends the CLI with one error line and exit 1
-    from degree_caches import clear_degree_caches
+def test_engine_limits_are_located_errors_not_tracebacks(capsys, tmp_path, monkeypatch, matrix, starve, where, message):
+    # a fixed budget run out (chi = x^2 - 3x + 1), or a radius refused,
+    # on a valid matrix ends the CLI with one error line and exit 1
     from threefold.polynomials import EngineLimit
 
     f = tmp_path / "a.mat"
-    f.write_text("2 1\n1 1\n")
-    clear_degree_caches()  # certify afresh, under the starved budget
-    starve(monkeypatch)
-    code, out, err = run(capsys, "dynamics", "--matrix", str(f), "--format", "records")
-    clear_degree_caches()  # keep no degree certified under the patch
-    assert (code, out, err) == (1, "", f"error: engine limit in {where}: {message}\n")
+    f.write_text(matrix)
+    starve(monkeypatch)  # certify afresh, under the starved budget
+    assert _dynamics_records(capsys, f) == (1, "", f"error: engine limit in {where}: {message}\n")
     assert issubclass(EngineLimit, ValueError)

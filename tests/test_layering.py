@@ -1,4 +1,5 @@
-"""The spectral-radius layers: one home per name, imports in one direction.
+"""The spectral-radius layers: one home per name, imports in one direction,
+no function that nothing calls.
 
 polynomials holds the integer arithmetic; charpoly builds on nothing else,
 and realroots, factor and radius each build on the ones before them.  The
@@ -7,6 +8,7 @@ exact solve (bareiss) and the intersection ring load none of them.
 
 import ast
 import os
+from collections import Counter
 import subprocess
 import sys
 
@@ -76,3 +78,32 @@ def test_names_are_imported_from_the_layer_that_defines_them(importer):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in LAYERS:
             missing = {a.name for a in node.names} - _defined(node.module)
             assert not missing, (importer, node.module, missing)
+
+
+def _uses(nodes, exports=False) -> Counter:
+    """How often each name is used among the nodes, as a name or an
+    attribute, or (exports) as a string, as __init__ exports its names."""
+    used = Counter()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif exports and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used[node.value] += 1
+    return used
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_function_of_a_layer_is_used_in_the_package(layer):
+    # a function that only its own body and the tests use is a leftover
+    package = Counter()
+    for file in os.listdir(os.path.join(SRC, "threefold")):
+        if file.endswith(".py"):
+            package += _uses(ast.walk(_tree(file[:-3])), exports=file == "__init__.py")
+    unused = [
+        node.name
+        for node in _tree(layer).body
+        if isinstance(node, ast.FunctionDef) and package[node.name] == _uses(ast.walk(node))[node.name]
+    ]
+    assert unused == []

@@ -72,7 +72,6 @@ from threefold.realroots import (
     cauchy_root_bound,
     count_real_roots,
     disk_root_count,
-    disk_root_count_robust,
     isolate_real_roots,
     refine_root_interval,
 )
@@ -288,16 +287,10 @@ def test_disk_count_matches_numpy():
             if abs(z) < float(radius):
                 want_distinct += 1
         # the exact counter may refuse a degenerate Routh table at this exact
-        # radius; the robust wrapper's tiny perturbation cannot cross a root
-        # modulus here because the test skipped radii within 1e-6 of one
-        got, _used = disk_root_count_robust(p, radius)
-        assert got == want_distinct, (p, radius)
-
-
-def test_disk_count_robust_perturbs_boundary():
-    p = [-1, 0, 1]  # roots at +-1 exactly on the unit circle
-    count, used = disk_root_count_robust(p, Q(1), direction=+1)
-    assert count == 2 and used > 1
+        # radius (here -x^4 + 3x^3 + 4x^2 - 5x + 1 at 1), and only where the
+        # Fraction table degenerates too
+        got = _outcome(disk_root_count, p, radius)
+        assert got == want_distinct or got == _outcome(_ref_disk_root_count, p, radius) == "boundary", (p, radius)
 
 
 def test_compose_square_roots():
@@ -1238,21 +1231,27 @@ def fallback_companions(draw):
 @example(companion_matrix([1, -1, -1, 3, 1, 1, -3, 1]))
 @example(companion_matrix([1, 3, 0, -1, 1, -1, 1, -1, 1]))
 def test_radii_up_to_rank_8_match_an_mpmath_oracle(m):
-    import mpmath
-
     cp = characteristic_polynomial(m)
     for p in (cp, cp[::-1]):
         with patch.object(radius, "_symmetric_square", wraps=_symmetric_square) as split:
             got = _certified_radius_int.__wrapped__(tuple(poly_primitive_int(p)))
         if split.called:
             event(f"rank {len(m)} reached the fallback")
-        with mpmath.workdps(50):
-            value, tol = _mpmath_radius(p), mpmath.mpf(10) ** -30
-            lo = mpmath.mpf(got.lo.numerator) / got.lo.denominator
-            hi = mpmath.mpf(got.hi.numerator) / got.hi.denominator
-            assert lo - tol <= value <= hi + tol
-            scale = sum(abs(c) * value**i for i, c in enumerate(got.minpoly))
-            assert abs(mpmath.polyval(got.minpoly[::-1], value)) <= tol * scale
+        _assert_certifies_the_mpmath_radius(got, p)
+
+
+def _assert_certifies_the_mpmath_radius(got, p):
+    """got's interval holds the mpmath radius of p, a root of got's minimal
+    polynomial up to its residual."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        value, tol = _mpmath_radius(p), mpmath.mpf(10) ** -30
+        lo = mpmath.mpf(got.lo.numerator) / got.lo.denominator
+        hi = mpmath.mpf(got.hi.numerator) / got.hi.denominator
+        assert lo - tol <= value <= hi + tol
+        scale = sum(abs(c) * value**i for i, c in enumerate(got.minpoly))
+        assert abs(mpmath.polyval(got.minpoly[::-1], value)) <= tol * scale
 
 
 def test_fallback_reads_a_real_radius_from_the_graeffe_half():
@@ -1304,11 +1303,9 @@ def test_fallback_quartics_take_one_disk_count_and_lift_no_half(p):
         return real(f, *args)
 
     _factor_squarefree.cache_clear()
-    with patch.object(
-        radius, "disk_root_count_robust", wraps=disk_root_count_robust
-    ) as counts, patch.object(factor, "_recombine", spy), patch.object(
-        radius, "_symmetric_square", wraps=_symmetric_square
-    ) as split:
+    with patch.object(radius, "disk_root_count", wraps=disk_root_count) as counts, patch.object(
+        factor, "_recombine", spy
+    ), patch.object(radius, "_symmetric_square", wraps=_symmetric_square) as split:
         got = _certified_radius_int.__wrapped__(p)
     assert split.called and len(got.minpoly) == 13
     assert counts.call_count == 1
@@ -1321,7 +1318,7 @@ _UNIT_DISK = 1 + Q(1, 10**6)
 def test_the_unit_disk_count_runs_only_for_a_reciprocal_key():
     # monic and not +-reciprocal: x^3 - x - 1, and a fallback quartic
     for key in [(-1, -1, 0, 1), _FALLBACK_TAIL[0]]:
-        with patch.object(radius, "disk_root_count_robust", wraps=disk_root_count_robust) as counts:
+        with patch.object(radius, "disk_root_count", wraps=disk_root_count) as counts:
             _certified_radius_int.__wrapped__(key)
         assert counts.called and all(c.args[1] != _UNIT_DISK for c in counts.call_args_list)
     # products of distinct cyclotomic polynomials, one with x - 1 (so
@@ -1334,10 +1331,34 @@ def test_the_unit_disk_count_runs_only_for_a_reciprocal_key():
         poly_mul(poly_mul(phi[1], phi[1]), poly_mul(phi[6], phi[6])),
     ]
     for key in keys:
-        with patch.object(radius, "disk_root_count_robust", wraps=disk_root_count_robust) as counts:
+        with patch.object(radius, "disk_root_count", wraps=disk_root_count) as counts:
             got = _certified_radius_int.__wrapped__(tuple(key))
         assert got == AlgebraicNumber((-1, 1), Q(1), Q(1)) and got.is_one()
         assert [c.args[1] for c in counts.call_args_list] == [_UNIT_DISK]
+
+
+@pytest.mark.parametrize("key", [(-1, -1, 0, 1), (1, -3, 1)])
+def test_a_root_on_the_first_circle_counted_leaves_the_certificate_exact(key):
+    # x^3 - x - 1: the first count is the annulus' outer one, and a root on
+    # it leaves the radius to the symmetric square; x^2 - 3x + 1 is
+    # reciprocal, so the first count is the unit disk's, and a root on it
+    # only skips the shortcut
+    calls = []
+
+    def first_on_the_circle(p, r):
+        calls.append(r)
+        if len(calls) == 1:
+            raise BoundaryRoot
+        return disk_root_count(p, r)
+
+    with patch.object(radius, "disk_root_count", first_on_the_circle), patch.object(
+        radius, "_symmetric_square", wraps=_symmetric_square
+    ) as split:
+        got = _certified_radius_int.__wrapped__(key)
+    if key == (1, -3, 1):
+        assert calls[0] == _UNIT_DISK and not split.called and got == _certified_radius_int.__wrapped__(key)
+    else:
+        assert calls[0] != _UNIT_DISK and split.called and got == reference_fallback_radius(list(key))
 
 
 def _isolation_node(cp_sf, graeffe):
@@ -1451,23 +1472,34 @@ def _from_roots(*roots):
     return p
 
 
-_NEAR = Q(3, 2) + Q(1, 10**12)  # closer to 3/2 than a first round's width
+_NEAR = Q(3, 2) + Q(1, 10**12)  # closer to 3/2 than the certified width
 
 
 @settings(max_examples=200, deadline=None)
 @given(polys_with_twins())
 @example([2, -2, -1, 1])  # (x^2 - 2)(x - 1): +-sqrt 2 lead, 1 trails
-# moduli that only a second round tells apart
+# moduli that the certified width does not tell apart
 @example(_from_roots(Q(3, 2), -_NEAR))
 @example(_from_roots(Q(3, 2), _NEAR))
 @example(_from_roots(Q(3, 2), -_NEAR, _NEAR + Q(1, 10**12)))
-@example(_from_roots(Q(3, 2), Q(-3, 2), _NEAR))
-def test_contenders_only_refinement_matches_refining_every_root(sf):
+@example(_from_roots(Q(3, 2), Q(-3, 2), _NEAR))  # +-3/2 twins, not the ends
+def test_the_dominant_real_root_is_the_reference_or_left_to_the_exact_route(sf):
+    # the two ends refined once give the reference's node, a node around it
+    # (two same-sign roots in adjacent nodes, which the reference refines
+    # further), or None, and a None is certified through the symmetric square
     width = CERTIFIED_WIDTH / 4
-    assert _dominant_real_root(sf, width) == _ref_dominant_real_root(sf, width)
+    got, want = _dominant_real_root(sf, width), _ref_dominant_real_root(sf, width)
+    if got is None:
+        event("left to the exact route")
+        key = tuple(poly_primitive_int(sf[1:] if sf[0] == 0 else sf))
+        if 1 <= len(key) - 1 <= 8:
+            _assert_certifies_the_mpmath_radius(_certified_radius_int.__wrapped__(key), list(key))
+    elif got != want:
+        event("a node around the reference's")
+        assert got[1] - got[0] <= width and got[0] <= want[0] and want[1] <= got[1]
 
 
-def test_contenders_only_refinement_on_a_matrix_and_its_inverse():
+def test_the_dominant_real_root_of_a_matrix_and_its_inverse():
     # x^5 + x^4 - x^3 - 1 = (x^2 - 1)(x^3 + x^2 + 1): the real root near
     # -1.47 leads +-1; for the inverse the twins +-1 lead the real roots
     c = companion_matrix([-1, 0, 0, -1, 1, 1])
